@@ -7,7 +7,6 @@ from .diagrams import (
     CapExceeded,
     NotPlanar,
     compose,
-    canonicalize,
     erase_beads,
     erase_ties,
     generator,
@@ -31,7 +30,6 @@ __all__ = [
     "CapExceeded",
     "NotPlanar",
     "compose",
-    "canonicalize",
     "erase_beads",
     "erase_ties",
     "generator",

@@ -304,6 +304,8 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_compatible(other)
+            if not self.fam.spec.associative:
+                raise ValueError(f"products in {self.fam.name} are not associative")
             d = self.fam.d
             drop = self.fam.drop_rook
             out: dict[BeadedDiagram, LaurentPoly] = {}

@@ -16,7 +16,7 @@ import sys
 
 from .diagrams import CapExceeded, parse_word
 from .monoids import FAMILY_NAMES, closure, family, predicted_cardinality
-from .normalform import brauer_nf, evaluate_word, jones_nf, rook_nf
+from .normalform import evaluate_word
 from .verify import (
     BRIDGE_TARGETS,
     DEFAULT_SEED,
@@ -45,43 +45,55 @@ def _bool_text(flag: bool) -> str:
     return "true" if flag else "false"
 
 
+# the verify flags each suite reads; any other flag given is a usage error
+_SUITE_FLAGS = {
+    "cardinalities": ("cap",),
+    "presentations": (),
+    "bridges": ("target", "d", "n"),
+    "tl": ("seed",),
+    "tied": ("n",),
+    "hom": ("seed",),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framoid",
         description="Exact computations in beaded and tied diagram monoids.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_word=False):
+    def add_family(p, formats, need_word=False):
         p.add_argument("--family", required=True,
                        help=f"one of: {', '.join(FAMILY_NAMES)}")
         p.add_argument("--d", type=int, default=1, help="framing modulus")
-        p.add_argument("--n", required=True, help="strand count, or a range a..b")
-        p.add_argument("--cap", type=int, default=1_000_000)
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (advisory; the engine is sequential)")
         if need_word:
+            p.add_argument("--n", required=True, help="strand count")
             p.add_argument("--word", required=True, help="generator word")
+        else:
+            p.add_argument("--n", required=True, help="strand count, or a range a..b")
+            p.add_argument("--cap", type=int, default=1_000_000)
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
 
-    add_common(sub.add_parser("enumerate", help="closure size vs predicted"))
-    add_common(sub.add_parser("cardinality-table", help="counts over an n range"))
-    add_common(sub.add_parser("eval-word", help="evaluate a generator word"),
-               need_word=True)
-    add_common(sub.add_parser("normal-form", help="normal form of a word's diagram"),
-               need_word=True)
+    counts = ("json", "csv", "text")
+    add_family(sub.add_parser("enumerate", help="closure size vs predicted"), counts)
+    add_family(sub.add_parser("cardinality-table", help="counts over an n range"),
+               counts)
+    add_family(sub.add_parser("eval-word", help="evaluate a generator word"),
+               ("json", "text"), need_word=True)
+    add_family(sub.add_parser("normal-form", help="normal form of a word's diagram"),
+               (), need_word=True)
 
+    # suppressed defaults leave a flag that was not given out of the namespace
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("--suite", required=True,
-                    choices=("cardinalities", "presentations", "bridges",
-                             "tl", "tied", "hom"))
-    pv.add_argument("--target", choices=BRIDGE_TARGETS,
+    pv.add_argument("--suite", required=True, choices=tuple(_SUITE_FLAGS))
+    pv.add_argument("--target", choices=BRIDGE_TARGETS, default=argparse.SUPPRESS,
                     help="bridge target (default: all)")
-    pv.add_argument("--d", type=int, default=None)
-    pv.add_argument("--n", default=None)
-    pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    pv.add_argument("--cap", type=int, default=1_000_000)
-    pv.add_argument("--format", choices=("json", "text"), default="json")
-    pv.add_argument("--threads", type=int, default=1)
+    pv.add_argument("--d", type=int, default=argparse.SUPPRESS)
+    pv.add_argument("--n", default=argparse.SUPPRESS)
+    pv.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                    help=f"default 0x{DEFAULT_SEED:X}")
+    pv.add_argument("--cap", type=int, default=argparse.SUPPRESS)
     return parser
 
 
@@ -132,52 +144,40 @@ def _cmd_eval_word(args, out) -> int:
     return 0
 
 
-_NF_DISPATCH = {
-    "jn": lambda x: jones_nf(x),
-    "jdn": lambda x: jones_nf(x),
-    "brn": lambda x: brauer_nf(x),
-    "brdn": lambda x: brauer_nf(x),
-    "rn": lambda x: rook_nf(x, "first"),
-    "rdn": lambda x: rook_nf(x, "first"),
-    "rprimedn": lambda x: rook_nf(x, "prime"),
-}
-
-
 def _cmd_normal_form(args, out) -> int:
-    name = args.family.lower()
-    if name not in _NF_DISPATCH:
-        log.error("no normal form for family %s", name)
-        return 2
     (n,) = _parse_n_range(args.n)
-    fam = family(name, n, args.d)
+    fam = family(args.family, n, args.d)
+    if fam.spec.normal_form is None:
+        log.error("no normal form for family %s", fam.name)
+        return 2
     diag, _ = evaluate_word(parse_word(args.word), fam)
-    out.write(_NF_DISPATCH[name](diag).text() + "\n")
+    out.write(fam.spec.normal_form(diag).text() + "\n")
     return 0
 
 
 def _cmd_verify(args, out) -> int:
-    n_values = _parse_n_range(args.n) if args.n else None
-    reports = []
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "suite")}
+    ignored = sorted(set(given) - set(_SUITE_FLAGS[args.suite]))
+    if ignored:
+        log.error("suite %s does not take %s", args.suite,
+                  ", ".join("--" + flag for flag in ignored))
+        return 2
+    (n,) = _parse_n_range(given.get("n", "4"))
+    # --cap and --seed are passed on as the suite parameters of the same name
     if args.suite == "cardinalities":
-        grid = None
-        if args.d or n_values:
-            raise SystemExit("use the full default grid for this suite")
-        reports.append(suite_cardinalities(cap=args.cap))
+        reports = [suite_cardinalities(**given)]
     elif args.suite == "presentations":
-        reports.append(suite_presentations())
+        reports = [suite_presentations()]
     elif args.suite == "bridges":
-        targets = (args.target,) if args.target else BRIDGE_TARGETS
-        d_values = (args.d,) if args.d else (2, 3, 4)
-        n = n_values[0] if n_values else 4
-        for target in targets:
-            reports.append(suite_bridges(target, d_values, n))
+        targets = (given["target"],) if "target" in given else BRIDGE_TARGETS
+        d_values = (given["d"],) if "d" in given else (2, 3, 4)
+        reports = [suite_bridges(target, d_values, n) for target in targets]
     elif args.suite == "tl":
-        reports.append(suite_framed_tl(seed=args.seed))
+        reports = [suite_framed_tl(**given)]
     elif args.suite == "tied":
-        n = n_values[0] if n_values else 4
-        reports.append(suite_tied_specializations(n))
-    elif args.suite == "hom":
-        reports.append(suite_specialization_homomorphism(seed=args.seed))
+        reports = [suite_tied_specializations(n)]
+    else:
+        reports = [suite_specialization_homomorphism(**given)]
     ok = True
     for report in reports:
         for line in report.lines():

@@ -19,7 +19,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 PARTITION = "partition"
 MATCHING = "matching"
@@ -245,19 +245,6 @@ class BeadedDiagram:
         """The same diagram with framing modulus d (beads reduced mod d)."""
         return BeadedDiagram(self.n, d, self.blocks, [k % d for k in self.beads],
                              self.family_tag, self.ties)
-
-
-def canonicalize(x: BeadedDiagram) -> BeadedDiagram:
-    """Canonical representative of ``x``.
-
-    Construction already normalises block order, point order and tie classes,
-    so every :class:`BeadedDiagram` is its own canonical form.
-    """
-    return x
-
-
-def encode(x: BeadedDiagram) -> str:
-    return x.encode()
 
 
 def erase_beads(x: BeadedDiagram) -> BeadedDiagram:
@@ -537,17 +524,3 @@ def compose(a: BeadedDiagram, b: BeadedDiagram, *,
     result = BeadedDiagram(n, d, blocks, beads,
                            _tag_join(a.family_tag, b.family_tag), ties)
     return result, LoopRecord(loops)
-
-
-def word_diagram(word: Sequence[GenSymbol], n: int, d: int,
-                 tied: bool = False, tag: str = PERMUTATION,
-                 drop_rook: bool = False) -> tuple[BeadedDiagram, LoopRecord]:
-    """Left-to-right product of generator symbols, starting from the identity."""
-    diag = identity(n, d, tied=tied, tag=tag)
-    record = LoopRecord()
-    for sym in word:
-        step, rec = compose(diag, generator(sym, n, d, tied=tied, tag=tag),
-                            drop_rook=drop_rook)
-        diag = step
-        record = record.merged(rec)
-    return diag, record

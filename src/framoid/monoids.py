@@ -1,20 +1,23 @@
 """Monoid families: generators, closure enumeration, counting, presentations.
 
-Sixteen families of beaded/tied diagram monoids are registered here.  Each
-family knows its generator diagrams, its structural tag, whether its elements
-carry ties, and whether broken arcs shed beads and ties on composition (the
-rook-style singleton policy).  ``closure`` enumerates a family breadth-first
-from its generators; ``predicted_cardinality`` gives the exact count by
-formula; ``check_relations`` instantiates every defining relation of the
-family's presentation and compares both sides as diagrams.
+Each of the sixteen families of beaded/tied diagram monoids is one
+:class:`FamilySpec` entry in ``FAMILIES``: its display name, whether its
+elements carry ties, its structural tag, whether broken arcs shed beads and
+ties on composition (the rook-style singleton policy), its generator kinds,
+its count formula, the relation schemas of its presentation and its normal
+form.  ``closure`` enumerates a family breadth-first from its generators;
+``predicted_cardinality`` gives the exact count by formula;
+``check_relations`` instantiates every defining relation of the family's
+presentation and compares both sides as diagrams.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from .diagrams import (
     MATCHING,
@@ -28,7 +31,7 @@ from .diagrams import (
     identity,
     render_word,
 )
-from .normalform import evaluate_word
+from .normalform import NormalFormWord, brauer_nf, evaluate_word, jones_nf, rook_nf
 
 
 # -- exact combinatorics ------------------------------------------------------
@@ -73,216 +76,14 @@ def stirling2(n: int, k: int) -> int:
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
-# -- family registry ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilyInfo:
-    display: str
-    tied: bool
-    tag: str
-    drop_rook: bool
-    framed: bool  # admits d > 1
+def _rook_sum(n: int, weight: Callable[[int], int]) -> int:
+    """Sum over k of C(n,k)^2 k! weight(k): rook diagrams with k lines, each
+    line count weighted."""
+    return sum(binomial(n, k) ** 2 * math.factorial(k) * weight(k)
+               for k in range(n + 1))
 
 
-_INFO: dict[str, FamilyInfo] = {
-    "cdn": FamilyInfo("C_d^n", False, PERMUTATION, False, True),
-    "sdn": FamilyInfo("S_{d,n}", False, PERMUTATION, False, True),
-    "pn": FamilyInfo("P_n", True, PERMUTATION, False, False),
-    "pdn": FamilyInfo("P_{d,n}", True, PERMUTATION, False, True),
-    "jn": FamilyInfo("J_n", False, PLANAR, False, False),
-    "jdn": FamilyInfo("J_{d,n}", False, PLANAR, False, True),
-    "brn": FamilyInfo("Br_n", False, MATCHING, False, False),
-    "brdn": FamilyInfo("Br_{d,n}", False, MATCHING, False, True),
-    "rn": FamilyInfo("R_n", False, MATCHING, False, False),
-    "rdn": FamilyInfo("R_{d,n}", False, MATCHING, True, True),
-    "rprimedn": FamilyInfo("R'_{d,n}", False, MATCHING, False, True),
-    "tsn": FamilyInfo("tS_n", True, PERMUTATION, False, False),
-    "tjn": FamilyInfo("tJ_n", True, PLANAR, False, False),
-    "tbrn": FamilyInfo("tBr_n", True, MATCHING, False, False),
-    "trn": FamilyInfo("tR_n", True, MATCHING, True, False),
-    "trprimen": FamilyInfo("tR'_n", True, MATCHING, False, False),
-}
-
-FAMILY_NAMES = tuple(_INFO)
-
-
-@dataclass(frozen=True)
-class MonoidFamily:
-    """A named diagram monoid at fixed parameters (d, n)."""
-
-    name: str
-    n: int
-    d: int = 1
-
-    def __post_init__(self):
-        if self.name not in _INFO:
-            raise ValueError(f"unknown family {self.name!r}")
-        if self.n < 1 or self.d < 1:
-            raise ValueError("need n >= 1 and d >= 1")
-        if not _INFO[self.name].framed and self.d != 1:
-            raise ValueError(f"family {self.name} has no framing parameter")
-
-    @property
-    def info(self) -> FamilyInfo:
-        return _INFO[self.name]
-
-    @property
-    def tied(self) -> bool:
-        return self.info.tied
-
-    @property
-    def tag(self) -> str:
-        return self.info.tag
-
-    @property
-    def drop_rook(self) -> bool:
-        return self.info.drop_rook
-
-    def __str__(self):
-        if self.info.framed:
-            return f"{self.name}(d={self.d},n={self.n})"
-        return f"{self.name}(n={self.n})"
-
-
-def family(name: str, n: int, d: int = 1) -> MonoidFamily:
-    return MonoidFamily(name.lower(), n, d)
-
-
-def _sym_t(n):
-    return [GenSymbol("t", i) for i in range(1, n)]
-
-
-def _sym_s(n):
-    return [GenSymbol("s", i) for i in range(1, n)]
-
-
-def _sym_o(n):
-    return [GenSymbol("o", i) for i in range(1, n + 1)]
-
-
-def _sym_r(n):
-    return [GenSymbol("r", i) for i in range(1, n + 1)]
-
-
-def _sym_p(n):
-    return [GenSymbol("p", i) for i in range(1, n + 1)]
-
-
-def _sym_q(n):
-    return [GenSymbol("q", i) for i in range(1, n + 1)]
-
-
-def _sym_e_adj(n):
-    return [GenSymbol("e", i, i + 1) for i in range(1, n)]
-
-
-def _sym_e_all(n):
-    return [GenSymbol("e", i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-
-
-def _sym_f(n):
-    return [GenSymbol("f", i) for i in range(1, n)]
-
-
-_GENSETS: dict[str, Callable[[int], list[GenSymbol]]] = {
-    "cdn": lambda n: _sym_o(n),
-    "sdn": lambda n: _sym_s(n) + _sym_o(n),
-    "pn": lambda n: _sym_e_all(n),
-    "pdn": lambda n: _sym_e_all(n) + _sym_o(n),
-    "jn": lambda n: _sym_t(n),
-    "jdn": lambda n: _sym_t(n) + _sym_o(n),
-    "brn": lambda n: _sym_s(n) + _sym_t(n),
-    "brdn": lambda n: _sym_s(n) + _sym_t(n) + _sym_o(n),
-    "rn": lambda n: _sym_s(n) + _sym_r(n),
-    "rdn": lambda n: _sym_s(n) + _sym_r(n) + _sym_o(n),
-    "rprimedn": lambda n: _sym_s(n) + _sym_r(n) + _sym_o(n),
-    "tsn": lambda n: _sym_s(n) + _sym_e_adj(n),
-    "tjn": lambda n: _sym_t(n) + _sym_e_adj(n) + _sym_f(n),
-    "tbrn": lambda n: _sym_s(n) + _sym_t(n) + _sym_e_adj(n) + _sym_f(n),
-    "trn": lambda n: _sym_s(n) + _sym_p(n) + _sym_e_adj(n),
-    "trprimen": lambda n: _sym_s(n) + _sym_r(n) + _sym_e_adj(n) + _sym_q(n),
-}
-
-
-def generating_symbols(fam: MonoidFamily) -> tuple[GenSymbol, ...]:
-    return tuple(_GENSETS[fam.name](fam.n))
-
-
-def generating_set(fam: MonoidFamily) -> tuple[BeadedDiagram, ...]:
-    """The generator diagrams of the family, in declaration order."""
-    return tuple(generator(sym, fam.n, fam.d, tied=fam.tied, tag=fam.tag)
-                 for sym in generating_symbols(fam))
-
-
-@lru_cache(maxsize=None)
-def closure(fam: MonoidFamily, cap: int = 1_000_000) -> tuple[BeadedDiagram, ...]:
-    """All elements of the family: breadth-first closure of the generators.
-
-    Deterministic: the result is sorted by canonical encoding.  Raises
-    :class:`CapExceeded` if more than ``cap`` elements appear.
-    """
-    gens = generating_set(fam)
-    start = identity(fam.n, fam.d, tied=fam.tied, tag=fam.tag)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y, _ = compose(x, g, drop_rook=fam.drop_rook)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"closure of {fam} exceeded cap {cap}")
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return tuple(sorted(seen, key=BeadedDiagram.encode))
-
-
-def predicted_cardinality(fam: MonoidFamily) -> int:
-    """Exact element count of the family, by closed formula."""
-    n, d = fam.n, fam.d
-    name = fam.name
-    if name == "cdn":
-        return d ** n
-    if name == "sdn":
-        return d ** n * math.factorial(n)
-    if name == "pn":
-        return bell(n)
-    if name == "pdn":
-        return sum(stirling2(n, k) * d ** k for k in range(1, n + 1))
-    if name == "jn":
-        return catalan(n)
-    if name == "jdn":
-        return d ** n * catalan(n)
-    if name == "brn":
-        return odd_double_factorial(n)
-    if name == "brdn":
-        return d ** n * odd_double_factorial(n)
-    if name == "rn":
-        return sum(binomial(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
-    if name == "rdn":
-        return sum(binomial(n, k) ** 2 * math.factorial(k) * d ** k
-                   for k in range(n + 1))
-    if name == "rprimedn":
-        return sum(binomial(n, k) ** 2 * math.factorial(k) * d ** (2 * n - k)
-                   for k in range(n + 1))
-    if name == "tsn":
-        return math.factorial(n) * bell(n)
-    if name == "tjn":
-        return fuss_catalan_41(n)
-    if name == "tbrn":
-        return odd_double_factorial(n) * bell(n)
-    if name == "trn":
-        return sum(binomial(n, k) ** 2 * math.factorial(k) * bell(k)
-                   for k in range(n + 1))
-    if name == "trprimen":
-        return sum(binomial(n, k) ** 2 * math.factorial(k) * bell(2 * n - k)
-                   for k in range(n + 1))
-    raise ValueError(name)
-
-
-# -- presentations ------------------------------------------------------------
+# -- relation schemas -----------------------------------------------------------
 
 Word = tuple[GenSymbol, ...]
 Instance = tuple[Word, ...]  # two or more words asserted pairwise equal
@@ -295,41 +96,6 @@ class RelationSchema:
     name: str
     display: str
     instances: Callable[[int, int], Iterable[Instance]]
-
-
-@dataclass(frozen=True)
-class Presentation:
-    family: str
-    generators: tuple[GenSymbol, ...]
-    schemas: tuple[RelationSchema, ...]
-
-
-@dataclass(frozen=True)
-class SchemaResult:
-    name: str
-    display: str
-    checked: int
-    failures: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    family: MonoidFamily
-    entries: tuple[SchemaResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(not e.failures for e in self.entries)
-
-    @property
-    def checked(self) -> int:
-        return sum(e.checked for e in self.entries)
-
-    def failures(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            out.extend(f"{e.name}: {w}" for w in e.failures)
-        return out
 
 
 def T(i):
@@ -373,359 +139,542 @@ def _swap(i, j):
     return j
 
 
-def _schema(name, display, gen):
-    return RelationSchema(name, display, gen)
+_COXETER = (
+    RelationSchema("cross-involution", "s_i s_i = 1", lambda d, n: (
+        ((S(i), S(i)), ()) for i in range(1, n))),
+    RelationSchema("cross-commute", "s_i s_j = s_j s_i, |i-j| > 1", lambda d, n: (
+        ((S(i), S(j)), (S(j), S(i)))
+        for i in range(1, n) for j in range(i + 2, n))),
+    RelationSchema("cross-braid", "s_i s_j s_i = s_j s_i s_j, |i-j| = 1", lambda d, n: (
+        ((S(i), S(i + 1), S(i)), (S(i + 1), S(i), S(i + 1)))
+        for i in range(1, n - 1))),
+)
 
 
-def _coxeter():
-    return (
-        _schema("cross-involution", "s_i s_i = 1", lambda d, n: (
-            ((S(i), S(i)), ()) for i in range(1, n))),
-        _schema("cross-commute", "s_i s_j = s_j s_i, |i-j| > 1", lambda d, n: (
-            ((S(i), S(j)), (S(j), S(i)))
-            for i in range(1, n) for j in range(i + 2, n))),
-        _schema("cross-braid", "s_i s_j s_i = s_j s_i s_j, |i-j| = 1", lambda d, n: (
-            ((S(i), S(i + 1), S(i)), (S(i + 1), S(i), S(i + 1)))
-            for i in range(1, n - 1))),
-    )
+_BEADS = (
+    RelationSchema("bead-order", "o_i^d = 1", lambda d, n: (
+        ((O(i, d),), ()) for i in range(1, n + 1))),
+    RelationSchema("bead-commute", "o_i o_j = o_j o_i", lambda d, n: (
+        ((O(i), O(j)), (O(j), O(i)))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+)
 
 
-def _beads():
-    return (
-        _schema("bead-order", "o_i^d = 1", lambda d, n: (
-            ((O(i, d),), ()) for i in range(1, n + 1))),
-        _schema("bead-commute", "o_i o_j = o_j o_i", lambda d, n: (
-            ((O(i), O(j)), (O(j), O(i)))
-            for i in range(1, n + 1) for j in range(i + 1, n + 1))),
-    )
+_BEAD_CROSS = (
+    RelationSchema("bead-cross", "o_j s_i = s_i o_{s_i(j)}", lambda d, n: (
+        ((O(j), S(i)), (S(i), O(_swap(i, j))))
+        for i in range(1, n) for j in range(1, n + 1))),
+)
 
 
-def _bead_cross():
-    return (
-        _schema("bead-cross", "o_j s_i = s_i o_{s_i(j)}", lambda d, n: (
-            ((O(j), S(i)), (S(i), O(_swap(i, j))))
-            for i in range(1, n) for j in range(1, n + 1))),
-    )
+_TANGLES = (
+    RelationSchema("tangle-idempotent", "t_i t_i = t_i", lambda d, n: (
+        ((T(i), T(i)), (T(i),)) for i in range(1, n))),
+    RelationSchema("tangle-commute", "t_i t_j = t_j t_i, |i-j| > 1", lambda d, n: (
+        ((T(i), T(j)), (T(j), T(i)))
+        for i in range(1, n) for j in range(i + 2, n))),
+    RelationSchema("tangle-sandwich", "t_i t_j t_i = t_i, |i-j| = 1", lambda d, n: (
+        ((T(i), T(j), T(i)), (T(i),))
+        for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+)
 
 
-def _tangles():
-    return (
-        _schema("tangle-idempotent", "t_i t_i = t_i", lambda d, n: (
-            ((T(i), T(i)), (T(i),)) for i in range(1, n))),
-        _schema("tangle-commute", "t_i t_j = t_j t_i, |i-j| > 1", lambda d, n: (
-            ((T(i), T(j)), (T(j), T(i)))
-            for i in range(1, n) for j in range(i + 2, n))),
-        _schema("tangle-sandwich", "t_i t_j t_i = t_i, |i-j| = 1", lambda d, n: (
-            ((T(i), T(j), T(i)), (T(i),))
-            for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
-    )
+_TANGLE_BEADS = (
+    RelationSchema("bead-slide", "t_i o_i = t_i o_{i+1} and o_i t_i = o_{i+1} t_i",
+                   lambda d, n: (inst for i in range(1, n) for inst in (
+                       ((T(i), O(i)), (T(i), O(i + 1))),
+                       ((O(i), T(i)), (O(i + 1), T(i))),
+                   ))),
+    RelationSchema("bead-tangle-commute", "o_i t_j = t_j o_i, i != j, j+1",
+                   lambda d, n: (
+                       ((O(i), T(j)), (T(j), O(i)))
+                       for j in range(1, n) for i in range(1, n + 1)
+                       if i not in (j, j + 1))),
+    RelationSchema("tangle-loop-absorb", "t_i o_i^k t_i = t_i", lambda d, n: (
+        ((T(i), O(i, k), T(i)), (T(i),))
+        for i in range(1, n) for k in range(d))),
+)
 
 
-def _tangle_beads():
-    return (
-        _schema("bead-slide", "t_i o_i = t_i o_{i+1} and o_i t_i = o_{i+1} t_i",
-                lambda d, n: (inst for i in range(1, n) for inst in (
-                    ((T(i), O(i)), (T(i), O(i + 1))),
-                    ((O(i), T(i)), (O(i + 1), T(i))),
-                ))),
-        _schema("bead-tangle-commute", "o_i t_j = t_j o_i, i != j, j+1", lambda d, n: (
-            ((O(i), T(j)), (T(j), O(i)))
-            for j in range(1, n) for i in range(1, n + 1) if i not in (j, j + 1))),
-        _schema("tangle-loop-absorb", "t_i o_i^k t_i = t_i", lambda d, n: (
-            ((T(i), O(i, k), T(i)), (T(i),))
-            for i in range(1, n) for k in range(d))),
-    )
+_BRAUER_MIXED = (
+    RelationSchema("cross-tangle-absorb", "t_i s_i = s_i t_i = t_i", lambda d, n: (
+        ((T(i), S(i)), (S(i), T(i)), (T(i),)) for i in range(1, n))),
+    RelationSchema("cross-tangle-commute", "t_i s_j = s_j t_i, |i-j| > 1",
+                   lambda d, n: (
+                       inst for i in range(1, n) for j in range(1, n) if abs(i - j) > 1
+                       for inst in (((T(i), S(j)), (S(j), T(i))),))),
+    RelationSchema("cross-tangle-slide", "s_i t_j t_i = s_j t_i, |i-j| = 1",
+                   lambda d, n: (
+                       ((S(i), T(j), T(i)), (S(j), T(i)))
+                       for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+    RelationSchema("tangle-cross-slide", "t_i t_j s_i = t_i s_j, |i-j| = 1",
+                   lambda d, n: (
+                       ((T(i), T(j), S(i)), (T(i), S(j)))
+                       for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+)
 
 
-def _brauer_mixed():
-    return (
-        _schema("cross-tangle-absorb", "t_i s_i = s_i t_i = t_i", lambda d, n: (
-            ((T(i), S(i)), (S(i), T(i)), (T(i),)) for i in range(1, n))),
-        _schema("cross-tangle-commute", "t_i s_j = s_j t_i, |i-j| > 1", lambda d, n: (
-            inst for i in range(1, n) for j in range(1, n) if abs(i - j) > 1
-            for inst in (((T(i), S(j)), (S(j), T(i))),))),
-        _schema("cross-tangle-slide", "s_i t_j t_i = s_j t_i, |i-j| = 1", lambda d, n: (
-            ((S(i), T(j), T(i)), (S(j), T(i)))
-            for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
-        _schema("tangle-cross-slide", "t_i t_j s_i = t_i s_j, |i-j| = 1", lambda d, n: (
-            ((T(i), T(j), S(i)), (T(i), S(j)))
-            for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
-    )
+def _tie_triples(d, n):
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                yield ((E(i, j), E(i, k)), (E(i, j), E(j, k)), (E(i, k), E(j, k)))
 
 
-def _partition_ties():
-    def triples(d, n):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(j + 1, n + 1):
-                    yield ((E(i, j), E(i, k)), (E(i, j), E(j, k)), (E(i, k), E(j, k)))
-
-    return (
-        _schema("tie-idempotent", "e_{i,j} e_{i,j} = e_{i,j}", lambda d, n: (
-            ((E(i, j), E(i, j)), (E(i, j),))
-            for i in range(1, n + 1) for j in range(i + 1, n + 1))),
-        _schema("tie-commute", "e_{i,j} e_{r,s} = e_{r,s} e_{i,j}", lambda d, n: (
-            ((E(i, j), E(r, s)), (E(r, s), E(i, j)))
-            for i in range(1, n + 1) for j in range(i + 1, n + 1)
-            for r in range(1, n + 1) for s in range(r + 1, n + 1)
-            if (i, j) < (r, s))),
-        _schema("tie-triple", "e_{i,j} e_{i,k} = e_{i,j} e_{j,k} = e_{i,k} e_{j,k}",
-                triples),
-    )
+_PARTITION_TIES = (
+    RelationSchema("tie-idempotent", "e_{i,j} e_{i,j} = e_{i,j}", lambda d, n: (
+        ((E(i, j), E(i, j)), (E(i, j),))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+    RelationSchema("tie-commute", "e_{i,j} e_{r,s} = e_{r,s} e_{i,j}", lambda d, n: (
+        ((E(i, j), E(r, s)), (E(r, s), E(i, j)))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1)
+        for r in range(1, n + 1) for s in range(r + 1, n + 1)
+        if (i, j) < (r, s))),
+    RelationSchema("tie-triple", "e_{i,j} e_{i,k} = e_{i,j} e_{j,k} = e_{i,k} e_{j,k}",
+                   _tie_triples),
+)
 
 
-def _partition_beads():
-    return (
-        _schema("bead-tie-commute", "o_k e_{i,j} = e_{i,j} o_k", lambda d, n: (
-            ((O(k), E(i, j)), (E(i, j), O(k)))
-            for i in range(1, n + 1) for j in range(i + 1, n + 1)
-            for k in range(1, n + 1))),
-        _schema("bead-tie-hop", "o_i e_{i,j} = o_j e_{i,j}", lambda d, n: (
-            ((O(i), E(i, j)), (O(j), E(i, j)))
-            for i in range(1, n + 1) for j in range(i + 1, n + 1))),
-    )
+_PARTITION_BEADS = (
+    RelationSchema("bead-tie-commute", "o_k e_{i,j} = e_{i,j} o_k", lambda d, n: (
+        ((O(k), E(i, j)), (E(i, j), O(k)))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1)
+        for k in range(1, n + 1))),
+    RelationSchema("bead-tie-hop", "o_i e_{i,j} = o_j e_{i,j}", lambda d, n: (
+        ((O(i), E(i, j)), (O(j), E(i, j)))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+)
 
 
-def _rook_r():
-    return (
-        _schema("rook-idempotent", "r_i r_i = r_i", lambda d, n: (
-            ((R(i), R(i)), (R(i),)) for i in range(1, n + 1))),
-        _schema("rook-commute", "r_i r_j = r_j r_i", lambda d, n: (
-            ((R(i), R(j)), (R(j), R(i)))
-            for i in range(1, n + 1) for j in range(i + 1, n + 1))),
-        _schema("rook-cross-commute", "r_j s_i = s_i r_j, j != i, i+1", lambda d, n: (
-            ((R(j), S(i)), (S(i), R(j)))
-            for i in range(1, n) for j in range(1, n + 1) if j not in (i, i + 1))),
-        _schema("rook-cross-shift", "r_i s_i = s_i r_{i+1} and r_{i+1} s_i = s_i r_i",
-                lambda d, n: (inst for i in range(1, n) for inst in (
-                    ((R(i), S(i)), (S(i), R(i + 1))),
-                    ((R(i + 1), S(i)), (S(i), R(i))),
-                ))),
-        _schema("rook-sandwich", "r_i s_i r_i = r_i r_{i+1}", lambda d, n: (
-            ((R(i), S(i), R(i)), (R(i), R(i + 1))) for i in range(1, n))),
-    )
+_ROOK_R = (
+    RelationSchema("rook-idempotent", "r_i r_i = r_i", lambda d, n: (
+        ((R(i), R(i)), (R(i),)) for i in range(1, n + 1))),
+    RelationSchema("rook-commute", "r_i r_j = r_j r_i", lambda d, n: (
+        ((R(i), R(j)), (R(j), R(i)))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+    RelationSchema("rook-cross-commute", "r_j s_i = s_i r_j, j != i, i+1",
+                   lambda d, n: (
+                       ((R(j), S(i)), (S(i), R(j)))
+                       for i in range(1, n) for j in range(1, n + 1)
+                       if j not in (i, i + 1))),
+    RelationSchema("rook-cross-shift", "r_i s_i = s_i r_{i+1} and r_{i+1} s_i = s_i r_i",
+                   lambda d, n: (inst for i in range(1, n) for inst in (
+                       ((R(i), S(i)), (S(i), R(i + 1))),
+                       ((R(i + 1), S(i)), (S(i), R(i))),
+                   ))),
+    RelationSchema("rook-sandwich", "r_i s_i r_i = r_i r_{i+1}", lambda d, n: (
+        ((R(i), S(i), R(i)), (R(i), R(i + 1))) for i in range(1, n))),
+)
 
 
-def _rook_p():
-    return (
-        _schema("product-idempotent", "p_i p_i = p_i", lambda d, n: (
-            ((P(i), P(i)), (P(i),)) for i in range(1, n + 1))),
-        _schema("product-commute", "p_i p_j = p_j p_i", lambda d, n: (
-            ((P(i), P(j)), (P(j), P(i)))
-            for i in range(1, n + 1) for j in range(i + 1, n + 1))),
-        _schema("product-cross-commute", "p_i s_j = s_j p_i, j > i", lambda d, n: (
-            ((P(i), S(j)), (S(j), P(i)))
-            for i in range(1, n + 1) for j in range(i + 1, n))),
-        _schema("product-cross-absorb", "p_i s_j = p_i, j < i", lambda d, n: (
-            ((P(i), S(j)), (P(i),))
-            for i in range(1, n + 1) for j in range(1, min(i, n)))),
-        _schema("product-step", "p_i s_i p_i = p_{i+1}", lambda d, n: (
-            ((P(i), S(i), P(i)), (P(i + 1),)) for i in range(1, n))),
-    )
+_ROOK_P = (
+    RelationSchema("product-idempotent", "p_i p_i = p_i", lambda d, n: (
+        ((P(i), P(i)), (P(i),)) for i in range(1, n + 1))),
+    RelationSchema("product-commute", "p_i p_j = p_j p_i", lambda d, n: (
+        ((P(i), P(j)), (P(j), P(i)))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+    RelationSchema("product-cross-commute", "p_i s_j = s_j p_i, j > i", lambda d, n: (
+        ((P(i), S(j)), (S(j), P(i)))
+        for i in range(1, n + 1) for j in range(i + 1, n))),
+    RelationSchema("product-cross-absorb", "p_i s_j = p_i, j < i", lambda d, n: (
+        ((P(i), S(j)), (P(i),))
+        for i in range(1, n + 1) for j in range(1, min(i, n)))),
+    RelationSchema("product-step", "p_i s_i p_i = p_{i+1}", lambda d, n: (
+        ((P(i), S(i), P(i)), (P(i + 1),)) for i in range(1, n))),
+)
 
 
-def _rook_beads_first():
-    return (
-        _schema("bead-rook-commute", "r_i o_j = o_j r_i, i != j", lambda d, n: (
-            ((R(i), O(j)), (O(j), R(i)))
-            for i in range(1, n + 1) for j in range(1, n + 1) if i != j)),
-        _schema("bead-rook-absorb", "r_i o_i = o_i r_i = r_i", lambda d, n: (
-            ((R(i), O(i)), (O(i), R(i)), (R(i),)) for i in range(1, n + 1))),
-        _schema("bead-product-commute", "p_i o_j = o_j p_i, j > i", lambda d, n: (
-            ((P(i), O(j)), (O(j), P(i)))
-            for i in range(1, n + 1) for j in range(i + 1, n + 1))),
-        _schema("bead-product-absorb", "p_i o_j = o_j p_i = p_i, j <= i", lambda d, n: (
-            ((P(i), O(j)), (O(j), P(i)), (P(i),))
-            for i in range(1, n + 1) for j in range(1, i + 1))),
-    )
+_ROOK_BEADS_FIRST = (
+    RelationSchema("bead-rook-commute", "r_i o_j = o_j r_i, i != j", lambda d, n: (
+        ((R(i), O(j)), (O(j), R(i)))
+        for i in range(1, n + 1) for j in range(1, n + 1) if i != j)),
+    RelationSchema("bead-rook-absorb", "r_i o_i = o_i r_i = r_i", lambda d, n: (
+        ((R(i), O(i)), (O(i), R(i)), (R(i),)) for i in range(1, n + 1))),
+    RelationSchema("bead-product-commute", "p_i o_j = o_j p_i, j > i", lambda d, n: (
+        ((P(i), O(j)), (O(j), P(i)))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+    RelationSchema("bead-product-absorb", "p_i o_j = o_j p_i = p_i, j <= i",
+                   lambda d, n: (
+                       ((P(i), O(j)), (O(j), P(i)), (P(i),))
+                       for i in range(1, n + 1) for j in range(1, i + 1))),
+)
 
 
-def _rook_beads_prime():
-    def sandwich(d, n):
-        for i in range(1, n + 1):
-            for k in range(d):
-                yield ((R(i), O(i, k), R(i)), (R(i),))
-
-    def product_sandwich(d, n):
-        # p_i o_1^{m_1} .. o_i^{m_i} p_j = p_j o^m p_i = p_j for i <= j
-        def exponent_tuples(i):
-            if i == 0:
-                yield ()
-                return
-            for rest in exponent_tuples(i - 1):
-                for m in range(d):
-                    yield rest + (m,)
-
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                for ms in exponent_tuples(i):
-                    beads = tuple(O(a + 1, m) for a, m in enumerate(ms) if m)
-                    yield ((P(i),) + beads + (P(j),),
-                           (P(j),) + beads + (P(i),),
-                           (P(j),))
-
-    return (
-        _schema("bead-rook-commute", "r_i o_j = o_j r_i, i != j", lambda d, n: (
-            ((R(i), O(j)), (O(j), R(i)))
-            for i in range(1, n + 1) for j in range(1, n + 1) if i != j)),
-        _schema("rook-loop-absorb", "r_i o_i^k r_i = r_i", sandwich),
-        _schema("bead-product-commute", "p_i o_j = o_j p_i, j > i", lambda d, n: (
-            ((P(i), O(j)), (O(j), P(i)))
-            for i in range(1, n + 1) for j in range(i + 1, n + 1))),
-        _schema("product-bead-sandwich",
-                "p_i o_1^{m_1}..o_i^{m_i} p_j = p_j o^m p_i = p_j, i <= j",
-                product_sandwich),
-    )
+def _rook_loop_sandwich(d, n):
+    for i in range(1, n + 1):
+        for k in range(d):
+            yield ((R(i), O(i, k), R(i)), (R(i),))
 
 
-def _tie_cross():
-    return (
-        _schema("tie-idempotent", "e_i e_i = e_i", lambda d, n: (
-            ((E(i), E(i)), (E(i),)) for i in range(1, n))),
-        _schema("tie-commute", "e_i e_j = e_j e_i", lambda d, n: (
-            ((E(i), E(j)), (E(j), E(i)))
-            for i in range(1, n) for j in range(i + 1, n))),
-        _schema("tie-cross-commute", "s_i e_j = e_j s_i, |i-j| != 1", lambda d, n: (
-            ((S(i), E(j)), (E(j), S(i)))
-            for i in range(1, n) for j in range(1, n) if abs(i - j) != 1)),
-        _schema("tie-cross-slide", "e_i s_j s_i = s_j s_i e_j, |i-j| = 1", lambda d, n: (
-            ((E(i), S(j), S(i)), (S(j), S(i), E(j)))
-            for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
-        _schema("tie-cross-triple", "e_i e_j s_i = e_j s_i e_j = s_i e_i e_j, |i-j| = 1",
-                lambda d, n: (
-                    ((E(i), E(j), S(i)), (E(j), S(i), E(j)), (S(i), E(i), E(j)))
-                    for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
-    )
+def _product_bead_sandwich(d, n):
+    # p_i o_1^{m_1} .. o_i^{m_i} p_j = p_j o^m p_i = p_j for i <= j
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            for ms in itertools.product(range(d), repeat=i):
+                beads = tuple(O(a + 1, m) for a, m in enumerate(ms) if m)
+                yield ((P(i),) + beads + (P(j),),
+                       (P(j),) + beads + (P(i),),
+                       (P(j),))
 
 
-def _tied_jones():
-    return (
-        _schema("tiedtangle-idempotent", "f_i f_i = f_i", lambda d, n: (
-            ((F(i), F(i)), (F(i),)) for i in range(1, n))),
-        _schema("tiedtangle-commute", "f_i f_j = f_j f_i, |i-j| > 1", lambda d, n: (
-            ((F(i), F(j)), (F(j), F(i)))
-            for i in range(1, n) for j in range(i + 2, n))),
-        _schema("tie-tangle-absorb", "e_i t_i = t_i e_i = t_i", lambda d, n: (
-            ((E(i), T(i)), (T(i), E(i)), (T(i),)) for i in range(1, n))),
-        _schema("tiedtangle-tie-absorb", "f_i e_i = f_i", lambda d, n: (
-            ((F(i), E(i)), (F(i),)) for i in range(1, n))),
-        _schema("tie-tiedtangle-commute", "e_i f_j = f_j e_i", lambda d, n: (
-            ((E(i), F(j)), (F(j), E(i)))
-            for i in range(1, n) for j in range(1, n))),
-        _schema("tangle-tiedtangle-absorb", "t_i f_i = f_i t_i = t_i", lambda d, n: (
-            ((T(i), F(i)), (F(i), T(i)), (T(i),)) for i in range(1, n))),
-        _schema("tangle-tie-commute", "t_i e_j = e_j t_i, |i-j| > 1", lambda d, n: (
-            ((T(i), E(j)), (E(j), T(i)))
-            for i in range(1, n) for j in range(1, n) if abs(i - j) > 1)),
-        _schema("tangle-tiedtangle-commute", "t_i f_j = f_j t_i, |i-j| > 1", lambda d, n: (
-            ((T(i), F(j)), (F(j), T(i)))
-            for i in range(1, n) for j in range(1, n) if abs(i - j) > 1)),
-        _schema("tie-sandwich", "t_i e_j t_i = t_i, |i-j| = 1", lambda d, n: (
-            ((T(i), E(j), T(i)), (T(i),))
-            for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
-        _schema("tiedtangle-hop", "f_i e_j = e_j t_i e_j, |i-j| = 1", lambda d, n: (
-            ((F(i), E(j)), (E(j), T(i), E(j)))
-            for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
-    )
+_ROOK_BEADS_PRIME = (
+    RelationSchema("bead-rook-commute", "r_i o_j = o_j r_i, i != j", lambda d, n: (
+        ((R(i), O(j)), (O(j), R(i)))
+        for i in range(1, n + 1) for j in range(1, n + 1) if i != j)),
+    RelationSchema("rook-loop-absorb", "r_i o_i^k r_i = r_i", _rook_loop_sandwich),
+    RelationSchema("bead-product-commute", "p_i o_j = o_j p_i, j > i", lambda d, n: (
+        ((P(i), O(j)), (O(j), P(i)))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+    RelationSchema("product-bead-sandwich",
+                   "p_i o_1^{m_1}..o_i^{m_i} p_j = p_j o^m p_i = p_j, i <= j",
+                   _product_bead_sandwich),
+)
 
 
-def _tied_brauer():
-    return (
-        _schema("tiedtangle-cross-commute", "f_i s_j = s_j f_i, |i-j| > 1", lambda d, n: (
-            ((F(i), S(j)), (S(j), F(i)))
-            for i in range(1, n) for j in range(1, n) if abs(i - j) > 1)),
-        _schema("cross-tiedtangle-absorb", "f_i s_i = s_i f_i = f_i", lambda d, n: (
-            ((F(i), S(i)), (S(i), F(i)), (F(i),)) for i in range(1, n))),
-        _schema("tiedtangle-conjugate", "s_i f_j s_i = s_j f_i s_j, |i-j| = 1",
-                lambda d, n: (
-                    ((S(i), F(j), S(i)), (S(j), F(i), S(j)))
-                    for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
-    )
+_TIE_CROSS = (
+    RelationSchema("tie-idempotent", "e_i e_i = e_i", lambda d, n: (
+        ((E(i), E(i)), (E(i),)) for i in range(1, n))),
+    RelationSchema("tie-commute", "e_i e_j = e_j e_i", lambda d, n: (
+        ((E(i), E(j)), (E(j), E(i)))
+        for i in range(1, n) for j in range(i + 1, n))),
+    RelationSchema("tie-cross-commute", "s_i e_j = e_j s_i, |i-j| != 1", lambda d, n: (
+        ((S(i), E(j)), (E(j), S(i)))
+        for i in range(1, n) for j in range(1, n) if abs(i - j) != 1)),
+    RelationSchema("tie-cross-slide", "e_i s_j s_i = s_j s_i e_j, |i-j| = 1",
+                   lambda d, n: (
+                       ((E(i), S(j), S(i)), (S(j), S(i), E(j)))
+                       for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+    RelationSchema("tie-cross-triple",
+                   "e_i e_j s_i = e_j s_i e_j = s_i e_i e_j, |i-j| = 1",
+                   lambda d, n: (
+                       ((E(i), E(j), S(i)), (E(j), S(i), E(j)), (S(i), E(i), E(j)))
+                       for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+)
 
 
-def _tied_rook_first():
-    return (
-        _schema("tie-product-absorb", "e_i p_j = p_j e_i = p_j, i <= j", lambda d, n: (
-            ((E(i), P(j)), (P(j), E(i)), (P(j),))
-            for i in range(1, n) for j in range(i, n + 1))),
-        _schema("tie-product-commute", "e_i p_j = p_j e_i, i > j", lambda d, n: (
-            ((E(i), P(j)), (P(j), E(i)))
-            for i in range(1, n) for j in range(1, i))),
-    )
+_TIED_JONES = (
+    RelationSchema("tiedtangle-idempotent", "f_i f_i = f_i", lambda d, n: (
+        ((F(i), F(i)), (F(i),)) for i in range(1, n))),
+    RelationSchema("tiedtangle-commute", "f_i f_j = f_j f_i, |i-j| > 1", lambda d, n: (
+        ((F(i), F(j)), (F(j), F(i)))
+        for i in range(1, n) for j in range(i + 2, n))),
+    RelationSchema("tie-tangle-absorb", "e_i t_i = t_i e_i = t_i", lambda d, n: (
+        ((E(i), T(i)), (T(i), E(i)), (T(i),)) for i in range(1, n))),
+    RelationSchema("tiedtangle-tie-absorb", "f_i e_i = f_i", lambda d, n: (
+        ((F(i), E(i)), (F(i),)) for i in range(1, n))),
+    RelationSchema("tie-tiedtangle-commute", "e_i f_j = f_j e_i", lambda d, n: (
+        ((E(i), F(j)), (F(j), E(i)))
+        for i in range(1, n) for j in range(1, n))),
+    RelationSchema("tangle-tiedtangle-absorb", "t_i f_i = f_i t_i = t_i", lambda d, n: (
+        ((T(i), F(i)), (F(i), T(i)), (T(i),)) for i in range(1, n))),
+    RelationSchema("tangle-tie-commute", "t_i e_j = e_j t_i, |i-j| > 1", lambda d, n: (
+        ((T(i), E(j)), (E(j), T(i)))
+        for i in range(1, n) for j in range(1, n) if abs(i - j) > 1)),
+    RelationSchema("tangle-tiedtangle-commute", "t_i f_j = f_j t_i, |i-j| > 1",
+                   lambda d, n: (
+                       ((T(i), F(j)), (F(j), T(i)))
+                       for i in range(1, n) for j in range(1, n) if abs(i - j) > 1)),
+    RelationSchema("tie-sandwich", "t_i e_j t_i = t_i, |i-j| = 1", lambda d, n: (
+        ((T(i), E(j), T(i)), (T(i),))
+        for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+    RelationSchema("tiedtangle-hop", "f_i e_j = e_j t_i e_j, |i-j| = 1", lambda d, n: (
+        ((F(i), E(j)), (E(j), T(i), E(j)))
+        for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+)
 
 
-def _tied_rook_prime():
-    return (
-        _schema("rook-idempotent", "r_i r_i = r_i", lambda d, n: (
-            ((R(i), R(i)), (R(i),)) for i in range(1, n + 1))),
-        _schema("rook-commute", "r_i r_j = r_j r_i", lambda d, n: (
-            ((R(i), R(j)), (R(j), R(i)))
-            for i in range(1, n + 1) for j in range(i + 1, n + 1))),
-        _schema("cross-rook-slide", "s_i r_j = r_{s_i(j)} s_i", lambda d, n: (
-            ((S(i), R(j)), (R(_swap(i, j)), S(i)))
-            for i in range(1, n) for j in range(1, n + 1))),
-        _schema("rook-sandwich", "r_i s_i r_i = r_i r_{i+1}", lambda d, n: (
-            ((R(i), S(i), R(i)), (R(i), R(i + 1))) for i in range(1, n))),
-        _schema("tiedrook-idempotent", "q_i q_i = q_i", lambda d, n: (
-            ((Q(i), Q(i)), (Q(i),)) for i in range(1, n + 1))),
-        _schema("tiedrook-commute", "q_i q_j = q_j q_i", lambda d, n: (
-            ((Q(i), Q(j)), (Q(j), Q(i)))
-            for i in range(1, n + 1) for j in range(i + 1, n + 1))),
-        _schema("tiedrook-tie-commute", "q_i e_j = e_j q_i", lambda d, n: (
-            ((Q(i), E(j)), (E(j), Q(i)))
-            for i in range(1, n + 1) for j in range(1, n))),
-        _schema("cross-tiedrook-slide", "s_i q_j = q_{s_i(j)} s_i", lambda d, n: (
-            ((S(i), Q(j)), (Q(_swap(i, j)), S(i)))
-            for i in range(1, n) for j in range(1, n + 1))),
-        _schema("tie-rook-sandwich", "e_i r_j e_i = e_i q_j, j = i, i+1", lambda d, n: (
-            ((E(i), R(j), E(i)), (E(i), Q(j)))
-            for i in range(1, n) for j in (i, i + 1))),
-        _schema("tie-rook-commute", "e_i r_j = r_j e_i, j != i, i+1", lambda d, n: (
-            ((E(i), R(j)), (R(j), E(i)))
-            for i in range(1, n) for j in range(1, n + 1) if j not in (i, i + 1))),
-        _schema("rook-tiedrook-commute", "r_i q_j = q_j r_i", lambda d, n: (
-            ((R(i), Q(j)), (Q(j), R(i)))
-            for i in range(1, n + 1) for j in range(1, n + 1))),
-        _schema("tiedrook-absorb", "q_i r_i = r_i", lambda d, n: (
-            ((Q(i), R(i)), (R(i),)) for i in range(1, n + 1))),
-        _schema("rook-tie-collapse", "r_j e_i r_j = r_j, j = i, i+1", lambda d, n: (
-            ((R(j), E(i), R(j)), (R(j),))
-            for i in range(1, n) for j in (i, i + 1))),
-        _schema("rook-tie-shift", "r_i e_i r_{i+1} = s_i q_i r_{i+1}", lambda d, n: (
-            ((R(i), E(i), R(i + 1)), (S(i), Q(i), R(i + 1)))
-            for i in range(1, n))),
-    )
+_TIED_BRAUER = (
+    RelationSchema("tiedtangle-cross-commute", "f_i s_j = s_j f_i, |i-j| > 1",
+                   lambda d, n: (
+                       ((F(i), S(j)), (S(j), F(i)))
+                       for i in range(1, n) for j in range(1, n) if abs(i - j) > 1)),
+    RelationSchema("cross-tiedtangle-absorb", "f_i s_i = s_i f_i = f_i", lambda d, n: (
+        ((F(i), S(i)), (S(i), F(i)), (F(i),)) for i in range(1, n))),
+    RelationSchema("tiedtangle-conjugate", "s_i f_j s_i = s_j f_i s_j, |i-j| = 1",
+                   lambda d, n: (
+                       ((S(i), F(j), S(i)), (S(j), F(i), S(j)))
+                       for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+)
 
 
-_PRESENTATIONS: dict[str, tuple] = {
-    "cdn": _beads(),
-    "sdn": _beads() + _coxeter() + _bead_cross(),
-    "pn": _partition_ties(),
-    "pdn": _partition_ties() + _beads() + _partition_beads(),
-    "jn": _tangles(),
-    "jdn": _tangles() + _beads() + _tangle_beads(),
-    "brn": _tangles() + _coxeter() + _brauer_mixed(),
-    "brdn": _tangles() + _coxeter() + _brauer_mixed() + _beads() + _tangle_beads()
-            + _bead_cross(),
-    "rn": _coxeter() + _rook_r() + _rook_p(),
-    "rdn": _coxeter() + _rook_r() + _rook_p() + _beads() + _bead_cross()
-           + _rook_beads_first(),
-    "rprimedn": _coxeter() + _rook_r() + _rook_p() + _beads() + _bead_cross()
-                + _rook_beads_prime(),
-    "tsn": _coxeter() + _tie_cross(),
-    "tjn": _tangles() + _tie_cross()[:2] + _tied_jones(),
-    "tbrn": _tangles() + _coxeter() + _brauer_mixed() + _tie_cross() + _tied_jones()
-            + _tied_brauer(),
+_TIED_ROOK_FIRST = (
+    RelationSchema("tie-product-absorb", "e_i p_j = p_j e_i = p_j, i <= j",
+                   lambda d, n: (
+                       ((E(i), P(j)), (P(j), E(i)), (P(j),))
+                       for i in range(1, n) for j in range(i, n + 1))),
+    RelationSchema("tie-product-commute", "e_i p_j = p_j e_i, i > j", lambda d, n: (
+        ((E(i), P(j)), (P(j), E(i)))
+        for i in range(1, n) for j in range(1, i))),
+)
+
+
+_TIED_ROOK_PRIME = (
+    RelationSchema("rook-idempotent", "r_i r_i = r_i", lambda d, n: (
+        ((R(i), R(i)), (R(i),)) for i in range(1, n + 1))),
+    RelationSchema("rook-commute", "r_i r_j = r_j r_i", lambda d, n: (
+        ((R(i), R(j)), (R(j), R(i)))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+    RelationSchema("cross-rook-slide", "s_i r_j = r_{s_i(j)} s_i", lambda d, n: (
+        ((S(i), R(j)), (R(_swap(i, j)), S(i)))
+        for i in range(1, n) for j in range(1, n + 1))),
+    RelationSchema("rook-sandwich", "r_i s_i r_i = r_i r_{i+1}", lambda d, n: (
+        ((R(i), S(i), R(i)), (R(i), R(i + 1))) for i in range(1, n))),
+    RelationSchema("tiedrook-idempotent", "q_i q_i = q_i", lambda d, n: (
+        ((Q(i), Q(i)), (Q(i),)) for i in range(1, n + 1))),
+    RelationSchema("tiedrook-commute", "q_i q_j = q_j q_i", lambda d, n: (
+        ((Q(i), Q(j)), (Q(j), Q(i)))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+    RelationSchema("tiedrook-tie-commute", "q_i e_j = e_j q_i", lambda d, n: (
+        ((Q(i), E(j)), (E(j), Q(i)))
+        for i in range(1, n + 1) for j in range(1, n))),
+    RelationSchema("cross-tiedrook-slide", "s_i q_j = q_{s_i(j)} s_i", lambda d, n: (
+        ((S(i), Q(j)), (Q(_swap(i, j)), S(i)))
+        for i in range(1, n) for j in range(1, n + 1))),
+    RelationSchema("tie-rook-sandwich", "e_i r_j e_i = e_i q_j, j = i, i+1",
+                   lambda d, n: (
+                       ((E(i), R(j), E(i)), (E(i), Q(j)))
+                       for i in range(1, n) for j in (i, i + 1))),
+    RelationSchema("tie-rook-commute", "e_i r_j = r_j e_i, j != i, i+1", lambda d, n: (
+        ((E(i), R(j)), (R(j), E(i)))
+        for i in range(1, n) for j in range(1, n + 1) if j not in (i, i + 1))),
+    RelationSchema("rook-tiedrook-commute", "r_i q_j = q_j r_i", lambda d, n: (
+        ((R(i), Q(j)), (Q(j), R(i)))
+        for i in range(1, n + 1) for j in range(1, n + 1))),
+    RelationSchema("tiedrook-absorb", "q_i r_i = r_i", lambda d, n: (
+        ((Q(i), R(i)), (R(i),)) for i in range(1, n + 1))),
+    RelationSchema("rook-tie-collapse", "r_j e_i r_j = r_j, j = i, i+1", lambda d, n: (
+        ((R(j), E(i), R(j)), (R(j),))
+        for i in range(1, n) for j in (i, i + 1))),
+    RelationSchema("rook-tie-shift", "r_i e_i r_{i+1} = s_i q_i r_{i+1}", lambda d, n: (
+        ((R(i), E(i), R(i + 1)), (S(i), Q(i), R(i + 1)))
+        for i in range(1, n))),
+)
+
+
+# -- family registry ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Everything framoid knows about one family, for every (d, n)."""
+
+    display: str
+    tied: bool
+    tag: str
+    drop_rook: bool                           # broken arcs shed beads and ties
+    framed: bool                              # admits d > 1
+    generators: tuple[str, ...]               # generator kinds, see _kind_symbols
+    count: Callable[[int, int], int]          # (d, n) -> element count
+    schemas: tuple[RelationSchema, ...]       # the presentation, in report order
+    # entries call their normal form through this module's global name, so a
+    # rebinding of that name (as perfbench's tracer does) takes effect
+    normal_form: Optional[Callable[[BeadedDiagram], NormalFormWord]] = None
+    associative: bool = True
+
+
+FAMILIES: dict[str, FamilySpec] = {
+    "cdn": FamilySpec(
+        "C_d^n", False, PERMUTATION, False, True, ("o",),
+        lambda d, n: d ** n,
+        _BEADS),
+    "sdn": FamilySpec(
+        "S_{d,n}", False, PERMUTATION, False, True, ("s", "o"),
+        lambda d, n: d ** n * math.factorial(n),
+        _BEADS + _COXETER + _BEAD_CROSS),
+    "pn": FamilySpec(
+        "P_n", True, PERMUTATION, False, False, ("e*",),
+        lambda d, n: bell(n),
+        _PARTITION_TIES),
+    "pdn": FamilySpec(
+        "P_{d,n}", True, PERMUTATION, False, True, ("e*", "o"),
+        lambda d, n: sum(stirling2(n, k) * d ** k for k in range(1, n + 1)),
+        _PARTITION_TIES + _BEADS + _PARTITION_BEADS),
+    "jn": FamilySpec(
+        "J_n", False, PLANAR, False, False, ("t",),
+        lambda d, n: catalan(n),
+        _TANGLES,
+        lambda x: jones_nf(x)),
+    "jdn": FamilySpec(
+        "J_{d,n}", False, PLANAR, False, True, ("t", "o"),
+        lambda d, n: d ** n * catalan(n),
+        _TANGLES + _BEADS + _TANGLE_BEADS,
+        lambda x: jones_nf(x)),
+    "brn": FamilySpec(
+        "Br_n", False, MATCHING, False, False, ("s", "t"),
+        lambda d, n: odd_double_factorial(n),
+        _TANGLES + _COXETER + _BRAUER_MIXED,
+        lambda x: brauer_nf(x)),
+    "brdn": FamilySpec(
+        "Br_{d,n}", False, MATCHING, False, True, ("s", "t", "o"),
+        lambda d, n: d ** n * odd_double_factorial(n),
+        _TANGLES + _COXETER + _BRAUER_MIXED + _BEADS + _TANGLE_BEADS + _BEAD_CROSS,
+        lambda x: brauer_nf(x)),
+    "rn": FamilySpec(
+        "R_n", False, MATCHING, False, False, ("s", "r"),
+        lambda d, n: _rook_sum(n, lambda k: 1),
+        _COXETER + _ROOK_R + _ROOK_P,
+        lambda x: rook_nf(x, "first")),
+    "rdn": FamilySpec(
+        "R_{d,n}", False, MATCHING, True, True, ("s", "r", "o"),
+        lambda d, n: _rook_sum(n, lambda k: d ** k),
+        _COXETER + _ROOK_R + _ROOK_P + _BEADS + _BEAD_CROSS + _ROOK_BEADS_FIRST,
+        lambda x: rook_nf(x, "first")),
+    "rprimedn": FamilySpec(
+        "R'_{d,n}", False, MATCHING, False, True, ("s", "r", "o"),
+        lambda d, n: _rook_sum(n, lambda k: d ** (2 * n - k)),
+        _COXETER + _ROOK_R + _ROOK_P + _BEADS + _BEAD_CROSS + _ROOK_BEADS_PRIME,
+        lambda x: rook_nf(x, "prime")),
+    "tsn": FamilySpec(
+        "tS_n", True, PERMUTATION, False, False, ("s", "e"),
+        lambda d, n: math.factorial(n) * bell(n),
+        _COXETER + _TIE_CROSS),
+    "tjn": FamilySpec(
+        "tJ_n", True, PLANAR, False, False, ("t", "e", "f"),
+        lambda d, n: fuss_catalan_41(n),
+        _TANGLES + _TIE_CROSS[:2] + _TIED_JONES),
+    "tbrn": FamilySpec(
+        "tBr_n", True, MATCHING, False, False, ("s", "t", "e", "f"),
+        lambda d, n: odd_double_factorial(n) * bell(n),
+        _TANGLES + _COXETER + _BRAUER_MIXED + _TIE_CROSS + _TIED_JONES + _TIED_BRAUER),
     # ties here shed at free points; only the literal defining relations are
     # declared (adding the crossing-tie braid laws would let a broken arc
-    # absorb every tie, collapsing the k!*Bell(k) count)
-    "trn": _coxeter() + _rook_p() + _tie_cross()[:2] + _tied_rook_first(),
-    "trprimen": _coxeter() + _tie_cross() + _tied_rook_prime(),
+    # absorb every tie, collapsing the k!*Bell(k) count).  No product on this
+    # element set associates: see test_tie_shedding_composition_is_not_associative
+    "trn": FamilySpec(
+        "tR_n", True, MATCHING, True, False, ("s", "p", "e"),
+        lambda d, n: _rook_sum(n, bell),
+        _COXETER + _ROOK_P + _TIE_CROSS[:2] + _TIED_ROOK_FIRST,
+        associative=False),
+    "trprimen": FamilySpec(
+        "tR'_n", True, MATCHING, False, False, ("s", "r", "e", "q"),
+        lambda d, n: _rook_sum(n, lambda k: bell(2 * n - k)),
+        _COXETER + _TIE_CROSS + _TIED_ROOK_PRIME),
 }
 
+FAMILY_NAMES = tuple(FAMILIES)
 
-def presentation(fam: MonoidFamily) -> Presentation:
-    return Presentation(fam.name, generating_symbols(fam), _PRESENTATIONS[fam.name])
+
+@dataclass(frozen=True)
+class MonoidFamily:
+    """A named diagram monoid at fixed parameters (d, n)."""
+
+    name: str
+    n: int
+    d: int = 1
+
+    def __post_init__(self):
+        if self.name not in FAMILIES:
+            raise ValueError(f"unknown family {self.name!r}")
+        if self.n < 1 or self.d < 1:
+            raise ValueError("need n >= 1 and d >= 1")
+        if not self.spec.framed and self.d != 1:
+            raise ValueError(f"family {self.name} has no framing parameter")
+
+    @property
+    def spec(self) -> FamilySpec:
+        return FAMILIES[self.name]
+
+    @property
+    def tied(self) -> bool:
+        return self.spec.tied
+
+    @property
+    def tag(self) -> str:
+        return self.spec.tag
+
+    @property
+    def drop_rook(self) -> bool:
+        return self.spec.drop_rook
+
+    def __str__(self):
+        if self.spec.framed:
+            return f"{self.name}(d={self.d},n={self.n})"
+        return f"{self.name}(n={self.n})"
+
+
+def family(name: str, n: int, d: int = 1) -> MonoidFamily:
+    return MonoidFamily(name.lower(), n, d)
+
+
+def _kind_symbols(kind: str, n: int) -> list[GenSymbol]:
+    """The generators of one kind on n strands, ascending; kind ``"e"`` is
+    the adjacent ties e_{i,i+1} and ``"e*"`` every tie e_{i,j}."""
+    if kind == "e*":
+        return [GenSymbol("e", i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    if kind == "e":
+        return [GenSymbol("e", i, i + 1) for i in range(1, n)]
+    last = n - 1 if kind in ("t", "s", "f") else n
+    return [GenSymbol(kind, i) for i in range(1, last + 1)]
+
+
+def generating_symbols(fam: MonoidFamily) -> tuple[GenSymbol, ...]:
+    return tuple(sym for kind in fam.spec.generators
+                 for sym in _kind_symbols(kind, fam.n))
+
+
+def generating_set(fam: MonoidFamily) -> tuple[BeadedDiagram, ...]:
+    """The generator diagrams of the family, in declaration order."""
+    return tuple(generator(sym, fam.n, fam.d, tied=fam.tied, tag=fam.tag)
+                 for sym in generating_symbols(fam))
+
+
+@lru_cache(maxsize=None)
+def closure(fam: MonoidFamily, cap: int = 1_000_000) -> tuple[BeadedDiagram, ...]:
+    """All elements of the family: breadth-first closure of the generators.
+
+    Deterministic: the result is sorted by canonical encoding.  Raises
+    :class:`CapExceeded` if more than ``cap`` elements appear.
+    """
+    gens = generating_set(fam)
+    start = identity(fam.n, fam.d, tied=fam.tied, tag=fam.tag)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y, _ = compose(x, g, drop_rook=fam.drop_rook)
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"closure of {fam} exceeded cap {cap}")
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return tuple(sorted(seen, key=BeadedDiagram.encode))
+
+
+def predicted_cardinality(fam: MonoidFamily) -> int:
+    """Exact element count of the family, by closed formula."""
+    return fam.spec.count(fam.d, fam.n)
+
+
+# -- relation checks --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SchemaResult:
+    name: str
+    display: str
+    checked: int
+    failures: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class RelationReport:
+    family: MonoidFamily
+    entries: tuple[SchemaResult, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(not e.failures for e in self.entries)
+
+    @property
+    def checked(self) -> int:
+        return sum(e.checked for e in self.entries)
+
+    def failures(self) -> list[str]:
+        out = []
+        for e in self.entries:
+            out.extend(f"{e.name}: {w}" for w in e.failures)
+        return out
 
 
 def check_relations(fam: MonoidFamily,
@@ -737,9 +686,8 @@ def check_relations(fam: MonoidFamily,
     are reported with witness words; extra schemas can be injected, e.g. as
     negative controls.
     """
-    pres = presentation(fam)
     entries = []
-    for schema in tuple(pres.schemas) + tuple(extra_schemas):
+    for schema in fam.spec.schemas + tuple(extra_schemas):
         checked = 0
         failures = []
         for words in schema.instances(fam.d, fam.n):

@@ -12,16 +12,17 @@ prefixes/suffixes around a beadless skeleton word:
 
 Anchors follow the sliding convention: on an arc, beads sit at the left
 endpoint; on a leaning line, at the left endpoint (bottom for a ne-line, top
-for a nw-line); on a vertical strand, at the top.  The staircase word indices
-are recovered by a bounded monotone search validated by evaluation, so
-correctness is by construction.
+for a nw-line); on a vertical strand, at the top.  The staircase word is read
+off the skeleton directly.  Its runs ``t_i t_{i-1} .. t_j`` end at the
+bottom anchors j of the bottom arcs and ne-lines, and start at i, one left of
+the right top end of each top arc and of the top end of each ne-line; both
+index lists are sorted and paired in order.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .diagrams import (
@@ -31,7 +32,6 @@ from .diagrams import (
     LoopRecord,
     NotPlanar,
     compose,
-    erase_beads,
     generator,
     identity,
     parse_word,
@@ -98,7 +98,9 @@ def gaps(x: BeadedDiagram) -> GapSet:
 def gaps_from_word(x: BeadedDiagram) -> GapSet:
     """Gap criterion read off the staircase normal form: g is a gap iff
     neither g nor g-1 occurs as a tangle index."""
-    pairs = _staircase_pairs(erase_beads(x))
+    if x.family_tag != "planar-matching":
+        raise NotPlanar("gaps are defined for planar matchings")
+    pairs = _staircase_pairs(_classify(x))
     used = set()
     for i, j in pairs:
         used.update(range(j, i + 1))
@@ -206,54 +208,12 @@ NormalFormWord = JonesWord | BrauerWord | RookWord
 
 # -- planar (Jones-type) normal form -------------------------------------------
 
-class _Probe:
-    """Family stub for evaluating candidate skeleton words."""
-
-    def __init__(self, n, d, tag):
-        self.n, self.d, self.tag = n, d, tag
-        self.tied = False
-        self.drop_rook = False
-
-
-@lru_cache(maxsize=None)
-def _staircase_pairs_cached(n: int, blocks: tuple) -> tuple[tuple[int, int], ...]:
-    w = BeadedDiagram(n, 1, blocks, None, "planar-matching")
-    cls = _classify(w)
+def _staircase_pairs(cls) -> tuple[tuple[int, int], ...]:
+    """Runs (i, j) of the staircase word of a classified planar matching."""
     js = sorted([a for a, _, _ in cls["down"]] + [a for a, _, _ in cls["ne"]])
-    k = len(js)
-    if k == 0:
-        return ()
-    probe = _Probe(n, 1, "planar-matching")
-    matches = []
-    for comb in _increasing_tuples(js, n - 1):
-        word = []
-        for i, j in zip(comb, js):
-            word += [GenSymbol("t", m) for m in range(i, j - 1, -1)]
-        cand = evaluate_word(tuple(word), probe)[0]
-        if cand == w:
-            matches.append(tuple(zip(comb, js)))
-    if len(matches) != 1:
-        raise ValueError(f"staircase form not unique for {w.encode()}: {matches}")
-    return matches[0]
-
-
-def _increasing_tuples(js, top):
-    """All strictly increasing index tuples with i_m >= j_m and i_m <= top."""
-    k = len(js)
-
-    def rec(m, lo):
-        if m == k:
-            yield ()
-            return
-        for i in range(max(lo, js[m]), top + 1):
-            for rest in rec(m + 1, i + 1):
-                yield (i,) + rest
-
-    yield from rec(0, 1)
-
-
-def _staircase_pairs(w: BeadedDiagram) -> tuple[tuple[int, int], ...]:
-    return _staircase_pairs_cached(w.n, w.blocks)
+    starts = sorted([blk[1] - 1 for _, _, blk in cls["up"]]
+                    + [blk[0] - 1 for _, _, blk in cls["ne"]])
+    return tuple(zip(starts, js))
 
 
 def jones_nf(x: BeadedDiagram) -> JonesWord:
@@ -267,8 +227,8 @@ def jones_nf(x: BeadedDiagram) -> JonesWord:
         reverse=True))
     bottom_beads = tuple(sorted(
         [(a, k) for a, k, _ in cls["down"]] + [(a, k) for a, k, _ in cls["ne"]]))
-    pairs = _staircase_pairs(erase_beads(x))
-    return JonesWord(x.n, x.d, gap_beads, top_beads, pairs, bottom_beads)
+    return JonesWord(x.n, x.d, gap_beads, top_beads, _staircase_pairs(cls),
+                     bottom_beads)
 
 
 # -- Brauer-type normal form ----------------------------------------------------

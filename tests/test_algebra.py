@@ -99,6 +99,14 @@ class TestProducts:
         with pytest.raises(ValueError):
             from_word("t1", fam, XY) * from_word("t1", fam, ALPHA)
 
+    def test_products_refuse_in_non_associative_family(self):
+        fam = family("trn", 3)
+        assert not fam.spec.associative
+        a = from_word("e1 p1", fam, NEGLECT)   # words still evaluate
+        with pytest.raises(ValueError, match="not associative"):
+            a * a
+        assert (a * 2 + a).terms == {next(iter(a.terms)): LaurentPoly.const(3)}
+
     def test_bilinearity(self):
         fam = family("jdn", 3, 2)
         els = closure(fam)

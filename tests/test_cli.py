@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from framoid.cli import main
+from framoid.monoids import FAMILY_NAMES, family
 
 
 def run(capsys, *argv):
@@ -86,3 +89,56 @@ def test_mismatch_would_exit_one(capsys, monkeypatch):
     code, out = run(capsys, "enumerate", "--family", "jdn", "--d", "2", "--n", "3")
     assert code == 1
     assert json.loads(out)["match"] is False
+
+
+def test_verify_usage_error_exits_two(capsys):
+    assert main(["verify", "--suite", "cardinalities", "--d", "2"]) == 2
+
+
+JDN_WORD = ("--family", "jdn", "--d", "2", "--n", "2", "--word", "t1 o1 t1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--family", "jdn", "--n", "3", "--threads", "4"),
+    ("verify", "--suite", "bridges", "--threads", "1"),
+    ("eval-word", *JDN_WORD, "--format", "csv"),
+    ("eval-word", *JDN_WORD, "--cap", "10"),
+    ("normal-form", *JDN_WORD, "--cap", "10"),
+    ("normal-form", *JDN_WORD, "--format", "json"),
+    ("verify", "--suite", "tl", "--format", "json"),
+    ("verify", "--suite", "cardinalities", "--n", "3"),
+    ("verify", "--suite", "cardinalities", "--seed", "1"),
+    ("verify", "--suite", "presentations", "--d", "2"),
+    ("verify", "--suite", "presentations", "--cap", "10"),
+    ("verify", "--suite", "bridges", "--seed", "1"),
+    ("verify", "--suite", "bridges", "--cap", "10"),
+    ("verify", "--suite", "bridges", "--n", "3..4"),
+    ("verify", "--suite", "tl", "--d", "7", "--n", "9"),
+    ("verify", "--suite", "tl", "--cap", "10"),
+    ("verify", "--suite", "tl", "--target", "jones"),
+    ("verify", "--suite", "tied", "--d", "2"),
+    ("verify", "--suite", "tied", "--seed", "1"),
+    ("verify", "--suite", "hom", "--n", "3"),
+    ("verify", "--suite", "hom", "--cap", "10"),
+])
+def test_ignored_flag_exits_two(capsys, argv):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_flags_reach_their_suite(capsys):
+    code, out = run(capsys, "verify", "--suite", "tied", "--n", "2")
+    assert code == 0
+    assert {json.loads(line)["n"] for line in out.splitlines()} == {2}
+    code, out = run(capsys, "verify", "--suite", "cardinalities", "--cap", "10")
+    assert code == 1
+    assert "exceeded cap 10" in out
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_normal_form_exits_by_family(capsys, name):
+    has_nf = name in ("jn", "jdn", "brn", "brdn", "rn", "rdn", "rprimedn")
+    assert (family(name, 2).spec.normal_form is not None) == has_nf
+    code, out = run(capsys, "normal-form", "--family", name, "--n", "2", "--word", "")
+    assert code == (0 if has_nf else 2)
+    assert out == ("\n" if has_nf else "")

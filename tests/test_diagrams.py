@@ -11,7 +11,6 @@ from framoid.diagrams import (
     GenSymbol,
     LoopRecord,
     NotPlanar,
-    canonicalize,
     compose,
     erase_beads,
     erase_ties,
@@ -19,13 +18,9 @@ from framoid.diagrams import (
     identity,
     parse_word,
     render_word,
-    word_diagram,
 )
 from framoid.monoids import closure, family
-
-
-def ev(text, n, d, tied=False, tag=PERMUTATION, drop=False):
-    return word_diagram(parse_word(text), n, d, tied=tied, tag=tag, drop_rook=drop)
+from framoid.normalform import evaluate_word
 
 
 class TestIdentity:
@@ -56,7 +51,7 @@ class TestGenerators:
 
     def test_rook_product_is_rook_chain(self):
         p2 = generator(GenSymbol("p", 2), 3, 1)
-        chain, _ = ev("r1 r2", 3, 1, tag=MATCHING)
+        chain, _ = evaluate_word("r1 r2", family("rn", 3))
         assert p2 == chain
 
     def test_tied_tangle_absorbs_tie(self):
@@ -67,7 +62,7 @@ class TestGenerators:
 
     def test_tied_rook_product_factors(self):
         w3 = generator(GenSymbol("w", 3), 4, 1)
-        viaq, _ = ev("r1 r2 q3", 4, 1, tied=True, tag=MATCHING)
+        viaq, _ = evaluate_word("r1 r2 q3", family("trprimen", 4))
         assert w3 == viaq
 
     def test_index_out_of_range(self):
@@ -82,31 +77,31 @@ class TestGenerators:
 class TestCompose:
     def test_loop_with_bead(self):
         t1 = generator(GenSymbol("t", 1), 2, 2, tag=PLANAR)
-        prod, rec = ev("t1 o1 t1", 2, 2, tag=PLANAR)
+        prod, rec = evaluate_word("t1 o1 t1", family("jdn", 2, 2))
         assert prod == t1
         assert rec == LoopRecord({1: 1})
 
     def test_tangle_sandwich_no_loop(self):
         t1 = generator(GenSymbol("t", 1), 3, 1)
-        prod, rec = ev("t1 t2 t1", 3, 1, tag=PLANAR)
+        prod, rec = evaluate_word("t1 t2 t1", family("jn", 3))
         assert prod == t1
         assert rec.is_empty
 
     def test_partition_join(self):
-        prod, _ = ev("e1,2 e2,4", 4, 1, tied=True)
+        prod, _ = evaluate_word("e1,2 e2,4", family("pn", 4))
         assert prod.ties == ((0, 1, 3), (2,))
 
     def test_bead_crossing_slide(self):
-        a, _ = ev("o1 s1", 3, 3)
-        b, _ = ev("s1 o2", 3, 3)
+        a, _ = evaluate_word("o1 s1", family("sdn", 3, 3))
+        b, _ = evaluate_word("s1 o2", family("sdn", 3, 3))
         assert a == b
 
     def test_orientation_is_asymmetric(self):
         # s_i t_j t_i = s_j t_i distinguishes top from bottom stacking
-        lhs, _ = ev("s1 t2 t1", 3, 1, tag=MATCHING)
-        rhs, _ = ev("s2 t1", 3, 1, tag=MATCHING)
+        lhs, _ = evaluate_word("s1 t2 t1", family("brn", 3))
+        rhs, _ = evaluate_word("s2 t1", family("brn", 3))
         assert lhs == rhs
-        flipped, _ = ev("t1 t2 s1", 3, 1, tag=MATCHING)
+        flipped, _ = evaluate_word("t1 t2 s1", family("brn", 3))
         assert flipped != lhs
 
     def test_mismatched_parameters_rejected(self):
@@ -118,8 +113,8 @@ class TestCompose:
             compose(identity(2, 1, tied=True), identity(2, 1))
 
     def test_beaded_brauer_word_identity(self):
-        lhs, _ = ev("t1 o1 o2 s2 o1 o2 t1", 3, 4, tag=MATCHING)
-        rhs, _ = ev("o3^2 t1 o3^2", 3, 4, tag=MATCHING)
+        lhs, _ = evaluate_word("t1 o1 o2 s2 o1 o2 t1", family("brdn", 3, 4))
+        rhs, _ = evaluate_word("o3^2 t1 o3^2", family("brdn", 3, 4))
         assert lhs == rhs
 
     def test_rook_drop_policy(self):
@@ -147,14 +142,19 @@ class TestCanonical:
         assert a == b
         assert a.encode() == b.encode()
 
-    def test_canonicalize_idempotent(self):
-        x = generator(GenSymbol("s", 1), 3, 2)
-        assert canonicalize(canonicalize(x)) == canonicalize(x)
+    def test_construction_idempotent(self):
+        # rebuilding a diagram from its canonical fields changes nothing
+        tied = BeadedDiagram(3, 3, [(4, 2), (1, 6), (3, 5)], [1, 2, 2], MATCHING,
+                             [[2, 0], [1]])
+        for x in (generator(GenSymbol("s", 1), 3, 2), tied):
+            again = BeadedDiagram(x.n, x.d, x.blocks, x.beads, x.family_tag, x.ties)
+            assert again == x
+            assert (again.blocks, again.beads, again.ties) == (x.blocks, x.beads, x.ties)
 
     def test_idempotent_square_matches(self):
         t1 = generator(GenSymbol("t", 1), 2, 1)
         sq, _ = compose(t1, t1)
-        assert canonicalize(sq) == canonicalize(t1)
+        assert sq == t1
 
     def test_planarity_enforced(self):
         with pytest.raises(NotPlanar):
@@ -170,7 +170,7 @@ class TestCanonical:
 
 class TestErasures:
     def test_erase_beads(self):
-        x, _ = ev("o1^3", 2, 4)
+        x, _ = evaluate_word("o1^3", family("cdn", 2, 4))
         assert erase_beads(x) == identity(2, 4)
 
     def test_erase_ties_on_tied_tangle(self):
@@ -209,9 +209,9 @@ def test_associativity_random_words(name, d, n):
     @given(_word_strategy(n, d, tokens), _word_strategy(n, d, tokens),
            _word_strategy(n, d, tokens))
     def run(wa, wb, wc):
-        a, _ = word_diagram(wa, n, d, tied=fam.tied, tag=fam.tag)
-        b, _ = word_diagram(wb, n, d, tied=fam.tied, tag=fam.tag)
-        c, _ = word_diagram(wc, n, d, tied=fam.tied, tag=fam.tag)
+        a, _ = evaluate_word(wa, fam)
+        b, _ = evaluate_word(wb, fam)
+        c, _ = evaluate_word(wc, fam)
         ab, r1 = compose(a, b)
         left, r2 = compose(ab, c)
         bc, r3 = compose(b, c)
@@ -352,7 +352,7 @@ def test_word_grammar_round_trip():
 
 
 def test_encoding_format():
-    x, _ = ev("o1^2", 2, 4)
+    x, _ = evaluate_word("o1^2", family("cdn", 2, 4))
     assert x.encode() == "n=2;d=4;blocks=[{t1,b1}:2,{t2,b2}:0]"
     f1 = generator(GenSymbol("f", 1), 2, 1)
     assert f1.encode() == "n=2;d=1;blocks=[{t1,t2}:0,{b1,b2}:0];ties=[[0,1]]"

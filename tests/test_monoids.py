@@ -2,8 +2,9 @@
 
 import pytest
 
-from framoid.diagrams import CapExceeded, GenSymbol, generator
+from framoid.diagrams import CapExceeded, GenSymbol, generator, render_word
 from framoid.monoids import (
+    FAMILY_NAMES,
     RelationSchema,
     bell,
     binomial,
@@ -16,7 +17,6 @@ from framoid.monoids import (
     generating_symbols,
     odd_double_factorial,
     predicted_cardinality,
-    presentation,
     stirling2,
 )
 
@@ -57,6 +57,30 @@ class TestGeneratingSets:
     def test_partition_needs_all_ties(self):
         syms = generating_symbols(family("pn", 3))
         assert [(s.i, s.j) for s in syms] == [(1, 2), (1, 3), (2, 3)]
+
+    def test_order_of_every_family(self):
+        # seeded word generators draw from this order
+        want = {
+            "cdn": "o1 o2 o3",
+            "sdn": "s1 s2 o1 o2 o3",
+            "pn": "e1 e1,3 e2",
+            "pdn": "e1 e1,3 e2 o1 o2 o3",
+            "jn": "t1 t2",
+            "jdn": "t1 t2 o1 o2 o3",
+            "brn": "s1 s2 t1 t2",
+            "brdn": "s1 s2 t1 t2 o1 o2 o3",
+            "rn": "s1 s2 r1 r2 r3",
+            "rdn": "s1 s2 r1 r2 r3 o1 o2 o3",
+            "rprimedn": "s1 s2 r1 r2 r3 o1 o2 o3",
+            "tsn": "s1 s2 e1 e2",
+            "tjn": "t1 t2 e1 e2 f1 f2",
+            "tbrn": "s1 s2 t1 t2 e1 e2 f1 f2",
+            "trn": "s1 s2 p1 p2 p3 e1 e2",
+            "trprimen": "s1 s2 r1 r2 r3 e1 e2 q1 q2 q3",
+        }
+        got = {name: render_word(generating_symbols(family(name, 3)))
+               for name in FAMILY_NAMES}
+        assert got == want
 
     def test_diagrams_carry_family_tag(self):
         for diag in generating_set(family("jdn", 4, 2)):
@@ -198,10 +222,10 @@ def test_negative_control_mutated_relation():
 
 
 def test_presentation_object_shape():
-    pres = presentation(family("trprimen", 3))
-    names = {s.name for s in pres.schemas}
+    fam = family("trprimen", 3)
+    names = {s.name for s in fam.spec.schemas}
     assert "rook-tie-shift" in names
-    assert all(sym.kind in "sreq" for sym in pres.generators)
+    assert all(sym.kind in "sreq" for sym in generating_symbols(fam))
 
 
 def test_invalid_family_parameters():

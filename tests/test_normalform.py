@@ -109,6 +109,48 @@ class TestJonesNF:
         with pytest.raises(Exception):
             jones_nf(s1)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_staircase_matches_search(self, n):
+        for x in closure(family("jn", n)):
+            assert jones_nf(x).tangle_runs == staircase_by_search(x)
+
+
+def _increasing_tuples(js, top):
+    """All strictly increasing index tuples with i_m >= j_m and i_m <= top."""
+    k = len(js)
+
+    def rec(m, lo):
+        if m == k:
+            yield ()
+            return
+        for i in range(max(lo, js[m]), top + 1):
+            for rest in rec(m + 1, i + 1):
+                yield (i,) + rest
+
+    yield from rec(0, 1)
+
+
+def staircase_by_search(x):
+    """Reference staircase runs of a beadless planar matching: the run ends
+    j are its bottom anchors; every increasing choice of run starts is
+    evaluated, and exactly one must rebuild x."""
+    n = x.n
+    fam = family("jn", n)
+    js = []
+    for a, b in x.blocks:
+        if a > n:
+            js.append(a - n)          # bottom arc, left endpoint
+        elif b > n and b - n < a:
+            js.append(b - n)          # ne-line, bottom end
+    js.sort()
+    matches = []
+    for starts in _increasing_tuples(js, n - 1):
+        word = [GenSymbol("t", m) for i, j in zip(starts, js) for m in range(i, j - 1, -1)]
+        if evaluate_word(tuple(word), fam)[0] == x:
+            matches.append(tuple(zip(starts, js)))
+    assert len(matches) == 1, matches
+    return matches[0]
+
 
 class TestBrauerNF:
     def test_worked_example_word(self):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from framoid.monoids import FAMILY_NAMES, default_grid, family, presentation
+from framoid.monoids import FAMILY_NAMES, default_grid, family
 from framoid.verify import (
     BRIDGE_TARGETS,
     DEFAULT_SEED,
@@ -71,7 +71,7 @@ def test_presentation_coverage_spans_all_families():
     for name in FAMILY_NAMES:
         fams = [fam for fam in default_grid() if fam.name == name]
         largest = max(fams, key=lambda f: (f.n, f.d))
-        declared = {s.display for s in presentation(largest).schemas}
+        declared = {s.display for s in largest.spec.schemas}
         report = suite_presentations([largest])
         seen = {e.identity for e in report.entries}
         assert declared <= seen
