@@ -34,11 +34,17 @@ _LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
            "info": logging.INFO, "debug": logging.DEBUG}
 
 
-def _parse_n_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _n_range(text: str) -> list[int]:
+    """The strand counts of an ``--n`` value: ``n`` or a range ``a..b``."""
+    lo, _, hi = text.partition("..")
+    try:
+        values = list(range(int(lo), int(hi or lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a strand count or a range a..b: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty range: {text!r}")
+    return values
 
 
 def _bool_text(flag: bool) -> str:
@@ -67,10 +73,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"one of: {', '.join(FAMILY_NAMES)}")
         p.add_argument("--d", type=int, default=1, help="framing modulus")
         if need_word:
-            p.add_argument("--n", required=True, help="strand count")
+            p.add_argument("--n", type=int, required=True, help="strand count")
             p.add_argument("--word", required=True, help="generator word")
         else:
-            p.add_argument("--n", required=True, help="strand count, or a range a..b")
+            p.add_argument("--n", type=_n_range, required=True,
+                           help="strand count, or a range a..b")
             p.add_argument("--cap", type=int, default=1_000_000)
         if formats:
             p.add_argument("--format", choices=formats, default="json")
@@ -90,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--target", choices=BRIDGE_TARGETS, default=argparse.SUPPRESS,
                     help="bridge target (default: all)")
     pv.add_argument("--d", type=int, default=argparse.SUPPRESS)
-    pv.add_argument("--n", default=argparse.SUPPRESS)
+    pv.add_argument("--n", type=int, default=argparse.SUPPRESS)
     pv.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                     help=f"default 0x{DEFAULT_SEED:X}")
     pv.add_argument("--cap", type=int, default=argparse.SUPPRESS)
@@ -99,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _family_rows(args) -> list[tuple]:
     rows = []
-    for n in _parse_n_range(args.n):
+    for n in args.n:
         fam = family(args.family, n, args.d)
         count = len(closure(fam, args.cap))
         predicted = predicted_cardinality(fam)
@@ -132,8 +139,7 @@ def _cmd_counts(args, out) -> int:
 
 
 def _cmd_eval_word(args, out) -> int:
-    (n,) = _parse_n_range(args.n)
-    fam = family(args.family, n, args.d)
+    fam = family(args.family, args.n, args.d)
     diag, record = evaluate_word(parse_word(args.word), fam)
     loops = {str(p): m for p, m in record.counts}
     if args.format == "text":
@@ -145,8 +151,7 @@ def _cmd_eval_word(args, out) -> int:
 
 
 def _cmd_normal_form(args, out) -> int:
-    (n,) = _parse_n_range(args.n)
-    fam = family(args.family, n, args.d)
+    fam = family(args.family, args.n, args.d)
     if fam.spec.normal_form is None:
         log.error("no normal form for family %s", fam.name)
         return 2
@@ -162,7 +167,7 @@ def _cmd_verify(args, out) -> int:
         log.error("suite %s does not take %s", args.suite,
                   ", ".join("--" + flag for flag in ignored))
         return 2
-    (n,) = _parse_n_range(given.get("n", "4"))
+    n = given.get("n", 4)
     # --cap and --seed are passed on as the suite parameters of the same name
     if args.suite == "cardinalities":
         reports = [suite_cardinalities(**given)]

@@ -7,11 +7,19 @@ count modulo ``d`` (the framing); beads slide freely along their block, so a
 single residue per block is a faithful encoding.  A diagram may additionally
 carry a tie partition, i.e. a coarsening of its set of blocks.
 
+A diagram is stored as canonical block labels: ``lab[p - 1]`` is the index
+of the block holding point p, blocks numbered in the order of their least
+point, and beads and tie classes are indexed by those labels.  The
+constructor takes either blocks in any order, which it validates and
+canonicalizes, or labels that are already canonical (``lab=``), which it
+checks in time linear in n without sorting.
+
 Products stack the left factor above the right one: in ``compose(a, b)`` the
 bottom points of ``a`` are glued to the top points of ``b``.  Components of
 the glued picture that still touch the outer boundary become blocks of the
 result, with beads added mod d; components trapped in the middle layer are
 removed and reported in a :class:`LoopRecord`, one count per bead residue.
+The product is one union-find over the blocks of the two factors.
 
 All values are immutable after construction and safe to share.
 """
@@ -19,6 +27,8 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
 PARTITION = "partition"
@@ -84,6 +94,10 @@ class LoopRecord:
         return "LoopRecord({%s})" % inner
 
 
+# the record of every product that removes no loops
+_NO_LOOPS = LoopRecord()
+
+
 def _tag_join(t1: str, t2: str) -> str:
     if t1 == t2:
         return t1
@@ -97,103 +111,174 @@ def _crossing(x1, y1, x2, y2) -> bool:
     return (x1 < x2 < y1 < y2) or (x2 < x1 < y2 < y1)
 
 
+def _labels_of_blocks(n: int, blocks) -> tuple[tuple[int, ...], list[tuple], list[int]]:
+    """Canonical labels of a partition given as blocks in any order.
+
+    Returns the labels, the blocks as given (as int tuples), and ``order``:
+    ``order[label]`` is the position of that block in the input.
+    """
+    raw = [tuple(int(p) for p in blk) for blk in blocks]
+    owner = [-1] * (2 * n)
+    for idx, blk in enumerate(raw):
+        if not blk:
+            raise ValueError("blocks must partition the 2n boundary points")
+        for p in blk:
+            if not 1 <= p <= 2 * n or owner[p - 1] >= 0:
+                raise ValueError("blocks must partition the 2n boundary points")
+            owner[p - 1] = idx
+    if -1 in owner:
+        raise ValueError("blocks must cover every boundary point")
+    label_of: dict[int, int] = {}
+    lab = tuple([label_of.setdefault(idx, len(label_of)) for idx in owner])
+    return lab, raw, list(label_of)
+
+
+@lru_cache(maxsize=None)
+def _point_names(n: int) -> tuple[str, ...]:
+    """The names t1..tn, b1..bn of the 2n boundary points, in point order."""
+    return tuple(f"t{p}" for p in range(1, n + 1)) + tuple(f"b{p}" for p in range(1, n + 1))
+
+
+def _pool_beads(beads: list[int], ties, d: int) -> None:
+    """Move the beads of each tie class, summed mod d, onto its least block."""
+    for cls in ties:
+        if len(cls) > 1:
+            pooled = sum(beads[b] for b in cls) % d
+            for b in cls:
+                beads[b] = 0
+            beads[cls[0]] = pooled
+
+
 class BeadedDiagram:
     """A set partition of the 2n boundary points with beads and optional ties.
 
-    ``blocks`` is the canonical tuple of blocks, each a sorted tuple of point
-    numbers, blocks sorted by their minimum; ``beads`` is the parallel tuple
-    of residues in [0, d).  ``ties``, when present, is a partition of the
-    block indices (classes sorted, class members sorted).  Equality and
-    hashing look only at ``(n, d, blocks, beads, ties)``: the ``family_tag``
-    is a structural claim used for validation, not identity.
+    ``lab`` is the canonical labelling: ``lab[p - 1]`` is the index of the
+    block holding point p, blocks numbered in the order of their least point.
+    ``blocks`` derives from it the tuple of blocks, each a sorted tuple of
+    point numbers, blocks sorted by their minimum.  ``beads[i]`` is the
+    residue in [0, d) of block i.  ``ties``, when present, is a partition of
+    the block indices (classes sorted, class members sorted).  Equality and
+    hashing look only at ``(n, d, lab, beads, ties)``: the ``family_tag`` is a
+    structural claim used for validation, not identity.
+
+    Two constructor forms: ``BeadedDiagram(n, d, blocks, beads, tag, ties)``
+    takes blocks in any order, with ``beads`` parallel to them (or a mapping
+    from point sets to residues) and ``ties`` over their positions;
+    ``BeadedDiagram(n, d, beads=..., family_tag=..., ties=..., lab=...)``
+    takes canonical labels, with ``beads`` and ``ties`` indexed by label.
+    Both check the partition and the structural tag.
 
     When ties are present and d > 1, beads are pooled per tie class (stored
     on the class's least block): a tie lets beads move freely between its
-    blocks, so the pooled residue is the faithful datum.
+    blocks, so the pooled residue is the faithful datum.  The blocks form
+    pools the beads it is given; the ``lab=`` form requires them pooled.
     """
 
-    __slots__ = ("n", "d", "blocks", "beads", "family_tag", "ties", "_key", "_hash")
+    __slots__ = ("n", "d", "lab", "beads", "family_tag", "ties", "_hash")
 
-    def __init__(self, n, d, blocks, beads=None, family_tag=PARTITION, ties=None):
+    def __init__(self, n, d, blocks=None, beads=None, family_tag=PARTITION, ties=None,
+                 *, lab=None):
         if n < 1 or d < 1:
             raise ValueError("need n >= 1 and d >= 1")
         if family_tag not in _TAGS:
             raise ValueError(f"unknown family tag {family_tag!r}")
+        if (blocks is None) == (lab is None):
+            raise TypeError("give exactly one of blocks and lab")
 
-        raw = [tuple(sorted(int(p) for p in blk)) for blk in blocks]
-        order = sorted(range(len(raw)), key=lambda idx: raw[idx])
-        canon_blocks = tuple(raw[idx] for idx in order)
-
-        seen = [False] * (2 * n)
-        for blk in canon_blocks:
-            for p in blk:
-                if not 1 <= p <= 2 * n or seen[p - 1]:
-                    raise ValueError("blocks must partition the 2n boundary points")
-                seen[p - 1] = True
-        if not all(seen):
-            raise ValueError("blocks must cover every boundary point")
-
-        if beads is None:
-            canon_beads = [0] * len(canon_blocks)
-        elif hasattr(beads, "items"):
-            lookup = {frozenset(k): int(v) for k, v in beads.items()}
-            canon_beads = [lookup.get(frozenset(blk), 0) % d for blk in canon_blocks]
+        if lab is None:
+            lab, raw, order = _labels_of_blocks(n, blocks)
+            k = len(order)
+            if beads is None:
+                canon_beads = [0] * k
+            elif hasattr(beads, "items"):
+                lookup = {frozenset(key): int(v) for key, v in beads.items()}
+                canon_beads = [lookup.get(frozenset(raw[idx]), 0) % d for idx in order]
+            else:
+                given = list(beads)
+                if len(given) != k:
+                    raise ValueError("beads must match blocks")
+                canon_beads = [int(given[idx]) % d for idx in order]
+            if ties is not None:
+                label = {old: new for new, old in enumerate(order)}
+                try:
+                    ties = [[label[int(b)] for b in cls] for cls in ties]
+                except KeyError:
+                    raise ValueError("ties must partition the block indices") from None
         else:
-            given = list(beads)
-            if len(given) != len(raw):
-                raise ValueError("beads must match blocks")
-            canon_beads = [int(given[idx]) % d for idx in order]
+            lab = tuple(lab)
+            if len(lab) != 2 * n:
+                raise ValueError("labels must cover the 2n boundary points")
+            first = list(dict.fromkeys(lab))
+            k = len(first)
+            if first != list(range(k)):
+                raise ValueError("labels must number the blocks 0..k-1 "
+                                 "in the order of their least point")
+            if beads is None:
+                canon_beads = [0] * k
+            else:
+                canon_beads = [v % d for v in beads]
+                if len(canon_beads) != k:
+                    raise ValueError("beads must match blocks")
 
         canon_ties = None
         if ties is not None:
-            inv = [0] * len(raw)
-            for new_idx, old_idx in enumerate(order):
-                inv[old_idx] = new_idx
-            classes = [sorted(inv[int(b)] for b in cls) for cls in ties]
-            hit = [False] * len(canon_blocks)
-            for cls in classes:
-                for b in cls:
-                    if not 0 <= b < len(canon_blocks) or hit[b]:
-                        raise ValueError("ties must partition the block indices")
-                    hit[b] = True
-            if not all(hit):
-                raise ValueError("ties must cover every block")
-            canon_ties = tuple(sorted(tuple(cls) for cls in classes))
-            if d > 1:
-                for cls in canon_ties:
-                    pooled = sum(canon_beads[b] for b in cls) % d
-                    for b in cls:
-                        canon_beads[b] = 0
-                    canon_beads[cls[0]] = pooled
+            canon_ties = tuple(sorted(map(tuple, map(sorted, ties))))
+            members = sorted(chain.from_iterable(canon_ties))
+            if members != list(range(k)) or not all(canon_ties):
+                if len(members) == len(set(members)) and set(members) < set(range(k)):
+                    raise ValueError("ties must cover every block")
+                raise ValueError("ties must partition the block indices")
+            if d > 1 and blocks is not None:
+                _pool_beads(canon_beads, canon_ties, d)
+            elif d > 1 and any(canon_beads[b] for cls in canon_ties for b in cls[1:]):
+                raise ValueError("the beads of a tie class must sit on its least block")
 
         self.n = n
         self.d = d
-        self.blocks = canon_blocks
+        self.lab = lab
         self.beads = tuple(canon_beads)
         self.family_tag = family_tag
         self.ties = canon_ties
-        self._validate_tag()
-        self._key = (n, d, self.blocks, self.beads, self.ties)
-        self._hash = hash(self._key)
+        if family_tag != PARTITION and not self._tag_holds():
+            self._raise_tag_violation()
+        self._hash = hash((n, d, lab, self.beads, canon_ties))
 
-    def _validate_tag(self):
-        n, tag = self.n, self.family_tag
-        if tag == PARTITION:
-            return
-        for blk in self.blocks:
+    def _tag_holds(self) -> bool:
+        """The structural tag, read off the labels in O(n)."""
+        n, lab, tag = self.n, self.lab, self.family_tag
+        if tag == PERMUTATION:
+            # each top point opens its own block and the bottom points meet
+            # those blocks once each
+            return lab[:n] == tuple(range(n)) and sorted(lab[n:]) == list(range(n))
+        if tag == MATCHING:
+            size = [0] * len(self.beads)
+            for x in lab:
+                size[x] += 1
+            return max(size) <= 2
+        # planar matching: n blocks, and in the boundary order t1..tn, bn..b1
+        # every point closes the block on top of the stack or opens one.  An
+        # emptied stack leaves no free point, and with n blocks no block
+        # larger than two
+        if len(self.beads) != n:
+            return False
+        stack = []
+        for x in lab[:n] + lab[:n - 1:-1]:
+            if stack and stack[-1] == x:
+                stack.pop()
+            else:
+                stack.append(x)
+        return not stack
+
+    def _raise_tag_violation(self):
+        """Name the first block that breaks the structural tag."""
+        n, tag, blocks = self.n, self.family_tag, self.blocks
+        for blk in blocks:
             if len(blk) > 2:
                 raise ValueError(f"{tag} diagrams admit only blocks of size <= 2")
-        if tag == MATCHING:
-            return
         if tag == PERMUTATION:
-            for blk in self.blocks:
-                if len(blk) != 2 or not (blk[0] <= n < blk[1]):
-                    raise ValueError("permutation diagrams pair one top with one bottom point")
-            return
-        # planar matching: all blocks arcs, no two crossing in the boundary
-        # order t1..tn, bn..b1
+            raise ValueError("permutation diagrams pair one top with one bottom point")
         chords = []
-        for blk in self.blocks:
+        for blk in blocks:
             if len(blk) != 2:
                 raise NotPlanar("planar matchings have no free points")
             x, y = (p if p <= n else 3 * n + 1 - p for p in blk)
@@ -201,12 +286,14 @@ class BeadedDiagram:
         for a in range(len(chords)):
             for b in range(a + 1, len(chords)):
                 if _crossing(*chords[a], *chords[b]):
-                    raise NotPlanar(f"arcs cross: {self.blocks[a]} and {self.blocks[b]}")
+                    raise NotPlanar(f"arcs cross: {blocks[a]} and {blocks[b]}")
 
     # -- identity & hashing ------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, BeadedDiagram) and self._key == other._key
+        return (isinstance(other, BeadedDiagram) and self._hash == other._hash
+                and self.lab == other.lab and self.d == other.d
+                and self.beads == other.beads and self.ties == other.ties)
 
     def __hash__(self):
         return self._hash
@@ -217,51 +304,55 @@ class BeadedDiagram:
     # -- views ---------------------------------------------------------------
 
     @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks, each a sorted tuple of points, sorted by their minimum."""
+        out: list[list[int]] = [[] for _ in self.beads]
+        for p, x in enumerate(self.lab, 1):
+            out[x].append(p)
+        return tuple(map(tuple, out))
+
+    @property
     def tied(self) -> bool:
         return self.ties is not None
 
-    def point_name(self, p: int) -> str:
-        return f"t{p}" if p <= self.n else f"b{p - self.n}"
-
     def encode(self) -> str:
         """Canonical textual encoding, stable across runs."""
-        parts = []
-        for blk, k in zip(self.blocks, self.beads):
-            pts = ",".join(self.point_name(p) for p in blk)
-            parts.append("{%s}:%d" % (pts, k))
-        text = f"n={self.n};d={self.d};blocks=[{','.join(parts)}]"
+        names: list[list[str]] = [[] for _ in self.beads]
+        for x, name in zip(self.lab, _point_names(self.n)):
+            names[x].append(name)
+        parts = ",".join(["{%s}:%d" % (",".join(pts), k)
+                          for pts, k in zip(names, self.beads)])
+        text = f"n={self.n};d={self.d};blocks=[{parts}]"
         if self.ties is not None:
             tie_txt = ",".join("[%s]" % ",".join(map(str, cls)) for cls in self.ties)
             text += f";ties=[{tie_txt}]"
         return text
 
     def block_of(self, p: int) -> int:
-        for idx, blk in enumerate(self.blocks):
-            if p in blk:
-                return idx
-        raise ValueError(f"no block contains point {p}")
+        if not 1 <= p <= 2 * self.n:
+            raise ValueError(f"no block contains point {p}")
+        return self.lab[p - 1]
 
     def reframed(self, d: int) -> "BeadedDiagram":
         """The same diagram with framing modulus d (beads reduced mod d)."""
-        return BeadedDiagram(self.n, d, self.blocks, [k % d for k in self.beads],
-                             self.family_tag, self.ties)
+        return BeadedDiagram(self.n, d, beads=self.beads, family_tag=self.family_tag,
+                             ties=self.ties, lab=self.lab)
 
 
 def erase_beads(x: BeadedDiagram) -> BeadedDiagram:
     """Set every bead to zero (diagram shadow of killing the framings)."""
-    return BeadedDiagram(x.n, x.d, x.blocks, None, x.family_tag, x.ties)
+    return BeadedDiagram(x.n, x.d, family_tag=x.family_tag, ties=x.ties, lab=x.lab)
 
 
 def erase_ties(x: BeadedDiagram) -> BeadedDiagram:
     """Forget the tie partition."""
-    return BeadedDiagram(x.n, x.d, x.blocks, x.beads, x.family_tag, None)
+    return BeadedDiagram(x.n, x.d, beads=x.beads, family_tag=x.family_tag, lab=x.lab)
 
 
 def identity(n: int, d: int, tied: bool = False, tag: str = PERMUTATION) -> BeadedDiagram:
     """The diagram of n vertical strands, no beads, all-singleton ties if tied."""
-    blocks = [(i, n + i) for i in range(1, n + 1)]
     ties = [[i] for i in range(n)] if tied else None
-    return BeadedDiagram(n, d, blocks, None, tag, ties)
+    return BeadedDiagram(n, d, family_tag=tag, ties=ties, lab=tuple(range(n)) * 2)
 
 
 # -- generator symbols ------------------------------------------------------
@@ -331,9 +422,13 @@ def symbol_valid(sym: GenSymbol, n: int, d: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
 def generator(sym: GenSymbol, n: int, d: int,
               tied: Optional[bool] = None, tag: Optional[str] = None) -> BeadedDiagram:
-    """The diagram of a single generator on n strands with framing modulus d."""
+    """The diagram of a single generator on n strands with framing modulus d.
+
+    Memoized: diagrams are immutable, so every caller shares one instance.
+    """
     if not symbol_valid(sym, n, d):
         raise ValueError(f"generator {render_symbol(sym)} out of range for n={n}")
     if tied is None:
@@ -416,111 +511,100 @@ def compose(a: BeadedDiagram, b: BeadedDiagram, *,
         raise ValueError("cannot mix tied and untied diagrams")
 
     n, d = a.n, a.d
-    size = 3 * n
-    parent = list(range(size))
-
-    def find(x: int) -> int:
+    alab, blab = a.lab, b.lab
+    # union-find nodes: a's blocks 0..ka-1, then b's blocks ka..; each middle
+    # strand joins the block of a's bottom point with that of b's top point
+    ka = len(a.beads)
+    parent = list(range(ka + len(b.beads)))
+    components = len(parent)
+    for x, y in zip(alab[n:], blab[:n]):
+        y += ka
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            parent[y] = x
+            components -= 1
+
+    # result labels in the order of the least outer point of each component
+    index: dict[int, int] = {}
+    lab = []
+    for x in alab[:n]:
+        while parent[x] != x:
             x = parent[x]
-        return x
+        lab.append(index.setdefault(x, len(index)))
+    for x in blab[n:]:
+        x += ka
+        while parent[x] != x:
+            x = parent[x]
+        lab.append(index.setdefault(x, len(index)))
+    k = len(index)
+    # components that reach no outer point are loops
+    trapped = []
+    if components > k:
+        for x in range(len(parent)):
+            if parent[x] == x and x not in index:
+                trapped.append(x)
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
+    beads = None
+    loops = _NO_LOOPS
+    if d > 1:
+        acc = [0] * len(parent)
+        for x, bead in enumerate(a.beads + b.beads):
+            if bead:
+                while parent[x] != x:
+                    x = parent[x]
+                acc[x] += bead
+        beads = [0] * k
+        for r, v in index.items():
+            beads[v] = acc[r] % d
+        if trapped:
+            loops = LoopRecord([(acc[r] % d, 1) for r in trapped])
+    elif trapped:
+        loops = LoopRecord({0: len(trapped)})
 
-    # node ids: final top i -> i-1, final bottom n+i -> n+i-1, middle strand
-    # s -> 2n+s-1.  a's bottom points and b's top points meet in the middle.
-    def a_node(p: int) -> int:
-        return p - 1 if p <= n else n + p - 1
-
-    def b_node(p: int) -> int:
-        return 2 * n + p - 1 if p <= n else p - 1
-
-    for blk in a.blocks:
-        base = a_node(blk[0])
-        for p in blk[1:]:
-            union(base, a_node(p))
-    for blk in b.blocks:
-        base = b_node(blk[0])
-        for p in blk[1:]:
-            union(base, b_node(p))
-
-    acc = [0] * size
-    for blk, k in zip(a.blocks, a.beads):
-        if k:
-            acc[find(a_node(blk[0]))] += k
-    for blk, k in zip(b.blocks, b.beads):
-        if k:
-            acc[find(b_node(blk[0]))] += k
-
-    root_index: dict[int, int] = {}
-    blocks: list[list[int]] = []
-    beads: list[int] = []
-    for node in range(2 * n):
-        r = find(node)
-        idx = root_index.get(r)
-        if idx is None:
-            root_index[r] = len(blocks)
-            blocks.append([node + 1])
-            beads.append(acc[r] % d)
-        else:
-            blocks[idx].append(node + 1)
-
-    loops: dict[int, int] = {}
-    seen_mid: set[int] = set()
-    for node in range(2 * n, size):
-        r = find(node)
-        if r in root_index or r in seen_mid:
-            continue
-        seen_mid.add(r)
-        residue = acc[r] % d
-        loops[residue] = loops.get(residue, 0) + 1
-
+    free: set[int] = set()
     if drop_rook:
-        for idx, blk in enumerate(blocks):
-            if len(blk) == 1:
-                beads[idx] = 0
+        size = [0] * k
+        for v in lab:
+            size[v] += 1
+        free = {v for v in range(k) if size[v] == 1}
+        if beads is not None:
+            for v in free:
+                beads[v] = 0
 
     ties = None
-    if a.tied:
-        tparent = parent[:]
-
-        def tfind(x: int) -> int:
-            while tparent[x] != x:
-                tparent[x] = tparent[tparent[x]]
-                x = tparent[x]
-            return x
-
-        def tunion(x: int, y: int) -> None:
-            rx, ry = tfind(x), tfind(y)
-            if rx != ry:
-                tparent[ry] = rx
-
-        for cls in a.ties:
-            base = a_node(a.blocks[cls[0]][0])
-            for bi in cls[1:]:
-                tunion(base, a_node(a.blocks[bi][0]))
-        for cls in b.ties:
-            base = b_node(b.blocks[cls[0]][0])
-            for bi in cls[1:]:
-                tunion(base, b_node(b.blocks[bi][0]))
-
-        groups: dict[int, list[int]] = {}
-        for idx, blk in enumerate(blocks):
-            groups.setdefault(tfind(blk[0] - 1), []).append(idx)
-        classes = list(groups.values())
-        if drop_rook:
-            split = []
+    if a.ties is not None:
+        # tie classes join components: a second union-find that starts from
+        # the first, so every tie root is also a block root
+        tie = parent[:]
+        for offset, classes in ((0, a.ties), (ka, b.ties)):
             for cls in classes:
-                arcs = [idx for idx in cls if len(blocks[idx]) > 1]
-                if arcs:
-                    split.append(arcs)
-                split.extend([idx] for idx in cls if len(blocks[idx]) == 1)
-            classes = split
-        ties = classes
+                if len(cls) == 1:
+                    continue
+                x = cls[0] + offset
+                while tie[x] != x:
+                    x = tie[x]
+                for y in cls[1:]:
+                    y += offset
+                    while tie[y] != y:
+                        y = tie[y]
+                    if x != y:
+                        tie[y] = x
+        groups: dict[int, list[int]] = {}
+        for r, v in index.items():
+            while tie[r] != r:
+                r = tie[r]
+            groups.setdefault(r, []).append(v)
+        ties = list(groups.values())
+        if free:
+            ties = ([[v for v in cls if v not in free] for cls in ties
+                     if any(v not in free for v in cls)]
+                    + [[v] for v in free])
+        if beads is not None:
+            _pool_beads(beads, ties, d)
 
-    result = BeadedDiagram(n, d, blocks, beads,
-                           _tag_join(a.family_tag, b.family_tag), ties)
-    return result, LoopRecord(loops)
+    result = BeadedDiagram(n, d, beads=beads, ties=ties, lab=lab,
+                           family_tag=_tag_join(a.family_tag, b.family_tag))
+    return result, loops

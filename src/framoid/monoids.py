@@ -14,7 +14,9 @@ presentation and compares both sides as diagrams.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
@@ -32,6 +34,8 @@ from .diagrams import (
     render_word,
 )
 from .normalform import NormalFormWord, brauer_nf, evaluate_word, jones_nf, rook_nf
+
+log = logging.getLogger(__name__)
 
 
 # -- exact combinatorics ------------------------------------------------------
@@ -617,17 +621,37 @@ def generating_set(fam: MonoidFamily) -> tuple[BeadedDiagram, ...]:
                  for sym in generating_symbols(fam))
 
 
-@lru_cache(maxsize=None)
+# closure results, one per family; cleared by closure.cache_clear()
+_CLOSURES: dict[MonoidFamily, tuple[BeadedDiagram, ...]] = {}
+
+
 def closure(fam: MonoidFamily, cap: int = 1_000_000) -> tuple[BeadedDiagram, ...]:
     """All elements of the family: breadth-first closure of the generators.
 
     Deterministic: the result is sorted by canonical encoding.  Raises
-    :class:`CapExceeded` if more than ``cap`` elements appear.
+    :class:`CapExceeded` if more than ``cap`` elements appear.  Results are
+    cached per family, whatever the cap: a cached closure larger than
+    ``cap`` raises as a fresh enumeration would.
     """
+    elems = _CLOSURES.get(fam)
+    if elems is None:
+        elems = _CLOSURES[fam] = _enumerate(fam, cap)
+    elif len(elems) > cap:
+        raise CapExceeded(f"closure of {fam} exceeded cap {cap}")
+    return elems
+
+
+closure.cache_clear = _CLOSURES.clear
+
+
+def _enumerate(fam: MonoidFamily, cap: int) -> tuple[BeadedDiagram, ...]:
     gens = generating_set(fam)
     start = identity(fam.n, fam.d, tied=fam.tied, tag=fam.tag)
     seen = {start}
     frontier = [start]
+    debug = log.isEnabledFor(logging.DEBUG)
+    began = time.perf_counter()
+    level = 0
     while frontier:
         fresh = []
         for x in frontier:
@@ -639,6 +663,11 @@ def closure(fam: MonoidFamily, cap: int = 1_000_000) -> tuple[BeadedDiagram, ...
                     seen.add(y)
                     fresh.append(y)
         frontier = fresh
+        level += 1
+        if debug:
+            elapsed = time.perf_counter() - began
+            log.debug("closure %s: level %d, %d new, %d total, %.0f elements/s",
+                      fam, level, len(fresh), len(seen), len(seen) / elapsed)
     return tuple(sorted(seen, key=BeadedDiagram.encode))
 
 

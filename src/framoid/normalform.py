@@ -91,8 +91,9 @@ def gaps(x: BeadedDiagram) -> GapSet:
     """Strands of a planar matching carried by an untouched vertical line."""
     if x.family_tag != "planar-matching":
         raise NotPlanar("gaps are defined for planar matchings")
-    n = x.n
-    return frozenset(i for i in range(1, n + 1) if (i, n + i) in x.blocks)
+    n, lab = x.n, x.lab
+    # every block of a planar matching is a pair, so a shared label is a line
+    return frozenset(i for i in range(1, n + 1) if lab[i - 1] == lab[n + i - 1])
 
 
 def gaps_from_word(x: BeadedDiagram) -> GapSet:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from framoid.cli import main
-from framoid.monoids import FAMILY_NAMES, family
+from framoid.monoids import FAMILY_NAMES, closure, family
 
 
 def run(capsys, *argv):
@@ -142,3 +142,35 @@ def test_normal_form_exits_by_family(capsys, name):
     code, out = run(capsys, "normal-form", "--family", name, "--n", "2", "--word", "")
     assert code == (0 if has_nf else 2)
     assert out == ("\n" if has_nf else "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval-word", "--family", "jdn", "--n", "2..3", "--word", "t1"),
+    ("normal-form", "--family", "jdn", "--n", "2..3", "--word", "t1"),
+    ("verify", "--suite", "tied", "--n", "2..3"),
+    ("enumerate", "--family", "jn", "--n", "3..1"),
+    ("cardinality-table", "--family", "jn", "--n", "2..x"),
+])
+def test_bad_strand_count_names_the_flag(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --n" in captured.err
+
+
+def test_debug_log_reports_closure_levels():
+    import os
+    import subprocess
+    import sys
+
+    argv = [sys.executable, "-m", "framoid.cli", "enumerate", "--family", "jdn",
+            "--d", "2", "--n", "3"]
+    quiet = subprocess.run(argv, capture_output=True, text=True, check=True)
+    loud = subprocess.run(argv, capture_output=True, text=True, check=True,
+                          env={**os.environ, "FRAMOID_LOG": "debug"})
+    assert loud.stdout == quiet.stdout
+    assert quiet.stderr == ""
+    levels = [line for line in loud.stderr.splitlines()
+              if line.startswith("DEBUG framoid.monoids: closure jdn(d=2,n=3): level ")]
+    assert len(levels) >= 2
+    assert levels[-1].split(", ")[2] == f"{len(closure(family('jdn', 3, 2)))} total"

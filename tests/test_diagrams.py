@@ -17,9 +17,10 @@ from framoid.diagrams import (
     generator,
     identity,
     parse_word,
+    _tag_join,
     render_word,
 )
-from framoid.monoids import closure, family
+from framoid.monoids import closure, default_grid, family, generating_set
 from framoid.normalform import evaluate_word
 
 
@@ -161,6 +162,59 @@ class TestCanonical:
             BeadedDiagram(2, 1, [(1, 4), (2, 3)], None, PLANAR)
         # the same crossing blocks are a fine permutation
         BeadedDiagram(2, 1, [(1, 4), (2, 3)], None, PERMUTATION)
+
+    def test_label_form_equals_block_form(self):
+        tied = BeadedDiagram(3, 3, [(4, 2), (1, 6), (3, 5)], [1, 2, 2], MATCHING,
+                             [[2, 0], [1]])
+        for x in (tied, generator(GenSymbol("t", 2), 4, 2), identity(3, 1, tied=True)):
+            again = BeadedDiagram(x.n, x.d, beads=x.beads, family_tag=x.family_tag,
+                                  ties=x.ties, lab=x.lab)
+            assert again == x and hash(again) == hash(x)
+            assert again.blocks == x.blocks and again.encode() == x.encode()
+        assert tied.lab == (0, 1, 2, 1, 2, 0)
+        assert tied.blocks == ((1, 6), (2, 4), (3, 5))
+        assert [tied.block_of(p) for p in range(1, 7)] == list(tied.lab)
+
+    @pytest.mark.parametrize("lab", [
+        (1, 0, 0, 1),        # labels not in order of the least point
+        (0, 2, 1, 0),
+        (0, 0, 2, 2),        # a label skipped
+        (0, 1, 0),           # too few points
+        (0, 1, 0, 1, 0),
+    ])
+    def test_label_form_rejects_non_canonical_labels(self, lab):
+        with pytest.raises(ValueError, match="labels"):
+            BeadedDiagram(2, 1, lab=lab)
+
+    def test_label_form_requires_pooled_beads(self):
+        pooled = BeadedDiagram(2, 3, [(1, 3), (2, 4)], [1, 1], PERMUTATION, [[0, 1]])
+        assert pooled.beads == (2, 0)
+        with pytest.raises(ValueError, match="least block"):
+            BeadedDiagram(2, 3, beads=(1, 1), family_tag=PERMUTATION, ties=[[0, 1]],
+                          lab=pooled.lab)
+
+    def test_exactly_one_of_blocks_and_labels(self):
+        with pytest.raises(TypeError):
+            BeadedDiagram(2, 1)
+        with pytest.raises(TypeError):
+            BeadedDiagram(2, 1, [(1, 3), (2, 4)], lab=(0, 1, 0, 1))
+
+    @pytest.mark.parametrize("n,blocks,tag,error", [
+        (2, [(1, 4), (2, 3)], PLANAR, NotPlanar),
+        (3, [(1, 5), (2, 4), (3, 6)], PLANAR, NotPlanar),
+        (2, [(1, 3), (2,), (4,)], PLANAR, NotPlanar),
+        (2, [(1, 2, 3), (4,)], PLANAR, ValueError),
+        (2, [(1, 2, 3), (4,)], MATCHING, ValueError),
+        (2, [(1, 2), (3, 4)], PERMUTATION, ValueError),
+        (2, [(1, 3), (2,), (4,)], PERMUTATION, ValueError),
+    ])
+    def test_label_form_names_the_violation_as_the_block_form(self, n, blocks, tag, error):
+        with pytest.raises(error) as by_blocks:
+            BeadedDiagram(n, 1, blocks, None, tag)
+        lab = BeadedDiagram(n, 1, blocks).lab
+        with pytest.raises(error) as by_labels:
+            BeadedDiagram(n, 1, family_tag=tag, lab=lab)
+        assert str(by_labels.value) == str(by_blocks.value)
 
     def test_pooled_beads_on_tied_blocks(self):
         a = BeadedDiagram(2, 3, [(1, 3), (2, 4)], [1, 1], PERMUTATION, [[0, 1]])
@@ -356,3 +410,169 @@ def test_encoding_format():
     assert x.encode() == "n=2;d=4;blocks=[{t1,b1}:2,{t2,b2}:0]"
     f1 = generator(GenSymbol("f", 1), 2, 1)
     assert f1.encode() == "n=2;d=1;blocks=[{t1,t2}:0,{b1,b2}:0];ties=[[0,1]]"
+
+
+# -- differential gate: the label kernel against the block kernel it replaced --
+
+def compose_reference(a, b, *, drop_rook=False):
+    """The block-based product that the label kernel replaced, kept as the
+    reference (verbatim but for reading each factor's blocks once): a
+    union-find over the 3n points of the stacked picture, with the result
+    built through the public blocks constructor."""
+    if a.n != b.n or a.d != b.d:
+        raise ValueError("factors must share strand count and framing modulus")
+    if a.tied != b.tied:
+        raise ValueError("cannot mix tied and untied diagrams")
+
+    n, d = a.n, a.d
+    # blocks are derived from the labels now: read them once
+    a_blocks, b_blocks = a.blocks, b.blocks
+    size = 3 * n
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+
+    # node ids: final top i -> i-1, final bottom n+i -> n+i-1, middle strand
+    # s -> 2n+s-1.  a's bottom points and b's top points meet in the middle.
+    def a_node(p: int) -> int:
+        return p - 1 if p <= n else n + p - 1
+
+    def b_node(p: int) -> int:
+        return 2 * n + p - 1 if p <= n else p - 1
+
+    for blk in a_blocks:
+        base = a_node(blk[0])
+        for p in blk[1:]:
+            union(base, a_node(p))
+    for blk in b_blocks:
+        base = b_node(blk[0])
+        for p in blk[1:]:
+            union(base, b_node(p))
+
+    acc = [0] * size
+    for blk, k in zip(a_blocks, a.beads):
+        if k:
+            acc[find(a_node(blk[0]))] += k
+    for blk, k in zip(b_blocks, b.beads):
+        if k:
+            acc[find(b_node(blk[0]))] += k
+
+    root_index: dict[int, int] = {}
+    blocks: list[list[int]] = []
+    beads: list[int] = []
+    for node in range(2 * n):
+        r = find(node)
+        idx = root_index.get(r)
+        if idx is None:
+            root_index[r] = len(blocks)
+            blocks.append([node + 1])
+            beads.append(acc[r] % d)
+        else:
+            blocks[idx].append(node + 1)
+
+    loops: dict[int, int] = {}
+    seen_mid: set[int] = set()
+    for node in range(2 * n, size):
+        r = find(node)
+        if r in root_index or r in seen_mid:
+            continue
+        seen_mid.add(r)
+        residue = acc[r] % d
+        loops[residue] = loops.get(residue, 0) + 1
+
+    if drop_rook:
+        for idx, blk in enumerate(blocks):
+            if len(blk) == 1:
+                beads[idx] = 0
+
+    ties = None
+    if a.tied:
+        tparent = parent[:]
+
+        def tfind(x: int) -> int:
+            while tparent[x] != x:
+                tparent[x] = tparent[tparent[x]]
+                x = tparent[x]
+            return x
+
+        def tunion(x: int, y: int) -> None:
+            rx, ry = tfind(x), tfind(y)
+            if rx != ry:
+                tparent[ry] = rx
+
+        for cls in a.ties:
+            base = a_node(a_blocks[cls[0]][0])
+            for bi in cls[1:]:
+                tunion(base, a_node(a_blocks[bi][0]))
+        for cls in b.ties:
+            base = b_node(b_blocks[cls[0]][0])
+            for bi in cls[1:]:
+                tunion(base, b_node(b_blocks[bi][0]))
+
+        groups: dict[int, list[int]] = {}
+        for idx, blk in enumerate(blocks):
+            groups.setdefault(tfind(blk[0] - 1), []).append(idx)
+        classes = list(groups.values())
+        if drop_rook:
+            split = []
+            for cls in classes:
+                arcs = [idx for idx in cls if len(blocks[idx]) > 1]
+                if arcs:
+                    split.append(arcs)
+                split.extend([idx] for idx in cls if len(blocks[idx]) == 1)
+            classes = split
+        ties = classes
+
+    result = BeadedDiagram(n, d, blocks, beads,
+                           _tag_join(a.family_tag, b.family_tag), ties)
+    return result, LoopRecord(loops)
+
+
+def _assert_same_product(a, b, drop_rook):
+    got, record = compose(a, b, drop_rook=drop_rook)
+    want, want_record = compose_reference(a, b, drop_rook=drop_rook)
+    assert got == want, (a, b)
+    assert got.family_tag == want.family_tag
+    assert got.encode() == want.encode()
+    assert record == want_record, (a, b)
+    return record
+
+
+def test_compose_matches_reference_on_every_closure_step():
+    """Every (element, generator) product of each default_grid family with
+    at most 2000 elements: the tied, drop-rook and planar families among
+    them."""
+    checked = set()
+    for fam in default_grid():
+        if fam.spec.count(fam.d, fam.n) > 2000:
+            continue
+        gens = generating_set(fam)
+        for x in closure(fam):
+            for g in gens:
+                _assert_same_product(x, g, fam.drop_rook)
+        checked.add(fam.name)
+    assert checked == {fam.name for fam in default_grid()}
+
+
+def test_compose_matches_reference_on_random_pairs():
+    """Arbitrary right factors, which remove beaded loops, in every
+    default_grid family."""
+    import random
+
+    rng = random.Random(0x1AB)
+    beaded_loops = 0
+    for fam in default_grid():
+        els = closure(fam)
+        for _ in range(200):
+            record = _assert_same_product(rng.choice(els), rng.choice(els), fam.drop_rook)
+            beaded_loops += any(residue for residue, _ in record.counts)
+    assert beaded_loops > 0

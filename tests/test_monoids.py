@@ -1,5 +1,7 @@
 """Families: generators, closure counts, counting formulas, presentations."""
 
+import re
+
 import pytest
 
 from framoid.diagrams import CapExceeded, GenSymbol, generator, render_word
@@ -131,6 +133,21 @@ def test_tied_planar_elements_at_n2():
 def test_closure_cap_guard():
     with pytest.raises(CapExceeded):
         closure(family("sdn", 4, 2), cap=10)
+
+
+def test_closure_is_cached_per_family_whatever_the_cap():
+    fam = family("cdn", 3, 3)
+    first = closure(fam)
+    assert closure(fam, 10**6) is first
+    assert closure(fam, cap=10**6) is first
+    assert closure(fam, cap=len(first)) is first
+    with pytest.raises(CapExceeded, match=re.escape(f"closure of {fam} exceeded cap 26")):
+        closure(fam, cap=26)
+    # a cap hit leaves the family enumerable
+    fam = family("cdn", 2, 3)
+    with pytest.raises(CapExceeded):
+        closure(fam, cap=3)
+    assert len(closure(fam)) == 9
 
 
 def test_closure_is_sorted_and_deterministic():
