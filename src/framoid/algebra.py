@@ -20,7 +20,7 @@ appears on the right-hand side of their multiplication rules.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 from .diagrams import (
     BeadedDiagram,
@@ -38,40 +38,62 @@ XY = "xy"
 
 LOOP_POLICIES = (NEGLECT, ALPHA, XY)
 
-Scalar = Union[int, Fraction, "LaurentPoly"]
+
+def _accumulate(out: dict, pairs: Iterable[tuple]) -> dict:
+    """Add each ``(key, value)`` pair into ``out``, dropping a key whose sum
+    is zero.
+
+    The one sparse-sum rule of this module: monomial exponents, polynomial
+    coefficients and element coefficients all accumulate through it.
+    """
+    for key, value in pairs:
+        prev = out.get(key)
+        total = value if prev is None else prev + value
+        if total:
+            out[key] = total
+        elif prev is not None:
+            del out[key]
+    return out
+
+
+def _mono(pairs: Iterable[tuple]) -> tuple:
+    """Canonical monomial: sorted ``(var, exp)`` pairs, one per variable, no
+    zero exponents."""
+    return tuple(sorted(_accumulate({}, ((v, int(e)) for v, e in pairs)).items()))
+
+
+def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+    return _mono(m1 + m2) if m1 and m2 else m1 or m2
 
 
 class LaurentPoly:
     """Multivariate Laurent polynomial with exact rational coefficients.
 
     Stored canonically as ``{monomial: Fraction}`` with monomials as sorted
-    ``((var, exp), ...)`` tuples, zero terms dropped; equality is syntactic.
+    ``((var, exp), ...)`` tuples (a repeated variable merges, a zero exponent
+    drops), zero terms dropped; equality is syntactic.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping] = None):
-        clean: dict[tuple, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    mono = tuple(sorted((v, int(e)) for v, e in mono if e))
-                    prev = clean.get(mono)
-                    total = coeff if prev is None else prev + coeff
-                    if total:
-                        clean[mono] = total
-                    elif mono in clean:
-                        del clean[mono]
-        self.terms = clean
+        self.terms = _accumulate({}, ((_mono(mono), Fraction(coeff))
+                                      for mono, coeff in (terms or {}).items()))
+
+    @classmethod
+    def _wrap(cls, terms: dict) -> "LaurentPoly":
+        """The polynomial of an already-canonical ``terms`` dict."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
 
     @classmethod
     def const(cls, value) -> "LaurentPoly":
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "LaurentPoly":
-        return cls({((name, exp),): Fraction(1)})
+        return cls({((name, exp),): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -91,25 +113,13 @@ class LaurentPoly:
     def __add__(self, other):
         if not isinstance(other, (LaurentPoly, int, Fraction)):
             return NotImplemented
-        other = _coerce(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            total = out.get(mono, Fraction(0)) + coeff
-            if total:
-                out[mono] = total
-            elif mono in out:
-                del out[mono]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        return LaurentPoly._wrap(_accumulate(dict(self.terms), _coerce(other).terms.items()))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return LaurentPoly._wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (LaurentPoly, int, Fraction)):
@@ -122,46 +132,29 @@ class LaurentPoly:
     def __mul__(self, other):
         if not isinstance(other, (LaurentPoly, int, Fraction)):
             return NotImplemented
-        other = _coerce(other)
-        out: dict[tuple, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                total = out.get(mono, Fraction(0)) + c1 * c2
-                if total:
-                    out[mono] = total
-                elif mono in out:
-                    del out[mono]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        right = _coerce(other).terms.items()
+        return LaurentPoly._wrap(_accumulate({}, (
+            (_mono_mul(m1, m2), c1 * c2)
+            for m1, c1 in self.terms.items() for m2, c2 in right)))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def substitute(self, subs: Mapping[str, Scalar]) -> "LaurentPoly":
+    def substitute(self, subs: Mapping[str, int | Fraction]) -> "LaurentPoly":
         """Replace variables by exact rationals; unbound variables survive."""
-        out = LaurentPoly()
-        for mono, coeff in self.terms.items():
-            factor = Fraction(coeff)
-            left = []
-            for var, exp in mono:
-                if var in subs:
-                    value = Fraction(subs[var])
-                    if value == 0 and exp < 0:
-                        raise ZeroDivisionError(f"{var}^{exp} at {var}=0")
-                    factor *= value ** exp
-                else:
-                    left.append((var, exp))
-            out = out + LaurentPoly({tuple(left): factor})
-        return out
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {()}:
-            raise ValueError(f"not a constant: {self.text()}")
-        return self.terms[()]
+        def terms():
+            for mono, coeff in self.terms.items():
+                left = []
+                for var, exp in mono:
+                    if var in subs:
+                        value = Fraction(subs[var])
+                        if value == 0 and exp < 0:
+                            raise ZeroDivisionError(f"{var}^{exp} at {var}=0")
+                        coeff *= value ** exp
+                    else:
+                        left.append((var, exp))
+                yield tuple(left), coeff
+        return LaurentPoly._wrap(_accumulate({}, terms()))
 
     def text(self) -> str:
         if not self.terms:
@@ -183,23 +176,7 @@ def _coerce(value) -> LaurentPoly:
     return LaurentPoly.const(value)
 
 
-def _mono_mul(m1: tuple, m2: tuple) -> tuple:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for var, exp in m2:
-        total = acc.get(var, 0) + exp
-        if total:
-            acc[var] = total
-        elif var in acc:
-            del acc[var]
-    return tuple(sorted(acc.items()))
-
-
 ONE = LaurentPoly.const(1)
-ZERO = LaurentPoly()
 
 
 def alpha_var(k: int, d: int) -> LaurentPoly:
@@ -218,24 +195,17 @@ def x_var() -> LaurentPoly:
 
 
 def loop_scalar(record: LoopRecord, policy: str, d: int) -> LaurentPoly:
-    """Convert removed loops to a coefficient under the given policy."""
+    """Convert removed loops to a coefficient under the given policy: the one
+    monomial prod alpha_p^m (``ALPHA``) or x^total prod y_p^m (``XY``)."""
+    if policy not in LOOP_POLICIES:
+        raise ValueError(f"unknown loop policy {policy!r}")
     if policy == NEGLECT or record.is_empty:
         return ONE
-    out = ONE
-    if policy == ALPHA:
-        for residue, mult in record.counts:
-            term = alpha_var(residue, d)
-            for _ in range(mult):
-                out = out * term
-        return out
+    name = "alpha" if policy == ALPHA else "y"
+    mono = [(f"{name}{p % d}", m) for p, m in record.counts if p % d]
     if policy == XY:
-        out = out * LaurentPoly.var("x", record.total())
-        for residue, mult in record.counts:
-            term = y_var(residue, d)
-            for _ in range(mult):
-                out = out * term
-        return out
-    raise ValueError(f"unknown loop policy {policy!r}")
+        mono.append(("x", record.total()))
+    return LaurentPoly({tuple(mono): 1})
 
 
 class AlgebraElement:
@@ -248,26 +218,14 @@ class AlgebraElement:
             raise ValueError(f"unknown loop policy {policy!r}")
         self.fam = fam
         self.policy = policy
-        clean: dict[BeadedDiagram, LaurentPoly] = {}
-        if terms:
-            for diag, coeff in terms.items():
-                coeff = _coerce(coeff)
-                if not coeff.is_zero:
-                    prev = clean.get(diag)
-                    total = coeff if prev is None else prev + coeff
-                    if total.is_zero:
-                        clean.pop(diag, None)
-                    else:
-                        clean[diag] = total
-        self.terms = clean
+        self.terms = _accumulate({}, ((diag, _coerce(coeff))
+                                      for diag, coeff in (terms or {}).items()))
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, fam, policy: str) -> "AlgebraElement":
-        return cls(fam, policy)
-
-    # -- structure ----------------------------------------------------------
+    def _wrap(self, terms: dict) -> "AlgebraElement":
+        """The element of this algebra with already-canonical ``terms``."""
+        res = AlgebraElement.__new__(AlgebraElement)
+        res.fam, res.policy, res.terms = self.fam, self.policy, terms
+        return res
 
     @property
     def is_zero(self) -> bool:
@@ -284,19 +242,11 @@ class AlgebraElement:
     def __add__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_compatible(other)
-            out = dict(self.terms)
-            for diag, coeff in other.terms.items():
-                total = out.get(diag, ZERO) + coeff
-                if total.is_zero:
-                    out.pop(diag, None)
-                else:
-                    out[diag] = total
-            return AlgebraElement(self.fam, self.policy, out)
+            return self._wrap(_accumulate(dict(self.terms), other.terms.items()))
         return NotImplemented
 
     def __neg__(self):
-        return AlgebraElement(self.fam, self.policy,
-                              {dg: -c for dg, c in self.terms.items()})
+        return self._wrap({dg: -c for dg, c in self.terms.items()})
 
     def __sub__(self, other):
         return self.__add__(-other)
@@ -306,23 +256,16 @@ class AlgebraElement:
             self._check_compatible(other)
             if not self.fam.spec.associative:
                 raise ValueError(f"products in {self.fam.name} are not associative")
-            d = self.fam.d
-            drop = self.fam.drop_rook
-            out: dict[BeadedDiagram, LaurentPoly] = {}
-            for da, ca in self.terms.items():
-                for db, cb in other.terms.items():
-                    dc, record = compose(da, db, drop_rook=drop)
-                    coeff = ca * cb * loop_scalar(record, self.policy, d)
-                    total = out.get(dc, ZERO) + coeff
-                    if total.is_zero:
-                        out.pop(dc, None)
-                    else:
-                        out[dc] = total
-            return AlgebraElement(self.fam, self.policy, out)
-        # scalar action
+            d, drop, policy = self.fam.d, self.fam.drop_rook, self.policy
+            right = other.terms.items()
+            products = ((compose(da, db, drop_rook=drop), ca * cb)
+                        for da, ca in self.terms.items() for db, cb in right)
+            return self._wrap(_accumulate({}, (
+                (dc, c * loop_scalar(record, policy, d))
+                for (dc, record), c in products)))
+        # scalar action: Q[vars^{+-1}] has no zero divisors
         coeff = _coerce(other)
-        return AlgebraElement(self.fam, self.policy,
-                              {dg: c * coeff for dg, c in self.terms.items()})
+        return self._wrap({dg: c * coeff for dg, c in self.terms.items()} if coeff else {})
 
     def __rmul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -361,17 +304,17 @@ def one(fam, policy: str) -> AlgebraElement:
     return from_word((), fam, policy)
 
 
-def _averaged(fam, policy: str, word_of_k) -> AlgebraElement:
-    d = fam.d
-    share = Fraction(1, d)
-    terms: dict[BeadedDiagram, LaurentPoly] = {}
-    for k in range(d):
-        diag, record = evaluate_word(word_of_k(k), fam)
-        if not record.is_empty:
-            raise ValueError("bridge summands must not close loops")
-        prev = terms.get(diag, ZERO)
-        terms[diag] = prev + LaurentPoly.const(share)
-    return AlgebraElement(fam, policy, terms)
+def _averaged(fam, policy: str, summand) -> AlgebraElement:
+    """(1/d) sum_k c_k [w_k], where ``summand(k)`` is the pair (w_k, c_k)."""
+    share = Fraction(1, fam.d)
+    def terms():
+        for k in range(fam.d):
+            word, coeff = summand(k)
+            diag, record = evaluate_word(word, fam)
+            if not record.is_empty:
+                raise ValueError("bridge summands must not close loops")
+            yield diag, coeff * share
+    return AlgebraElement(fam, policy, _accumulate({}, terms()))
 
 
 def bridge_e(i: int, j: int, fam, policy: str = ALPHA) -> AlgebraElement:
@@ -380,11 +323,7 @@ def bridge_e(i: int, j: int, fam, policy: str = ALPHA) -> AlgebraElement:
         raise ValueError(f"need 1 <= i < j <= n, got ({i}, {j})")
     d = fam.d
     return _averaged(fam, policy, lambda k: (
-        GenSymbol("o", i, 0, k), GenSymbol("o", j, 0, (d - k) % d)))
-
-
-def bridge_e_adj(i: int, fam, policy: str = ALPHA) -> AlgebraElement:
-    return bridge_e(i, i + 1, fam, policy)
+        (GenSymbol("o", i, 0, k), GenSymbol("o", j, 0, (d - k) % d)), ONE))
 
 
 def bridge_f(i: int, fam, policy: str = ALPHA) -> AlgebraElement:
@@ -393,7 +332,7 @@ def bridge_f(i: int, fam, policy: str = ALPHA) -> AlgebraElement:
         raise ValueError(f"tangle index {i} out of range")
     d = fam.d
     return _averaged(fam, policy, lambda k: (
-        GenSymbol("o", i, 0, k), GenSymbol("t", i), GenSymbol("o", i, 0, (d - k) % d)))
+        (GenSymbol("o", i, 0, k), GenSymbol("t", i), GenSymbol("o", i, 0, (d - k) % d)), ONE))
 
 
 def bridge_q(i: int, fam, policy: str = ALPHA) -> AlgebraElement:
@@ -402,7 +341,7 @@ def bridge_q(i: int, fam, policy: str = ALPHA) -> AlgebraElement:
         raise ValueError(f"rook index {i} out of range")
     d = fam.d
     return _averaged(fam, policy, lambda k: (
-        GenSymbol("o", i, 0, k), GenSymbol("r", i), GenSymbol("o", i, 0, (d - k) % d)))
+        (GenSymbol("o", i, 0, k), GenSymbol("r", i), GenSymbol("o", i, 0, (d - k) % d)), ONE))
 
 
 def bridge_w(i: int, j: int, h: int, fam, policy: str = ALPHA) -> AlgebraElement:
@@ -411,7 +350,7 @@ def bridge_w(i: int, j: int, h: int, fam, policy: str = ALPHA) -> AlgebraElement
         raise ValueError(f"need j, h <= i <= n, got ({i}, {j}, {h})")
     d = fam.d
     return _averaged(fam, policy, lambda k: (
-        GenSymbol("o", j, 0, k), GenSymbol("p", i), GenSymbol("o", h, 0, (d - k) % d)))
+        (GenSymbol("o", j, 0, k), GenSymbol("p", i), GenSymbol("o", h, 0, (d - k) % d)), ONE))
 
 
 def cap_z(i: int, fam, policy: str = ALPHA) -> AlgebraElement:
@@ -419,16 +358,11 @@ def cap_z(i: int, fam, policy: str = ALPHA) -> AlgebraElement:
     if not 1 <= i <= fam.n:
         raise ValueError(f"strand index {i} out of range")
     d = fam.d
-    share = Fraction(1, d)
-    terms: dict[BeadedDiagram, LaurentPoly] = {}
-    for k in range(d):
-        diag, _ = evaluate_word((GenSymbol("o", i, 0, (d - k) % d),), fam)
-        coeff = alpha_var(k, d) * share
-        terms[diag] = terms.get(diag, ZERO) + coeff
-    return AlgebraElement(fam, policy, terms)
+    return _averaged(fam, policy, lambda k: (
+        (GenSymbol("o", i, 0, (d - k) % d),), alpha_var(k, d)))
 
 
-def specialize(elem: AlgebraElement, subs: Optional[Mapping[str, Scalar]] = None,
+def specialize(elem: AlgebraElement, subs: Optional[Mapping[str, int | Fraction]] = None,
                *, beads_to_one: bool = False, ties_off: bool = False,
                policy: Optional[str] = None) -> AlgebraElement:
     """Substitute variables and optionally erase beads and/or ties.
@@ -439,22 +373,14 @@ def specialize(elem: AlgebraElement, subs: Optional[Mapping[str, Scalar]] = None
     resulting element (e.g. the plain monoid algebra after a full
     specialization).
     """
-    out: dict[BeadedDiagram, LaurentPoly] = {}
-    for diag, coeff in elem.terms.items():
-        if subs:
-            coeff = coeff.substitute(subs)
-        if coeff.is_zero:
-            continue
-        if beads_to_one:
-            diag = erase_beads(diag)
-        if ties_off:
-            diag = erase_ties(diag)
-        total = out.get(diag, ZERO) + coeff
-        if total.is_zero:
-            out.pop(diag, None)
-        else:
-            out[diag] = total
-    return AlgebraElement(elem.fam, policy or elem.policy, out)
+    def terms():
+        for diag, coeff in elem.terms.items():
+            if beads_to_one:
+                diag = erase_beads(diag)
+            if ties_off:
+                diag = erase_ties(diag)
+            yield diag, coeff.substitute(subs) if subs else coeff
+    return AlgebraElement(elem.fam, policy or elem.policy, _accumulate({}, terms()))
 
 
 def alpha_to_one(d: int) -> dict[str, int]:

@@ -70,9 +70,6 @@ class LoopRecord:
     def total(self) -> int:
         return sum(m for _, m in self.counts)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
     def merged(self, other: "LoopRecord") -> "LoopRecord":
         if not other.counts:
             return self

@@ -483,7 +483,7 @@ def _tied_bmw_identities(n: int):
     # braids specialize to crossings at a = q = 1; inverses are the crossings
     fam = family("tbrn", n)
     el = lambda w: from_word(w, fam, NEGLECT)
-    zero = AlgebraElement.zero(fam, NEGLECT)
+    zero = AlgebraElement(fam, NEGLECT)
     for a_kind, i, b_kind, j in _commuting_pairs(("s", "t", "e", "f"), n):
         yield (fam, f"{a_kind}_{i} {b_kind}_{j} = {b_kind}_{j} {a_kind}_{i} (a=q=x=1)",
                el(f"{a_kind}{i} {b_kind}{j}"), el(f"{b_kind}{j} {a_kind}{i}"))

@@ -8,8 +8,11 @@ import pytest
 from framoid.algebra import (
     ALPHA,
     NEGLECT,
+    ONE,
     XY,
+    AlgebraElement,
     LaurentPoly,
+    _coerce,
     alpha_to_one,
     alpha_var,
     bridge_e,
@@ -26,7 +29,7 @@ from framoid.algebra import (
     x_var,
     y_var,
 )
-from framoid.diagrams import LoopRecord, identity
+from framoid.diagrams import BeadedDiagram, LoopRecord, compose, identity
 from framoid.monoids import closure, family
 
 
@@ -35,6 +38,8 @@ class TestLaurentPoly:
         p = LaurentPoly({(("x", 1), ("y1", 0)): Fraction(2, 4)})
         assert p == LaurentPoly({(("x", 1),): Fraction(1, 2)})
         assert p.text() == "1/2*x"
+        assert LaurentPoly({(("x", 1), ("x", 1)): 1}) == LaurentPoly.var("x", 2)
+        assert LaurentPoly({(("x", 1), ("x", -1)): 1}) == 1
 
     def test_arithmetic(self):
         x = LaurentPoly.var("x")
@@ -75,6 +80,11 @@ class TestLoopScalars:
         rec = LoopRecord({0: 1, 1: 1})
         want = x_var() * x_var() * y_var(1, 2)
         assert loop_scalar(rec, XY, 2) == want
+
+    @pytest.mark.parametrize("record", [LoopRecord(), LoopRecord({1: 2})])
+    def test_unknown_policy_rejected(self, record):
+        with pytest.raises(ValueError, match="unknown loop policy"):
+            loop_scalar(record, "bogus", 2)
 
 
 class TestProducts:
@@ -244,3 +254,127 @@ class TestEqualAndDump:
         assert eb.dump() == (
             "1/2 * [n=2;d=2;blocks=[{t1,b1}:0,{t2,b2}:0]]"
             " + 1/2 * [n=2;d=2;blocks=[{t1,b1}:1,{t2,b2}:1]]")
+
+
+# -- differential check of the accumulate-once products ----------------------
+# ``loop_scalar_reference``, ``product_reference`` and ``substitute_reference``
+# are the earlier implementations, kept verbatim (the product calls
+# ``loop_scalar_reference``): loop scalars built by repeated products, every
+# sum re-cleaned through the ``AlgebraElement`` constructor, substitution by
+# repeated ``+``.
+
+ZERO = LaurentPoly()
+
+
+def loop_scalar_reference(record: LoopRecord, policy: str, d: int) -> LaurentPoly:
+    """Convert removed loops to a coefficient under the given policy."""
+    if policy == NEGLECT or record.is_empty:
+        return ONE
+    out = ONE
+    if policy == ALPHA:
+        for residue, mult in record.counts:
+            term = alpha_var(residue, d)
+            for _ in range(mult):
+                out = out * term
+        return out
+    if policy == XY:
+        out = out * LaurentPoly.var("x", record.total())
+        for residue, mult in record.counts:
+            term = y_var(residue, d)
+            for _ in range(mult):
+                out = out * term
+        return out
+    raise ValueError(f"unknown loop policy {policy!r}")
+
+
+def product_reference(self, other):
+    if isinstance(other, AlgebraElement):
+        self._check_compatible(other)
+        if not self.fam.spec.associative:
+            raise ValueError(f"products in {self.fam.name} are not associative")
+        d = self.fam.d
+        drop = self.fam.drop_rook
+        out: dict[BeadedDiagram, LaurentPoly] = {}
+        for da, ca in self.terms.items():
+            for db, cb in other.terms.items():
+                dc, record = compose(da, db, drop_rook=drop)
+                coeff = ca * cb * loop_scalar_reference(record, self.policy, d)
+                total = out.get(dc, ZERO) + coeff
+                if total.is_zero:
+                    out.pop(dc, None)
+                else:
+                    out[dc] = total
+        return AlgebraElement(self.fam, self.policy, out)
+    # scalar action
+    coeff = _coerce(other)
+    return AlgebraElement(self.fam, self.policy,
+                          {dg: c * coeff for dg, c in self.terms.items()})
+
+
+def substitute_reference(self, subs) -> LaurentPoly:
+    """Replace variables by exact rationals; unbound variables survive."""
+    out = LaurentPoly()
+    for mono, coeff in self.terms.items():
+        factor = Fraction(coeff)
+        left = []
+        for var, exp in mono:
+            if var in subs:
+                value = Fraction(subs[var])
+                if value == 0 and exp < 0:
+                    raise ZeroDivisionError(f"{var}^{exp} at {var}=0")
+                factor *= value ** exp
+            else:
+                left.append((var, exp))
+        out = out + LaurentPoly({tuple(left): factor})
+    return out
+
+
+DIFF_FAMILIES = [("jdn", 3, 2), ("brdn", 3, 2), ("rprimedn", 2, 2)]
+POLICIES = [NEGLECT, ALPHA, XY]
+SUBSTITUTIONS = [{"x": 2}, {"alpha1": Fraction(-1, 3), "y1": 3},
+                 {"x": Fraction(1, 2), "y1": 1, "alpha1": 1}]
+
+
+def _assert_same_product(a, b):
+    got, want = a * b, product_reference(a, b)
+    assert got.terms == want.terms
+    assert got.dump() == want.dump()
+    return got
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name, n, d", DIFF_FAMILIES)
+def test_product_matches_reference_on_basis_pairs(name, n, d, policy):
+    fam = family(name, n, d)
+    basis = [from_diagram(x, fam, policy) for x in closure(fam)]
+    scaled = 0
+    for a in basis:
+        for b in basis:
+            (coeff,) = _assert_same_product(a, b).terms.values()
+            scaled += coeff != ONE
+    # loops closed: NEGLECT turns each into 1, ALPHA and XY into a monomial
+    assert (scaled > 0) == (policy != NEGLECT)
+
+
+@pytest.mark.parametrize("name, n, d", DIFF_FAMILIES)
+def test_product_and_substitute_match_reference_on_random_sums(name, n, d):
+    fam = family(name, n, d)
+    els = closure(fam)
+    rng = random.Random(f"{name}{n}{d}")
+    x, y1, a1 = x_var(), y_var(1, d), alpha_var(1, d)
+    pool = [ONE, -ONE, ONE * Fraction(1, 2), x, -x, y1 * x, a1, a1 * y1 * Fraction(-2, 3),
+            LaurentPoly.var("x", -1) + a1]
+
+    def element(policy):
+        total = AlgebraElement(fam, policy)
+        for _ in range(rng.choice((2, 3))):
+            total = total + from_diagram(rng.choice(els), fam, policy) * rng.choice(pool)
+        return total
+
+    for policy in POLICIES:
+        for _ in range(200):
+            a, b = element(policy), element(policy)
+            for coeff in _assert_same_product(a, b).terms.values():
+                for subs in SUBSTITUTIONS:
+                    got, want = coeff.substitute(subs), substitute_reference(coeff, subs)
+                    assert got == want and got.text() == want.text()
