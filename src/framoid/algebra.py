@@ -261,7 +261,7 @@ class AlgebraElement:
             products = ((compose(da, db, drop_rook=drop), ca * cb)
                         for da, ca in self.terms.items() for db, cb in right)
             return self._wrap(_accumulate({}, (
-                (dc, c * loop_scalar(record, policy, d))
+                (dc, c if record.is_empty else c * loop_scalar(record, policy, d))
                 for (dc, record), c in products)))
         # scalar action: Q[vars^{+-1}] has no zero divisors
         coeff = _coerce(other)

@@ -51,14 +51,22 @@ def _bool_text(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-# the verify flags each suite reads; any other flag given is a usage error
-_SUITE_FLAGS = {
-    "cardinalities": ("cap",),
-    "presentations": (),
-    "bridges": ("target", "d", "n"),
-    "tl": ("seed",),
-    "tied": ("n",),
-    "hom": ("seed",),
+def _bridges(target=None, d=None, **n) -> list:
+    d_values = {} if d is None else {"d_values": (d,)}
+    return [suite_bridges(t, **d_values, **n)
+            for t in ((target,) if target else BRIDGE_TARGETS)]
+
+
+# each verify suite: the flags it reads (any other flag given is a usage error)
+# and how it runs on the flags given; a flag not given keeps the default of
+# the suite parameter it reaches (tied's --n is its n_max)
+_SUITES = {
+    "cardinalities": (("cap",), lambda **cap: [suite_cardinalities(**cap)]),
+    "presentations": ((), lambda: [suite_presentations()]),
+    "bridges": (("target", "d", "n"), _bridges),
+    "tl": (("seed",), lambda **seed: [suite_framed_tl(**seed)]),
+    "tied": (("n",), lambda **n: [suite_tied_specializations(*n.values())]),
+    "hom": (("seed",), lambda **seed: [suite_specialization_homomorphism(**seed)]),
 }
 
 
@@ -68,7 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact computations in beaded and tied diagram monoids.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family(p, formats, need_word=False):
+    def add_family(name, about, run, formats, need_word=False):
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(run=run)
         p.add_argument("--family", required=True,
                        help=f"one of: {', '.join(FAMILY_NAMES)}")
         p.add_argument("--d", type=int, default=1, help="framing modulus")
@@ -83,17 +93,17 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=formats, default="json")
 
     counts = ("json", "csv", "text")
-    add_family(sub.add_parser("enumerate", help="closure size vs predicted"), counts)
-    add_family(sub.add_parser("cardinality-table", help="counts over an n range"),
-               counts)
-    add_family(sub.add_parser("eval-word", help="evaluate a generator word"),
+    add_family("enumerate", "closure size vs predicted", _cmd_counts, counts)
+    add_family("cardinality-table", "counts over an n range", _cmd_counts, counts)
+    add_family("eval-word", "evaluate a generator word", _cmd_eval_word,
                ("json", "text"), need_word=True)
-    add_family(sub.add_parser("normal-form", help="normal form of a word's diagram"),
+    add_family("normal-form", "normal form of a word's diagram", _cmd_normal_form,
                (), need_word=True)
 
     # suppressed defaults leave a flag that was not given out of the namespace
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("--suite", required=True, choices=tuple(_SUITE_FLAGS))
+    pv.set_defaults(run=_cmd_verify)
+    pv.add_argument("--suite", required=True, choices=tuple(_SUITES))
     pv.add_argument("--target", choices=BRIDGE_TARGETS, default=argparse.SUPPRESS,
                     help="bridge target (default: all)")
     pv.add_argument("--d", type=int, default=argparse.SUPPRESS)
@@ -161,35 +171,21 @@ def _cmd_normal_form(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    given = {k: v for k, v in vars(args).items() if k not in ("command", "suite")}
-    ignored = sorted(set(given) - set(_SUITE_FLAGS[args.suite]))
+    flags, run = _SUITES[args.suite]
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "run", "suite")}
+    ignored = sorted(set(given) - set(flags))
     if ignored:
         log.error("suite %s does not take %s", args.suite,
                   ", ".join("--" + flag for flag in ignored))
         return 2
-    n = given.get("n", 4)
-    # --cap and --seed are passed on as the suite parameters of the same name
-    if args.suite == "cardinalities":
-        reports = [suite_cardinalities(**given)]
-    elif args.suite == "presentations":
-        reports = [suite_presentations()]
-    elif args.suite == "bridges":
-        targets = (given["target"],) if "target" in given else BRIDGE_TARGETS
-        d_values = (given["d"],) if "d" in given else (2, 3, 4)
-        reports = [suite_bridges(target, d_values, n) for target in targets]
-    elif args.suite == "tl":
-        reports = [suite_framed_tl(**given)]
-    elif args.suite == "tied":
-        reports = [suite_tied_specializations(n)]
-    else:
-        reports = [suite_specialization_homomorphism(**given)]
-    ok = True
+    reports = run(**given)
+    if not all(report.entries for report in reports):
+        log.error("suite %s checks nothing at --n %s", args.suite, given.get("n"))
+        return 2
     for report in reports:
-        for line in report.lines():
-            out.write(line + "\n")
+        out.writelines(line + "\n" for line in report.lines())
         log.info("%s", report.summary())
-        ok = ok and report.passed
-    return 0 if ok else 1
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def main(argv=None) -> int:
@@ -202,25 +198,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    out = sys.stdout
     try:
-        if args.command == "enumerate":
-            return _cmd_counts(args, out)
-        if args.command == "cardinality-table":
-            return _cmd_counts(args, out)
-        if args.command == "eval-word":
-            return _cmd_eval_word(args, out)
-        if args.command == "normal-form":
-            return _cmd_normal_form(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
+        return args.run(args, sys.stdout)
     except CapExceeded as exc:
         log.error("%s", exc)
         return 3
     except (ValueError, KeyError) as exc:
         log.error("%s", exc)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

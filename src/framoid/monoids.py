@@ -250,12 +250,28 @@ _PARTITION_BEADS = (
 )
 
 
+# relations shared by the rook families with and without ties
+_ROOK_IDEMPOTENT = RelationSchema("rook-idempotent", "r_i r_i = r_i", lambda d, n: (
+    ((R(i), R(i)), (R(i),)) for i in range(1, n + 1)))
+_ROOK_COMMUTE = RelationSchema("rook-commute", "r_i r_j = r_j r_i", lambda d, n: (
+    ((R(i), R(j)), (R(j), R(i)))
+    for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+_ROOK_SANDWICH = RelationSchema(
+    "rook-sandwich", "r_i s_i r_i = r_i r_{i+1}", lambda d, n: (
+        ((R(i), S(i), R(i)), (R(i), R(i + 1))) for i in range(1, n)))
+_BEAD_ROOK_COMMUTE = RelationSchema(
+    "bead-rook-commute", "r_i o_j = o_j r_i, i != j", lambda d, n: (
+        ((R(i), O(j)), (O(j), R(i)))
+        for i in range(1, n + 1) for j in range(1, n + 1) if i != j))
+_BEAD_PRODUCT_COMMUTE = RelationSchema(
+    "bead-product-commute", "p_i o_j = o_j p_i, j > i", lambda d, n: (
+        ((P(i), O(j)), (O(j), P(i)))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+
+
 _ROOK_R = (
-    RelationSchema("rook-idempotent", "r_i r_i = r_i", lambda d, n: (
-        ((R(i), R(i)), (R(i),)) for i in range(1, n + 1))),
-    RelationSchema("rook-commute", "r_i r_j = r_j r_i", lambda d, n: (
-        ((R(i), R(j)), (R(j), R(i)))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+    _ROOK_IDEMPOTENT,
+    _ROOK_COMMUTE,
     RelationSchema("rook-cross-commute", "r_j s_i = s_i r_j, j != i, i+1",
                    lambda d, n: (
                        ((R(j), S(i)), (S(i), R(j)))
@@ -266,8 +282,7 @@ _ROOK_R = (
                        ((R(i), S(i)), (S(i), R(i + 1))),
                        ((R(i + 1), S(i)), (S(i), R(i))),
                    ))),
-    RelationSchema("rook-sandwich", "r_i s_i r_i = r_i r_{i+1}", lambda d, n: (
-        ((R(i), S(i), R(i)), (R(i), R(i + 1))) for i in range(1, n))),
+    _ROOK_SANDWICH,
 )
 
 
@@ -289,14 +304,10 @@ _ROOK_P = (
 
 
 _ROOK_BEADS_FIRST = (
-    RelationSchema("bead-rook-commute", "r_i o_j = o_j r_i, i != j", lambda d, n: (
-        ((R(i), O(j)), (O(j), R(i)))
-        for i in range(1, n + 1) for j in range(1, n + 1) if i != j)),
+    _BEAD_ROOK_COMMUTE,
     RelationSchema("bead-rook-absorb", "r_i o_i = o_i r_i = r_i", lambda d, n: (
         ((R(i), O(i)), (O(i), R(i)), (R(i),)) for i in range(1, n + 1))),
-    RelationSchema("bead-product-commute", "p_i o_j = o_j p_i, j > i", lambda d, n: (
-        ((P(i), O(j)), (O(j), P(i)))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+    _BEAD_PRODUCT_COMMUTE,
     RelationSchema("bead-product-absorb", "p_i o_j = o_j p_i = p_i, j <= i",
                    lambda d, n: (
                        ((P(i), O(j)), (O(j), P(i)), (P(i),))
@@ -322,13 +333,9 @@ def _product_bead_sandwich(d, n):
 
 
 _ROOK_BEADS_PRIME = (
-    RelationSchema("bead-rook-commute", "r_i o_j = o_j r_i, i != j", lambda d, n: (
-        ((R(i), O(j)), (O(j), R(i)))
-        for i in range(1, n + 1) for j in range(1, n + 1) if i != j)),
+    _BEAD_ROOK_COMMUTE,
     RelationSchema("rook-loop-absorb", "r_i o_i^k r_i = r_i", _rook_loop_sandwich),
-    RelationSchema("bead-product-commute", "p_i o_j = o_j p_i, j > i", lambda d, n: (
-        ((P(i), O(j)), (O(j), P(i)))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+    _BEAD_PRODUCT_COMMUTE,
     RelationSchema("product-bead-sandwich",
                    "p_i o_1^{m_1}..o_i^{m_i} p_j = p_j o^m p_i = p_j, i <= j",
                    _product_bead_sandwich),
@@ -413,16 +420,12 @@ _TIED_ROOK_FIRST = (
 
 
 _TIED_ROOK_PRIME = (
-    RelationSchema("rook-idempotent", "r_i r_i = r_i", lambda d, n: (
-        ((R(i), R(i)), (R(i),)) for i in range(1, n + 1))),
-    RelationSchema("rook-commute", "r_i r_j = r_j r_i", lambda d, n: (
-        ((R(i), R(j)), (R(j), R(i)))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+    _ROOK_IDEMPOTENT,
+    _ROOK_COMMUTE,
     RelationSchema("cross-rook-slide", "s_i r_j = r_{s_i(j)} s_i", lambda d, n: (
         ((S(i), R(j)), (R(_swap(i, j)), S(i)))
         for i in range(1, n) for j in range(1, n + 1))),
-    RelationSchema("rook-sandwich", "r_i s_i r_i = r_i r_{i+1}", lambda d, n: (
-        ((R(i), S(i), R(i)), (R(i), R(i + 1))) for i in range(1, n))),
+    _ROOK_SANDWICH,
     RelationSchema("tiedrook-idempotent", "q_i q_i = q_i", lambda d, n: (
         ((Q(i), Q(i)), (Q(i),)) for i in range(1, n + 1))),
     RelationSchema("tiedrook-commute", "q_i q_j = q_j q_i", lambda d, n: (

@@ -14,11 +14,12 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .diagrams import BeadedDiagram, CapExceeded
 from .monoids import (
     MonoidFamily,
+    _swap,
     check_relations,
     closure,
     default_grid,
@@ -77,9 +78,13 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(e.ok for e in self.entries)
 
-    def add(self, suite, fam: MonoidFamily, identity, status, witness=None, ms=0.0):
-        self.entries.append(SuiteEntry(suite, fam.name, fam.d, fam.n, identity,
-                                       status, witness, ms))
+    def check(self, fam: MonoidFamily, identity: str, holds: bool,
+              witness: Optional[str] = None, ms: float = 0.0):
+        """Record one identity: it passes iff ``holds``, and only a failing
+        entry keeps its ``witness``."""
+        self.entries.append(SuiteEntry(self.name, fam.name, fam.d, fam.n, identity,
+                                       "pass" if holds else "fail",
+                                       None if holds else witness, ms))
 
     def lines(self, include_ms: bool = False) -> list[str]:
         out = []
@@ -101,17 +106,17 @@ class SuiteReport:
         return f"{self.name}: {len(self.entries) - bad}/{len(self.entries)} ok"
 
 
-def _record(report: SuiteReport, fam: MonoidFamily, name: str,
-            lhs: AlgebraElement, rhs: AlgebraElement):
+def _check_catalogue(report: SuiteReport, fam: MonoidFamily,
+                     catalogue: Callable[[MonoidFamily], Iterator[tuple]]):
+    """Record every ``(identity, lhs, rhs)`` of ``catalogue(fam)``; an entry's
+    ``ms`` covers building both sides and comparing them."""
     t0 = time.perf_counter()
-    same = equal(lhs, rhs)
-    ms = (time.perf_counter() - t0) * 1000
-    if same:
-        report.add(report.name, fam, name, "pass", ms=ms)
-    else:
-        diff = (lhs - rhs).dump()
-        report.add(report.name, fam, name, "fail",
-                   witness=f"lhs - rhs = {diff}", ms=ms)
+    for ident, lhs, rhs in catalogue(fam):
+        same = equal(lhs, rhs)
+        ms = (time.perf_counter() - t0) * 1000
+        report.check(fam, ident, same,
+                     None if same else f"lhs - rhs = {(lhs - rhs).dump()}", ms)
+        t0 = time.perf_counter()
 
 
 # -- cardinalities ---------------------------------------------------------------
@@ -124,14 +129,10 @@ def suite_cardinalities(grid: Optional[Sequence[MonoidFamily]] = None,
         want = predicted_cardinality(fam)
         try:
             got = len(closure(fam, cap))
+            ident, witness = f"|closure| = {want}", f"closure {got} != predicted {want}"
         except CapExceeded as exc:
-            report.add(report.name, fam, "closure = predicted", "fail",
-                       witness=str(exc), ms=(time.perf_counter() - t0) * 1000)
-            continue
-        ms = (time.perf_counter() - t0) * 1000
-        status = "pass" if got == want else "fail"
-        witness = None if status == "pass" else f"closure {got} != predicted {want}"
-        report.add(report.name, fam, f"|closure| = {want}", status, witness, ms)
+            got, ident, witness = None, "closure = predicted", str(exc)
+        report.check(fam, ident, got == want, witness, (time.perf_counter() - t0) * 1000)
     return report
 
 
@@ -144,10 +145,8 @@ def suite_presentations(grid: Optional[Sequence[MonoidFamily]] = None) -> SuiteR
         rel = check_relations(fam)
         ms = (time.perf_counter() - t0) * 1000
         for entry in rel.entries:
-            status = "pass" if not entry.failures else "fail"
-            witness = entry.failures[0] if entry.failures else None
-            report.add(report.name, fam, entry.display, status, witness,
-                       ms / max(len(rel.entries), 1))
+            report.check(fam, entry.display, not entry.failures,
+                         next(iter(entry.failures), None), ms / len(rel.entries))
     return report
 
 
@@ -183,7 +182,7 @@ def _partition_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraEle
 
 
 def _symmetric_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
-    policy = NEGLECT if fam.name == "sdn" else ALPHA
+    policy = ALPHA  # permutation products close no loops: any policy gives the same
     n = fam.n
     el = lambda w: from_word(w, fam, policy)
     eb = lambda i: bridge_e(i, i + 1, fam, policy)
@@ -243,7 +242,6 @@ def _rook_prime_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraEl
     eb = lambda i: bridge_e(i, i + 1, fam, policy)
     qb = lambda i: bridge_q(i, fam, policy)
     zc = lambda i: cap_z(i, fam, policy)
-    swap = lambda i, j: i + 1 if j == i else (i if j == i + 1 else j)
     for i in range(1, n + 1):
         yield (f"qbar_{i}^2 = qbar_{i} Z_{i}", qb(i) * qb(i), qb(i) * zc(i))
         yield (f"z_{i} qbar_{i} = qbar_{i} z_{i}",
@@ -259,8 +257,8 @@ def _rook_prime_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraEl
         for j in range(1, n + 1):
             yield (f"qbar_{j} ebar_{i} = ebar_{i} qbar_{j}",
                    qb(j) * eb(i), eb(i) * qb(j))
-            yield (f"s_{i} qbar_{j} = qbar_{swap(i, j)} s_{i}",
-                   el(f"s{i}") * qb(j), qb(swap(i, j)) * el(f"s{i}"))
+            yield (f"s_{i} qbar_{j} = qbar_{_swap(i, j)} s_{i}",
+                   el(f"s{i}") * qb(j), qb(_swap(i, j)) * el(f"s{i}"))
         for j in (i, i + 1):
             yield (f"ebar_{i} r_{j} ebar_{i} = ebar_{i} qbar_{j}",
                    eb(i) * el(f"r{j}") * eb(i), eb(i) * qb(j))
@@ -374,9 +372,7 @@ def suite_bridges(target: str, d_values: Sequence[int] = (2, 3, 4),
     name, catalogue = _BRIDGE_FAMILY[target]
     report = SuiteReport(f"bridges-{target}")
     for d in d_values:
-        fam = family(name, n, d)
-        for ident, lhs, rhs in catalogue(fam):
-            _record(report, fam, ident, lhs, rhs)
+        _check_catalogue(report, family(name, n, d), catalogue)
     return report
 
 
@@ -424,21 +420,15 @@ def suite_framed_tl(d_values: Sequence[int] = (1, 2, 3),
         fam = family("jdn", n, d)
         basis = closure(fam)
         want = predicted_cardinality(fam)
-        status = "pass" if len(basis) == want else "fail"
-        report.add(report.name, fam, f"basis count = d^n * catalan = {want}", status,
-                   None if status == "pass" else f"got {len(basis)}")
-        for ident, lhs, rhs in _tl_relations(fam):
-            _record(report, fam, ident, lhs, rhs)
-        bad = 0
+        report.check(fam, f"basis count = d^n * catalan = {want}", len(basis) == want,
+                     f"got {len(basis)}")
+        _check_catalogue(report, fam, _tl_relations)
         witness = None
         for _ in range(share):
             a, b, c = (from_diagram(rng.choice(basis), fam, XY) for _ in range(3))
-            if not equal((a * b) * c, a * (b * c)):
-                bad += 1
-                if witness is None:
-                    witness = f"a={a.dump()} b={b.dump()} c={c.dump()}"
-        report.add(report.name, fam, f"associativity x{share}",
-                   "pass" if bad == 0 else "fail", witness)
+            if witness is None and not equal((a * b) * c, a * (b * c)):
+                witness = f"a={a.dump()} b={b.dump()} c={c.dump()}"
+        report.check(fam, f"associativity x{share}", witness is None, witness)
     return report
 
 
@@ -454,103 +444,110 @@ def _commuting_pairs(names: Sequence[str], n: int):
                     yield a_kind, i, b_kind, j
 
 
-def _tied_tl_identities(n: int):
-    fam = family("tjn", n)
+def _tied_tl_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+    n = fam.n
     el = lambda w: from_word(w, fam, NEGLECT)
     for a_kind, i, b_kind, j in _commuting_pairs(("t", "e", "f"), n):
-        yield (fam, f"{a_kind}_{i} {b_kind}_{j} = {b_kind}_{j} {a_kind}_{i} (x=y=1)",
+        yield (f"{a_kind}_{i} {b_kind}_{j} = {b_kind}_{j} {a_kind}_{i} (x=y=1)",
                el(f"{a_kind}{i} {b_kind}{j}"), el(f"{b_kind}{j} {a_kind}{i}"))
     for i in range(1, n):
         el_t = el(f"t{i}")
-        yield (fam, f"t_{i}^2 = x t_{i} -> t_{i}", el(f"t{i} t{i}"), el_t)
-        yield (fam, f"e_{i}^2 = e_{i}", el(f"e{i} e{i}"), el(f"e{i}"))
-        yield (fam, f"f_{i}^2 = y f_{i} -> f_{i}", el(f"f{i} f{i}"), el(f"f{i}"))
-        yield (fam, f"t_{i} e_{i} = t_{i}", el(f"t{i} e{i}"), el_t)
-        yield (fam, f"f_{i} e_{i} = f_{i}", el(f"f{i} e{i}"), el(f"f{i}"))
-        yield (fam, f"f_{i} t_{i} = y t_{i} -> t_{i}", el(f"f{i} t{i}"), el_t)
+        yield (f"t_{i}^2 = x t_{i} -> t_{i}", el(f"t{i} t{i}"), el_t)
+        yield (f"e_{i}^2 = e_{i}", el(f"e{i} e{i}"), el(f"e{i}"))
+        yield (f"f_{i}^2 = y f_{i} -> f_{i}", el(f"f{i} f{i}"), el(f"f{i}"))
+        yield (f"t_{i} e_{i} = t_{i}", el(f"t{i} e{i}"), el_t)
+        yield (f"f_{i} e_{i} = f_{i}", el(f"f{i} e{i}"), el(f"f{i}"))
+        yield (f"f_{i} t_{i} = y t_{i} -> t_{i}", el(f"f{i} t{i}"), el_t)
         for j in (i - 1, i + 1):
             if not 1 <= j <= n - 1:
                 continue
-            yield (fam, f"e_{i} e_{j} = e_{j} e_{i}", el(f"e{i} e{j}"), el(f"e{j} e{i}"))
-            yield (fam, f"t_{i} t_{j} t_{i} = t_{i}", el(f"t{i} t{j} t{i}"), el_t)
-            yield (fam, f"t_{i} e_{j} t_{i} = t_{i}", el(f"t{i} e{j} t{i}"), el_t)
-            yield (fam, f"f_{i} e_{j} = e_{j} f_{i}", el(f"f{i} e{j}"), el(f"e{j} f{i}"))
-            yield (fam, f"f_{i} e_{j} = e_{j} t_{i} e_{j}",
+            yield (f"e_{i} e_{j} = e_{j} e_{i}", el(f"e{i} e{j}"), el(f"e{j} e{i}"))
+            yield (f"t_{i} t_{j} t_{i} = t_{i}", el(f"t{i} t{j} t{i}"), el_t)
+            yield (f"t_{i} e_{j} t_{i} = t_{i}", el(f"t{i} e{j} t{i}"), el_t)
+            yield (f"f_{i} e_{j} = e_{j} f_{i}", el(f"f{i} e{j}"), el(f"e{j} f{i}"))
+            yield (f"f_{i} e_{j} = e_{j} t_{i} e_{j}",
                    el(f"f{i} e{j}"), el(f"e{j} t{i} e{j}"))
 
 
-def _tied_bmw_identities(n: int):
+def _tied_bmw_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
     # braids specialize to crossings at a = q = 1; inverses are the crossings
-    fam = family("tbrn", n)
+    n = fam.n
     el = lambda w: from_word(w, fam, NEGLECT)
     zero = AlgebraElement(fam, NEGLECT)
     for a_kind, i, b_kind, j in _commuting_pairs(("s", "t", "e", "f"), n):
-        yield (fam, f"{a_kind}_{i} {b_kind}_{j} = {b_kind}_{j} {a_kind}_{i} (a=q=x=1)",
+        yield (f"{a_kind}_{i} {b_kind}_{j} = {b_kind}_{j} {a_kind}_{i} (a=q=x=1)",
                el(f"{a_kind}{i} {b_kind}{j}"), el(f"{b_kind}{j} {a_kind}{i}"))
     for i in range(1, n):
         el_t = el(f"t{i}")
-        yield (fam, f"t_{i}^2 = x t_{i} -> t_{i}", el(f"t{i} t{i}"), el_t)
-        yield (fam, f"t_{i} e_{i} = t_{i}", el(f"t{i} e{i}"), el_t)
-        yield (fam, f"f_{i} e_{i} = f_{i}", el(f"f{i} e{i}"), el(f"f{i}"))
-        yield (fam, f"g_{i} t_{i} = a^-1 t_{i} -> s_{i} t_{i} = t_{i}",
+        yield (f"t_{i}^2 = x t_{i} -> t_{i}", el(f"t{i} t{i}"), el_t)
+        yield (f"t_{i} e_{i} = t_{i}", el(f"t{i} e{i}"), el_t)
+        yield (f"f_{i} e_{i} = f_{i}", el(f"f{i} e{i}"), el(f"f{i}"))
+        yield (f"g_{i} t_{i} = a^-1 t_{i} -> s_{i} t_{i} = t_{i}",
                el(f"s{i} t{i}"), el_t)
-        yield (fam, f"f_{i} g_{i} = a^-1 f_{i} -> f_{i} s_{i} = f_{i}",
+        yield (f"f_{i} g_{i} = a^-1 f_{i} -> f_{i} s_{i} = f_{i}",
                el(f"f{i} s{i}"), el(f"f{i}"))
-        yield (fam, f"g_{i} - g_{i}^-1 = (q-q^-1)(e_{i}-f_{i}) -> 0 = 0",
+        yield (f"g_{i} - g_{i}^-1 = (q-q^-1)(e_{i}-f_{i}) -> 0 = 0",
                el(f"s{i}") - el(f"s{i}"), zero)
         for j in (i - 1, i + 1):
             if not 1 <= j <= n - 1:
                 continue
-            yield (fam, f"g_{i} g_{j} g_{i} = g_{j} g_{i} g_{j}",
+            yield (f"g_{i} g_{j} g_{i} = g_{j} g_{i} g_{j}",
                    el(f"s{i} s{j} s{i}"), el(f"s{j} s{i} s{j}"))
-            yield (fam, f"e_{i} g_{j} g_{i} = g_{j} g_{i} e_{j}",
+            yield (f"e_{i} g_{j} g_{i} = g_{j} g_{i} e_{j}",
                    el(f"e{i} s{j} s{i}"), el(f"s{j} s{i} e{j}"))
-            yield (fam, f"e_{i} e_{j} g_{i} = e_{j} g_{i} e_{j}",
+            yield (f"e_{i} e_{j} g_{i} = e_{j} g_{i} e_{j}",
                    el(f"e{i} e{j} s{i}"), el(f"e{j} s{i} e{j}"))
-            yield (fam, f"e_{j} g_{i} e_{j} = g_{i} e_{i} e_{j}",
+            yield (f"e_{j} g_{i} e_{j} = g_{i} e_{i} e_{j}",
                    el(f"e{j} s{i} e{j}"), el(f"s{i} e{i} e{j}"))
-            yield (fam, f"t_{i} t_{j} t_{i} = t_{i}", el(f"t{i} t{j} t{i}"), el_t)
-            yield (fam, f"t_{i} e_{j} t_{i} = t_{i}", el(f"t{i} e{j} t{i}"), el_t)
-            yield (fam, f"f_{i} e_{j} = e_{j} t_{i} e_{j}",
+            yield (f"t_{i} t_{j} t_{i} = t_{i}", el(f"t{i} t{j} t{i}"), el_t)
+            yield (f"t_{i} e_{j} t_{i} = t_{i}", el(f"t{i} e{j} t{i}"), el_t)
+            yield (f"f_{i} e_{j} = e_{j} t_{i} e_{j}",
                    el(f"f{i} e{j}"), el(f"e{j} t{i} e{j}"))
-            yield (fam, f"t_{i} g_{j} t_{i} = a t_{i} -> t_{i} s_{j} t_{i} = t_{i}",
+            yield (f"t_{i} g_{j} t_{i} = a t_{i} -> t_{i} s_{j} t_{i} = t_{i}",
                    el(f"t{i} s{j} t{i}"), el_t)
-            yield (fam, f"g_{i} g_{j} t_{i} = t_{j} g_{i} g_{j}",
+            yield (f"g_{i} g_{j} t_{i} = t_{j} g_{i} g_{j}",
                    el(f"s{i} s{j} t{i}"), el(f"t{j} s{i} s{j}"))
-            yield (fam, f"t_{j} g_{i} g_{j} = t_{j} t_{i}",
+            yield (f"t_{j} g_{i} g_{j} = t_{j} t_{i}",
                    el(f"t{j} s{i} s{j}"), el(f"t{j} t{i}"))
-            yield (fam, f"g_{i} t_{j} g_{i} = g_{j}^-1 t_{i} g_{j}^-1",
+            yield (f"g_{i} t_{j} g_{i} = g_{j}^-1 t_{i} g_{j}^-1",
                    el(f"s{i} t{j} s{i}"), el(f"s{j} t{i} s{j}"))
-            yield (fam, f"g_{i} f_{j} g_{i} = g_{j}^-1 f_{i} g_{j}^-1",
+            yield (f"g_{i} f_{j} g_{i} = g_{j}^-1 f_{i} g_{j}^-1",
                    el(f"s{i} f{j} s{i}"), el(f"s{j} f{i} s{j}"))
-            yield (fam, f"g_{i} t_{j} t_{i} = g_{j}^-1 t_{i}",
+            yield (f"g_{i} t_{j} t_{i} = g_{j}^-1 t_{i}",
                    el(f"s{i} t{j} t{i}"), el(f"s{j} t{i}"))
-            yield (fam, f"t_{i} t_{j} g_{i} = t_{i} g_{j}^-1",
+            yield (f"t_{i} t_{j} g_{i} = t_{i} g_{j}^-1",
                    el(f"t{i} t{j} s{i}"), el(f"t{i} s{j}"))
 
 
-def _bt_identities(n: int):
-    fam = family("tsn", n)
+def _bt_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+    n = fam.n
     el = lambda w: from_word(w, fam, NEGLECT)
     one_el = from_word("", fam, NEGLECT)
     for a_kind, i, b_kind, j in _commuting_pairs(("s", "e"), n):
-        yield (fam, f"{a_kind}_{i} {b_kind}_{j} = {b_kind}_{j} {a_kind}_{i} (v=1)",
+        yield (f"{a_kind}_{i} {b_kind}_{j} = {b_kind}_{j} {a_kind}_{i} (v=1)",
                el(f"{a_kind}{i} {b_kind}{j}"), el(f"{b_kind}{j} {a_kind}{i}"))
     for i in range(1, n):
-        yield (fam, f"e_{i}^2 = e_{i}", el(f"e{i} e{i}"), el(f"e{i}"))
-        yield (fam, f"g_{i}^2 = 1 + (v-v^-1) e_{i} g_{i} -> s_{i}^2 = 1",
+        yield (f"e_{i}^2 = e_{i}", el(f"e{i} e{i}"), el(f"e{i}"))
+        yield (f"g_{i}^2 = 1 + (v-v^-1) e_{i} g_{i} -> s_{i}^2 = 1",
                el(f"s{i} s{i}"), one_el)
         for j in (i - 1, i + 1):
             if not 1 <= j <= n - 1:
                 continue
-            yield (fam, f"g_{i} g_{j} g_{i} = g_{j} g_{i} g_{j}",
+            yield (f"g_{i} g_{j} g_{i} = g_{j} g_{i} g_{j}",
                    el(f"s{i} s{j} s{i}"), el(f"s{j} s{i} s{j}"))
-            yield (fam, f"e_{i} g_{j} g_{i} = g_{j} g_{i} e_{j}",
+            yield (f"e_{i} g_{j} g_{i} = g_{j} g_{i} e_{j}",
                    el(f"e{i} s{j} s{i}"), el(f"s{j} s{i} e{j}"))
-            yield (fam, f"e_{i} e_{j} g_{i} = e_{j} g_{i} e_{j}",
+            yield (f"e_{i} e_{j} g_{i} = e_{j} g_{i} e_{j}",
                    el(f"e{i} e{j} s{i}"), el(f"e{j} s{i} e{j}"))
-            yield (fam, f"e_{j} g_{i} e_{j} = g_{i} e_{i} e_{j}",
+            yield (f"e_{j} g_{i} e_{j} = g_{i} e_{i} e_{j}",
                    el(f"e{j} s{i} e{j}"), el(f"s{i} e{i} e{j}"))
+
+
+_TIED_FAMILY = (
+    ("tjn", _tied_tl_identities),
+    ("tbrn", _tied_bmw_identities),
+    ("tsn", _bt_identities),
+)
 
 
 def suite_tied_specializations(n_max: int = 4) -> SuiteReport:
@@ -559,10 +556,8 @@ def suite_tied_specializations(n_max: int = 4) -> SuiteReport:
     Kauffman-type -> tied Brauer at a=q=x=1, braids-and-ties at v=1."""
     report = SuiteReport("tied-specializations")
     for n in range(2, n_max + 1):
-        for block in (_tied_tl_identities(n), _tied_bmw_identities(n),
-                      _bt_identities(n)):
-            for fam, ident, lhs, rhs in block:
-                _record(report, fam, ident, lhs, rhs)
+        for name, catalogue in _TIED_FAMILY:
+            _check_catalogue(report, family(name, n), catalogue)
     return report
 
 
@@ -582,40 +577,41 @@ def _full_specialize(elem):
                       policy=NEGLECT)
 
 
+def _hom_bridge_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+    fbr = bridge_f(1, fam, ALPHA)
+    ebr = bridge_e(2, 3, fam, ALPHA)
+    for name, u, v in (("fbar_1 * ebar", fbr, ebr), ("ebar * fbar_1", ebr, fbr)):
+        yield (f"spec hom on bridges: {name}", _full_specialize(u * v),
+               _full_specialize(u) * _full_specialize(v))
+    if fam.d == 1:
+        basis = closure(fam)
+        sample = from_diagram(basis[len(basis) // 2], fam, ALPHA)
+        yield ("d=1: specialization is the identity map",
+               specialize(sample, alpha_to_one(1), beads_to_one=True), sample)
+
+
 def suite_specialization_homomorphism(pairs: int = 1000, seed: int = DEFAULT_SEED,
                                       fams: Optional[Sequence[MonoidFamily]] = None
                                       ) -> SuiteReport:
     """Setting every framing and every loop scalar to one is multiplicative:
-    checked on random element pairs of the scalar-extended algebras."""
+    checked on random element pairs and on bridges, in families with n >= 3."""
     report = SuiteReport("specialization-homomorphism")
     if fams is None:
         fams = (family("jdn", 4, 3), family("brdn", 3, 2),
                 family("rprimedn", 3, 2), family("jdn", 3, 1))
     for fam in fams:
+        if fam.n < 3:
+            raise ValueError(f"the bridge checks of {fam} need n >= 3")
+    for fam in fams:
         rng = random.Random(seed)
         basis = closure(fam)
-        bad = 0
         witness = None
         for _ in range(pairs):
             a = _random_element(rng, basis, fam, ALPHA)
             b = _random_element(rng, basis, fam, ALPHA)
-            lhs = _full_specialize(a * b)
-            rhs = _full_specialize(a) * _full_specialize(b)
-            if not equal(lhs, rhs):
-                bad += 1
-                if witness is None:
-                    witness = f"a={a.dump()} b={b.dump()}"
-        report.add(report.name, fam, f"spec(ab) = spec(a) spec(b) x{pairs}",
-                   "pass" if bad == 0 else "fail", witness)
-        fbr = bridge_f(1, fam, ALPHA)
-        ebr = bridge_e(2, min(3, fam.n), fam, ALPHA)
-        for name, u, v in (("fbar_1 * ebar", fbr, ebr), ("ebar * fbar_1", ebr, fbr)):
-            lhs = _full_specialize(u * v)
-            rhs = _full_specialize(u) * _full_specialize(v)
-            _record(report, fam, f"spec hom on bridges: {name}", lhs, rhs)
-        if fam.d == 1:
-            sample = from_diagram(basis[len(basis) // 2], fam, ALPHA)
-            _record(report, fam, "d=1: specialization is the identity map",
-                    specialize(sample, alpha_to_one(1), beads_to_one=True),
-                    sample)
+            if witness is None and not equal(_full_specialize(a * b),
+                                             _full_specialize(a) * _full_specialize(b)):
+                witness = f"a={a.dump()} b={b.dump()}"
+        report.check(fam, f"spec(ab) = spec(a) spec(b) x{pairs}", witness is None, witness)
+        _check_catalogue(report, fam, _hom_bridge_identities)
     return report

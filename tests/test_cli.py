@@ -1,6 +1,8 @@
 """Command line behaviour: formats, golden outputs, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,28 @@ JDN_WORD = ("--family", "jdn", "--d", "2", "--n", "2", "--word", "t1 o1 t1")
 def test_ignored_flag_exits_two(capsys, argv):
     assert main(list(argv)) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "tied", "--n", "1"),
+    ("verify", "--suite", "bridges", "--target", "jones", "--n", "1"),
+    ("verify", "--suite", "bridges", "--n", "1"),
+])
+def test_verify_that_checks_nothing_exits_two(capsys, caplog, argv):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().out == ""
+    assert f"suite {argv[2]} checks nothing at --n 1" in caplog.text
+
+
+def test_suite_table_matches_readme():
+    from framoid.cli import _SUITES
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Suites for `verify`")[1].split("\n\n")[1].splitlines()
+    rows = [line.strip("|").split("|") for line in table[2:]]
+    assert [(name.strip(" `"), tuple(re.findall(r"`--(\w+)`", flags)))
+            for name, flags in rows] == [
+        (name, flags) for name, (flags, _) in _SUITES.items()]
 
 
 def test_verify_flags_reach_their_suite(capsys):

@@ -1,5 +1,6 @@
 """Suite machinery: reports, determinism, coverage, negative controls."""
 
+import hashlib
 import json
 
 import pytest
@@ -113,3 +114,54 @@ def test_report_lines_are_json_without_timing():
                             "witness"}
     timed = report.lines(include_ms=True)
     assert all("ms" in json.loads(line) for line in timed)
+
+
+def test_specialization_homomorphism_refuses_small_n_before_any_work(monkeypatch):
+    import framoid.verify as verify
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the check of n")
+
+    monkeypatch.setattr(verify, "closure", no_work)
+    with pytest.raises(ValueError, match=r"jdn\(d=2,n=2\)"):
+        suite_specialization_homomorphism(fams=[family("jdn", 4, 3), family("jdn", 2, 2)])
+
+
+# sha256 of the report text of small runs, recorded at 0cfc1f2
+PINNED_REPORTS = {
+    "bridges-partition": "d9c765f0b8e0d88e4cb2a77dc6706835bae8c541419de83cdefa7db8b9e3528e",
+    "bridges-symmetric": "bfb0f82da071709ce0952bef3b22a2a3ad0cf2c8fe14db3866219c0dbd5613f0",
+    "bridges-rookR": "dd86a76ac50cc9dc9a5f7c702c43af74c055b56504400a4cd51e0133ad1cd080",
+    "bridges-rookRprime": "23b1f3e61250fb5be85f548d4e7e2b5aa4a30e667e031dc7799aaeb25aafe79b",
+    "bridges-jones": "5d67e81b2e7d3d81693ac26c9f1d2a4d8c25912673b759aaaefc436a84eddf2e",
+    "bridges-brauer": "ed902c41366e4fb6e992d7ca60fdc8331880d49764f4c3071d40431711c5fa54",
+    "tied": "d8921d2702a6368258133b92a0d19e2fd2b9fe6f426e56c6de8472c0cde3f4ee",
+    "framed-tl": "f45d654114910cf8bbc02b08fd76d7c26a02e2463f44e1c1dcd928d5ad783c95",
+    "hom": "038416928079d0ac7e45c4afbc55f77c170a14353733300e917f3940547708eb",
+    "presentations": "14d4cdc337ed910b32270e25af2827bdb5d6a5d5411fa6f7ae72ec933f4df95d",
+    "cardinalities": "de8e58172cd5a11b1498c0d0d24378f937c103d855996cc208d90167bc5251d1",
+}
+
+SMALL_RUNS = {
+    **{f"bridges-{target}": (lambda target=target: suite_bridges(target, d_values=(2,), n=3))
+       for target in BRIDGE_TARGETS},
+    "tied": lambda: suite_tied_specializations(3),
+    "framed-tl": lambda: suite_framed_tl(d_values=(1, 2), n_values=(2, 3), triples=200,
+                                         seed=7),
+    "hom": lambda: suite_specialization_homomorphism(
+        pairs=25, seed=123, fams=[family("jdn", 3, 2), family("brdn", 3, 2),
+                                  family("rprimedn", 3, 2), family("jdn", 3, 1)]),
+    "presentations": lambda: suite_presentations(
+        [family("jdn", 3, 2), family("trprimen", 3), family("rprimedn", 3, 2),
+         family("brdn", 3, 2)]),
+    # the sdn entry exceeds its cap: the witness of a failed closure is pinned too
+    "cardinalities": lambda: suite_cardinalities(
+        [family("jdn", n, d) for d in (1, 2) for n in (1, 2, 3)]
+        + [family("tjn", n) for n in (1, 2, 3)] + [family("sdn", 4, 2)], cap=10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(name):
+    text = SMALL_RUNS[name]().text()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[name]
