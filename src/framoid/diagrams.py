@@ -11,15 +11,20 @@ A diagram is stored as canonical block labels: ``lab[p - 1]`` is the index
 of the block holding point p, blocks numbered in the order of their least
 point, and beads and tie classes are indexed by those labels.  The
 constructor takes either blocks in any order, which it validates and
-canonicalizes, or labels that are already canonical (``lab=``), which it
-checks in time linear in n without sorting.
+canonicalizes, or labels that are already canonical (``lab=``).
 
 Products stack the left factor above the right one: in ``compose(a, b)`` the
 bottom points of ``a`` are glued to the top points of ``b``.  Components of
 the glued picture that still touch the outer boundary become blocks of the
 result, with beads added mod d; components trapped in the middle layer are
 removed and reported in a :class:`LoopRecord`, one count per bead residue.
-The product is one union-find over the blocks of the two factors.
+
+The work splits into a shape part and a decoration part.  The shape part
+depends only on label tuples and is memoized: ``_shape`` checks a label
+tuple and reads off its structural tags, and ``_skeleton`` runs the
+union-find over the blocks of two factors once per pair of label tuples.
+Beads, loops and ties are done on every product.  The memos grow with the
+distinct label tuples and pairs of them, not with the elements.
 
 All values are immutable after construction and safe to share.
 """
@@ -146,6 +151,50 @@ def _pool_beads(beads: list[int], ties, d: int) -> None:
             beads[cls[0]] = pooled
 
 
+# the distinct tag sets, so that equal sets returned by _shape are one object
+_TAG_SETS: dict[frozenset, frozenset] = {}
+
+
+@lru_cache(maxsize=None)
+def _shape(lab: tuple, n: int) -> tuple[tuple[int, ...], int, frozenset]:
+    """Check canonical labels once per distinct tuple.
+
+    Returns the labels (equal labels become one shared tuple), the block
+    count k and the set of structural tags the labels satisfy.  Only results
+    are memoized: labels that fail a check raise on every call.
+    """
+    if len(lab) != 2 * n:
+        raise ValueError("labels must cover the 2n boundary points")
+    first = list(dict.fromkeys(lab))
+    k = len(first)
+    if first != list(range(k)):
+        raise ValueError("labels must number the blocks 0..k-1 "
+                         "in the order of their least point")
+    size = [0] * k
+    for x in lab:
+        size[x] += 1
+    tags = {PARTITION}
+    if max(size) <= 2:
+        tags.add(MATCHING)
+        # each top point opens its own block and the bottom points meet
+        # those blocks once each
+        if lab[:n] == tuple(range(n)) and sorted(lab[n:]) == list(range(n)):
+            tags.add(PERMUTATION)
+        # n blocks, and in the boundary order t1..tn, bn..b1 every point
+        # closes the block on top of the stack or opens one
+        if k == n:
+            stack = []
+            for x in lab[:n] + lab[:n - 1:-1]:
+                if stack and stack[-1] == x:
+                    stack.pop()
+                else:
+                    stack.append(x)
+            if not stack:
+                tags.add(PLANAR)
+    tags = frozenset(tags)
+    return lab, k, _TAG_SETS.setdefault(tags, tags)
+
+
 class BeadedDiagram:
     """A set partition of the 2n boundary points with beads and optional ties.
 
@@ -163,7 +212,8 @@ class BeadedDiagram:
     from point sets to residues) and ``ties`` over their positions;
     ``BeadedDiagram(n, d, beads=..., family_tag=..., ties=..., lab=...)``
     takes canonical labels, with ``beads`` and ``ties`` indexed by label.
-    Both check the partition and the structural tag.
+    Both check the partition and the structural tag, through ``_shape``,
+    once per distinct label tuple; beads and ties are checked on every call.
 
     When ties are present and d > 1, beads are pooled per tie class (stored
     on the class's least block): a tie lets beads move freely between its
@@ -184,7 +234,7 @@ class BeadedDiagram:
 
         if lab is None:
             lab, raw, order = _labels_of_blocks(n, blocks)
-            k = len(order)
+            lab, k, tags = _shape(lab, n)
             if beads is None:
                 canon_beads = [0] * k
             elif hasattr(beads, "items"):
@@ -202,14 +252,7 @@ class BeadedDiagram:
                 except KeyError:
                     raise ValueError("ties must partition the block indices") from None
         else:
-            lab = tuple(lab)
-            if len(lab) != 2 * n:
-                raise ValueError("labels must cover the 2n boundary points")
-            first = list(dict.fromkeys(lab))
-            k = len(first)
-            if first != list(range(k)):
-                raise ValueError("labels must number the blocks 0..k-1 "
-                                 "in the order of their least point")
+            lab, k, tags = _shape(tuple(lab), n)
             if beads is None:
                 canon_beads = [0] * k
             else:
@@ -236,35 +279,9 @@ class BeadedDiagram:
         self.beads = tuple(canon_beads)
         self.family_tag = family_tag
         self.ties = canon_ties
-        if family_tag != PARTITION and not self._tag_holds():
+        if family_tag not in tags:
             self._raise_tag_violation()
         self._hash = hash((n, d, lab, self.beads, canon_ties))
-
-    def _tag_holds(self) -> bool:
-        """The structural tag, read off the labels in O(n)."""
-        n, lab, tag = self.n, self.lab, self.family_tag
-        if tag == PERMUTATION:
-            # each top point opens its own block and the bottom points meet
-            # those blocks once each
-            return lab[:n] == tuple(range(n)) and sorted(lab[n:]) == list(range(n))
-        if tag == MATCHING:
-            size = [0] * len(self.beads)
-            for x in lab:
-                size[x] += 1
-            return max(size) <= 2
-        # planar matching: n blocks, and in the boundary order t1..tn, bn..b1
-        # every point closes the block on top of the stack or opens one.  An
-        # emptied stack leaves no free point, and with n blocks no block
-        # larger than two
-        if len(self.beads) != n:
-            return False
-        stack = []
-        for x in lab[:n] + lab[:n - 1:-1]:
-            if stack and stack[-1] == x:
-                stack.pop()
-            else:
-                stack.append(x)
-        return not stack
 
     def _raise_tag_violation(self):
         """Name the first block that breaks the structural tag."""
@@ -493,27 +510,26 @@ def generator(sym: GenSymbol, n: int, d: int,
 
 # -- composition -------------------------------------------------------------
 
-def compose(a: BeadedDiagram, b: BeadedDiagram, *,
-            drop_rook: bool = False) -> tuple[BeadedDiagram, LoopRecord]:
-    """Concatenation product: ``a`` stacked above ``b``.
+# shape products: _PLANS[b.lab][a.lab] is _skeleton(a.lab, b.lab), one dict
+# per right-hand shape so that no key tuple is kept per entry
+_PLANS: dict[tuple, dict[tuple, tuple]] = {}
 
-    Returns the resulting diagram together with the record of removed middle
-    components.  With ``drop_rook=True``, free points shed their beads and
-    leave every tie class (the composition rule of the rook-style families
-    whose broken arcs cannot hold beads).
+
+def _skeleton(alab: tuple, blab: tuple) -> tuple:
+    """The shape part of ``compose`` for factors labelled ``alab`` and ``blab``.
+
+    One union-find over the blocks of the two factors, a's blocks 0..ka-1
+    and then b's.  Returns ``(lab, comp, k, trapped, free)``: the result's
+    labels (through ``_shape``), ``comp`` mapping each block of a and then of
+    b to the result label of its component or to k + j for the j-th trapped
+    loop, the block count k, the number of trapped loops, and the labels of
+    the result's singleton blocks.
     """
-    if a.n != b.n or a.d != b.d:
-        raise ValueError("factors must share strand count and framing modulus")
-    if a.tied != b.tied:
-        raise ValueError("cannot mix tied and untied diagrams")
-
-    n, d = a.n, a.d
-    alab, blab = a.lab, b.lab
-    # union-find nodes: a's blocks 0..ka-1, then b's blocks ka..; each middle
-    # strand joins the block of a's bottom point with that of b's top point
-    ka = len(a.beads)
-    parent = list(range(ka + len(b.beads)))
-    components = len(parent)
+    n = len(alab) // 2
+    ka = max(alab) + 1
+    parent = list(range(ka + max(blab) + 1))
+    # each middle strand joins the block of a's bottom point with that of
+    # b's top point
     for x, y in zip(alab[n:], blab[:n]):
         y += ka
         while parent[x] != x:
@@ -522,75 +538,109 @@ def compose(a: BeadedDiagram, b: BeadedDiagram, *,
             parent[y] = y = parent[parent[y]]
         if x != y:
             parent[y] = x
-            components -= 1
+    root = []
+    for x in range(len(parent)):
+        while parent[x] != x:
+            x = parent[x]
+        root.append(x)
 
-    # result labels in the order of the least outer point of each component
-    index: dict[int, int] = {}
+    # result labels in the order of the least outer point of each component;
+    # components that reach no outer point are loops, numbered after them
+    ident = [-1] * len(parent)
     lab = []
-    for x in alab[:n]:
-        while parent[x] != x:
-            x = parent[x]
-        lab.append(index.setdefault(x, len(index)))
-    for x in blab[n:]:
-        x += ka
-        while parent[x] != x:
-            x = parent[x]
-        lab.append(index.setdefault(x, len(index)))
-    k = len(index)
-    # components that reach no outer point are loops
-    trapped = []
-    if components > k:
-        for x in range(len(parent)):
-            if parent[x] == x and x not in index:
-                trapped.append(x)
+    k = 0
+    for x in chain(alab[:n], [y + ka for y in blab[n:]]):
+        r = root[x]
+        if ident[r] < 0:
+            ident[r] = k
+            k += 1
+        lab.append(ident[r])
+    lab = _shape(tuple(lab), n)[0]
+    trapped = 0
+    for x, r in enumerate(root):
+        if x == r and ident[r] < 0:
+            ident[r] = k + trapped
+            trapped += 1
+    comp = [ident[r] for r in root]
+
+    size = [0] * k
+    for v in lab:
+        size[v] += 1
+    free = tuple(v for v in range(k) if size[v] == 1)
+    return lab, bytes(comp) if len(comp) <= 256 else tuple(comp), k, trapped, free
+
+
+def memo_sizes() -> tuple[int, int]:
+    """The number of memoized label tuples and of memoized shape products."""
+    return _shape.cache_info().currsize, sum(map(len, _PLANS.values()))
+
+
+def compose(a: BeadedDiagram, b: BeadedDiagram, *,
+            drop_rook: bool = False) -> tuple[BeadedDiagram, LoopRecord]:
+    """Concatenation product: ``a`` stacked above ``b``.
+
+    Returns the resulting diagram together with the record of removed middle
+    components.  With ``drop_rook=True``, free points shed their beads and
+    leave every tie class (the composition rule of the rook-style families
+    whose broken arcs cannot hold beads).
+
+    The shapes of the product come from ``_skeleton``, memoized per pair of
+    label tuples; beads, loops and ties are done on every call.
+    """
+    if a.n != b.n or a.d != b.d:
+        raise ValueError("factors must share strand count and framing modulus")
+    if a.tied != b.tied:
+        raise ValueError("cannot mix tied and untied diagrams")
+
+    n, d = a.n, a.d
+    plans = _PLANS.get(b.lab)
+    if plans is None:
+        plans = _PLANS[b.lab] = {}
+    plan = plans.get(a.lab)
+    if plan is None:
+        plan = plans[a.lab] = _skeleton(a.lab, b.lab)
+    lab, comp, k, trapped, free = plan
 
     beads = None
     loops = _NO_LOOPS
     if d > 1:
-        acc = [0] * len(parent)
+        # one slot per component; the constructor reduces the beads mod d
+        acc = [0] * (k + trapped)
         for x, bead in enumerate(a.beads + b.beads):
             if bead:
-                while parent[x] != x:
-                    x = parent[x]
-                acc[x] += bead
-        beads = [0] * k
-        for r, v in index.items():
-            beads[v] = acc[r] % d
+                acc[comp[x]] += bead
+        beads = acc[:k]
         if trapped:
-            loops = LoopRecord([(acc[r] % d, 1) for r in trapped])
+            loops = LoopRecord([(v % d, 1) for v in acc[k:]])
     elif trapped:
-        loops = LoopRecord({0: len(trapped)})
+        loops = LoopRecord({0: trapped})
 
-    free: set[int] = set()
-    if drop_rook:
-        size = [0] * k
-        for v in lab:
-            size[v] += 1
-        free = {v for v in range(k) if size[v] == 1}
-        if beads is not None:
-            for v in free:
-                beads[v] = 0
+    if not drop_rook:
+        free = ()
+    elif beads is not None:
+        for v in free:
+            beads[v] = 0
 
     ties = None
     if a.ties is not None:
-        # tie classes join components: a second union-find that starts from
-        # the first, so every tie root is also a block root
-        tie = parent[:]
-        for offset, classes in ((0, a.ties), (ka, b.ties)):
+        # tie classes join components, trapped ones included
+        tie = list(range(k + trapped))
+        for offset, classes in ((0, a.ties), (len(a.beads), b.ties)):
             for cls in classes:
                 if len(cls) == 1:
                     continue
-                x = cls[0] + offset
+                x = comp[cls[0] + offset]
                 while tie[x] != x:
                     x = tie[x]
                 for y in cls[1:]:
-                    y += offset
+                    y = comp[y + offset]
                     while tie[y] != y:
                         y = tie[y]
                     if x != y:
                         tie[y] = x
         groups: dict[int, list[int]] = {}
-        for r, v in index.items():
+        for v in range(k):
+            r = v
             while tie[r] != r:
                 r = tie[r]
             groups.setdefault(r, []).append(v)

@@ -17,7 +17,7 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
@@ -31,6 +31,7 @@ from .diagrams import (
     compose,
     generator,
     identity,
+    memo_sizes,
     render_word,
 )
 from .normalform import NormalFormWord, brauer_nf, evaluate_word, jones_nf, rook_nf
@@ -649,6 +650,7 @@ closure.cache_clear = _CLOSURES.clear
 
 def _enumerate(fam: MonoidFamily, cap: int) -> tuple[BeadedDiagram, ...]:
     gens = generating_set(fam)
+    drop_rook = fam.drop_rook
     start = identity(fam.n, fam.d, tied=fam.tied, tag=fam.tag)
     seen = {start}
     frontier = [start]
@@ -659,7 +661,7 @@ def _enumerate(fam: MonoidFamily, cap: int) -> tuple[BeadedDiagram, ...]:
         fresh = []
         for x in frontier:
             for g in gens:
-                y, _ = compose(x, g, drop_rook=fam.drop_rook)
+                y, _ = compose(x, g, drop_rook=drop_rook)
                 if y not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded(f"closure of {fam} exceeded cap {cap}")
@@ -669,8 +671,9 @@ def _enumerate(fam: MonoidFamily, cap: int) -> tuple[BeadedDiagram, ...]:
         level += 1
         if debug:
             elapsed = time.perf_counter() - began
-            log.debug("closure %s: level %d, %d new, %d total, %.0f elements/s",
-                      fam, level, len(fresh), len(seen), len(seen) / elapsed)
+            memos = "" if fresh else ", memos: %d shapes, %d plans" % memo_sizes()
+            log.debug("closure %s: level %d, %d new, %d total, %.0f elements/s%s",
+                      fam, level, len(fresh), len(seen), len(seen) / elapsed, memos)
     return tuple(sorted(seen, key=BeadedDiagram.encode))
 
 
@@ -687,6 +690,7 @@ class SchemaResult:
     display: str
     checked: int
     failures: tuple[str, ...]
+    ms: float = field(default=0.0, compare=False)   # time to check every instance
 
 
 @dataclass(frozen=True)
@@ -720,6 +724,7 @@ def check_relations(fam: MonoidFamily,
     """
     entries = []
     for schema in fam.spec.schemas + tuple(extra_schemas):
+        t0 = time.perf_counter()
         checked = 0
         failures = []
         for words in schema.instances(fam.d, fam.n):
@@ -731,8 +736,8 @@ def check_relations(fam: MonoidFamily,
                     failures.append(
                         f"{render_word(words[0]) or '1'} -> {base.encode()}"
                         f"  !=  {render_word(other_word) or '1'} -> {other.encode()}")
-        entries.append(SchemaResult(schema.name, schema.display, checked,
-                                    tuple(failures)))
+        entries.append(SchemaResult(schema.name, schema.display, checked, tuple(failures),
+                                    (time.perf_counter() - t0) * 1000))
     return RelationReport(fam, tuple(entries))
 
 

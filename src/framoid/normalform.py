@@ -50,11 +50,12 @@ def evaluate_word(word, fam) -> tuple[BeadedDiagram, LoopRecord]:
     """
     if isinstance(word, str):
         word = parse_word(word)
-    diag = identity(fam.n, fam.d, tied=fam.tied, tag=fam.tag)
+    n, d, tied, tag, drop_rook = fam.n, fam.d, fam.tied, fam.tag, fam.drop_rook
+    diag = identity(n, d, tied=tied, tag=tag)
     record = LoopRecord()
     for sym in word:
-        step = generator(sym, fam.n, fam.d, tied=fam.tied, tag=fam.tag)
-        diag, rec = compose(diag, step, drop_rook=fam.drop_rook)
+        step = generator(sym, n, d, tied=tied, tag=tag)
+        diag, rec = compose(diag, step, drop_rook=drop_rook)
         record = record.merged(rec)
     return diag, record
 

@@ -198,3 +198,18 @@ def test_debug_log_reports_closure_levels():
               if line.startswith("DEBUG framoid.monoids: closure jdn(d=2,n=3): level ")]
     assert len(levels) >= 2
     assert levels[-1].split(", ")[2] == f"{len(closure(family('jdn', 3, 2)))} total"
+
+
+def test_debug_log_reports_memo_sizes_after_the_last_level():
+    import os
+    import subprocess
+    import sys
+
+    argv = [sys.executable, "-m", "framoid.cli", "enumerate", "--family", "tsn", "--n", "3"]
+    loud = subprocess.run(argv, capture_output=True, text=True, check=True,
+                          env={**os.environ, "FRAMOID_LOG": "debug"})
+    assert json.loads(loud.stdout)["count"] == 30
+    levels = [line for line in loud.stderr.splitlines() if ": level " in line]
+    assert all("memos" not in line for line in levels[:-1])
+    m = re.search(r", 0 new, 30 total, .*, memos: (\d+) shapes, (\d+) plans$", levels[-1])
+    assert m and int(m.group(1)) > 0 and int(m.group(2)) > 0

@@ -16,11 +16,14 @@ from framoid.diagrams import (
     erase_ties,
     generator,
     identity,
+    memo_sizes,
     parse_word,
+    _PLANS,
+    _shape,
     _tag_join,
     render_word,
 )
-from framoid.monoids import closure, default_grid, family, generating_set
+from framoid.monoids import _CLOSURES, closure, default_grid, family, generating_set
 from framoid.normalform import evaluate_word
 
 
@@ -537,6 +540,12 @@ def compose_reference(a, b, *, drop_rook=False):
     return result, LoopRecord(loops)
 
 
+def _clear_memos():
+    """Empty the shape memos, so that the kernel is tested from cold."""
+    _shape.cache_clear()
+    _PLANS.clear()
+
+
 def _assert_same_product(a, b, drop_rook):
     got, record = compose(a, b, drop_rook=drop_rook)
     want, want_record = compose_reference(a, b, drop_rook=drop_rook)
@@ -551,6 +560,7 @@ def test_compose_matches_reference_on_every_closure_step():
     """Every (element, generator) product of each default_grid family with
     at most 2000 elements: the tied, drop-rook and planar families among
     them."""
+    _clear_memos()
     checked = set()
     for fam in default_grid():
         if fam.spec.count(fam.d, fam.n) > 2000:
@@ -568,6 +578,7 @@ def test_compose_matches_reference_on_random_pairs():
     default_grid family."""
     import random
 
+    _clear_memos()
     rng = random.Random(0x1AB)
     beaded_loops = 0
     for fam in default_grid():
@@ -576,3 +587,60 @@ def test_compose_matches_reference_on_random_pairs():
             record = _assert_same_product(rng.choice(els), rng.choice(els), fam.drop_rook)
             beaded_loops += any(residue for residue, _ in record.counts)
     assert beaded_loops > 0
+
+
+# -- the shape memos -----------------------------------------------------------
+
+@pytest.mark.parametrize("lab", [(1, 0, 0, 1), (0, 0, 2, 2), (0, 1, 0)])
+def test_invalid_labels_raise_on_every_call(lab):
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            BeadedDiagram(2, 1, lab=lab)
+        raised.append((type(err.value), str(err.value)))
+    assert raised[0] == raised[1]
+
+
+@pytest.mark.parametrize("tag,error", [(PLANAR, NotPlanar), (MATCHING, ValueError)])
+def test_tag_violations_raise_on_every_call(tag, error):
+    blocks = [(1, 4), (2, 3)] if tag == PLANAR else [(1, 2, 3), (4,)]
+    lab = BeadedDiagram(2, 1, blocks).lab
+    raised = []
+    for _ in range(2):
+        for build in (lambda: BeadedDiagram(2, 1, blocks, None, tag),
+                      lambda: BeadedDiagram(2, 1, family_tag=tag, lab=lab)):
+            with pytest.raises(error) as err:
+                build()
+            raised.append((type(err.value), str(err.value)))
+    assert len(set(raised)) == 1
+
+
+def test_equal_labels_share_one_tuple():
+    by_blocks = BeadedDiagram(2, 3, [(3, 4), (1, 2)], [1, 2], PLANAR)
+    by_labels = BeadedDiagram(2, 3, family_tag=PLANAR, lab=[0, 0, 1, 1])
+    assert by_blocks.lab is by_labels.lab
+    t1 = generator(GenSymbol("t", 1), 2, 3, tag=PLANAR)
+    product, _ = compose(by_blocks, t1)
+    assert product.lab is t1.lab
+
+
+def test_plans_grow_with_shapes_not_elements():
+    fam = family("sdn", 5, 3)
+    _CLOSURES.pop(fam, None)
+    _clear_memos()
+    els = closure(fam)
+    plans = sum(map(len, _PLANS.values()))
+    shapes = len({x.lab for x in els})
+    assert 0 < plans <= shapes * len(generating_set(fam))
+    assert plans < len(els)
+    assert memo_sizes() == (_shape.cache_info().currsize, plans)
+
+
+def test_products_with_more_than_256_blocks():
+    # a plan maps blocks to components in bytes only while every id fits
+    for n in (64, 129):
+        wide = BeadedDiagram(n, 3, beads=[1] * n, lab=tuple(range(n)) * 2)
+        product, loops = compose(wide, wide)
+        assert product.beads == (2,) * n and loops.is_empty
+        want, _ = compose_reference(wide, wide)
+        assert product == want

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from framoid.monoids import FAMILY_NAMES, default_grid, family
+from framoid.monoids import FAMILY_NAMES, check_relations, default_grid, family
 from framoid.verify import (
     BRIDGE_TARGETS,
     DEFAULT_SEED,
@@ -76,6 +76,23 @@ def test_presentation_coverage_spans_all_families():
         report = suite_presentations([largest])
         seen = {e.identity for e in report.entries}
         assert declared <= seen
+
+
+def test_report_that_checks_nothing_does_not_pass():
+    for report in (suite_tied_specializations(1), suite_bridges("jones", (2,), 1)):
+        assert report.entries == [] and report.summary().endswith(": 0/0 ok")
+        assert not report.passed
+
+
+def test_presentations_time_each_schema():
+    fam = family("jdn", 3, 2)
+    rel = check_relations(fam)
+    assert all(e.ms > 0 for e in rel.entries)
+    assert rel == check_relations(fam)  # timings are not part of the result
+    report = suite_presentations([fam])
+    assert [e.identity for e in report.entries] == [e.display for e in rel.entries]
+    assert all(e.ms > 0 for e in report.entries)
+    assert len({e.ms for e in report.entries}) > 1  # not one share per schema
 
 
 def test_framed_tl_suite():
