@@ -382,7 +382,21 @@ class GenSymbol(NamedTuple):
     exp: int = 1
 
 
-_SYM_RE = re.compile(r"^([tsorpfqw])(\d+)(?:\^(-?\d+))?$")
+class _Kind(NamedTuple):
+    reach: int                    # the index i runs over 1..n - reach
+    tag: str                      # the structural tag of the generator alone
+    unties: Optional[str] = None  # a tied kind: the kind whose two ends it ties
+
+
+# every fact about a generator kind; "1" is the identity, which e_{i,j} ties
+_KINDS = {
+    "t": _Kind(1, PLANAR), "s": _Kind(1, PERMUTATION), "o": _Kind(0, PERMUTATION),
+    "r": _Kind(0, MATCHING), "p": _Kind(0, MATCHING),
+    "e": _Kind(1, PERMUTATION, "1"), "f": _Kind(1, PLANAR, "t"),
+    "q": _Kind(0, MATCHING, "r"), "w": _Kind(0, MATCHING, "p"),
+}
+
+_SYM_RE = re.compile(r"^([%s])(\d+)(?:\^(-?\d+))?$" % "".join(k for k in _KINDS if k != "e"))
 _TIE_RE = re.compile(r"^e(\d+)(?:,(\d+))?$")
 
 
@@ -418,22 +432,18 @@ def render_word(word: Iterable[GenSymbol]) -> str:
     return " ".join(render_symbol(sym) for sym in word)
 
 
-_DEFAULT_TAG = {
-    "t": PLANAR, "f": PLANAR,
-    "s": PERMUTATION, "o": PERMUTATION, "e": PERMUTATION,
-    "r": MATCHING, "p": MATCHING, "q": MATCHING, "w": MATCHING,
-}
-_TIED_KINDS = frozenset("efqw")
-
-
 def symbol_valid(sym: GenSymbol, n: int, d: int) -> bool:
-    if sym.kind in ("t", "s", "f"):
-        return 1 <= sym.i <= n - 1
-    if sym.kind in ("o", "r", "p", "q", "w"):
-        return 1 <= sym.i <= n
-    if sym.kind == "e":
-        return 1 <= sym.i < sym.j <= n
-    return False
+    kind = _KINDS.get(sym.kind)
+    return (kind is not None and 1 <= sym.i <= n - kind.reach
+            and (sym.kind != "e" or sym.i < sym.j <= n))
+
+
+def kind_symbols(kind: str, n: int) -> list[GenSymbol]:
+    """The generators of one kind on n strands, ascending; kind ``"e"`` is
+    the adjacent ties e_{i,i+1} and ``"e*"`` every tie e_{i,j}."""
+    syms = [GenSymbol(kind[0], i, j) for i in range(1, n + 1)
+            for j in (range(1, n + 1) if kind == "e*" else [i + 1 if kind == "e" else 0])]
+    return [sym for sym in syms if symbol_valid(sym, n, 1)]
 
 
 @lru_cache(maxsize=None)
@@ -441,70 +451,38 @@ def generator(sym: GenSymbol, n: int, d: int,
               tied: Optional[bool] = None, tag: Optional[str] = None) -> BeadedDiagram:
     """The diagram of a single generator on n strands with framing modulus d.
 
-    Memoized: diagrams are immutable, so every caller shares one instance.
+    A tied kind is its untied kind with the blocks at its two ends tied: t_i
+    and t_j for e_{i,j}, t_i and b_i for the others.  Memoized: diagrams are
+    immutable, so every caller shares one instance.
     """
     if not symbol_valid(sym, n, d):
         raise ValueError(f"generator {render_symbol(sym)} out of range for n={n}")
+    kind = _KINDS[sym.kind]
     if tied is None:
-        tied = sym.kind in _TIED_KINDS
-    elif not tied and sym.kind in _TIED_KINDS:
+        tied = kind.unties is not None
+    elif not tied and kind.unties is not None:
         raise ValueError(f"generator {render_symbol(sym)} requires ties")
     if tag is None:
-        tag = _DEFAULT_TAG[sym.kind]
+        tag = kind.tag
 
-    i = sym.i
-    blocks: list[tuple[int, ...]] = []
-    beads = None
-    tie_class: Optional[list[int]] = None
+    i, untied = sym.i, kind.unties or sym.kind
+    # the strands that stop being vertical, and the blocks that replace them
+    cut, extra = (), []
+    if untied == "t":
+        cut, extra = (i, i + 1), [(i, i + 1), (n + i, n + i + 1)]
+    elif untied == "s":
+        cut, extra = (i, i + 1), [(i, n + i + 1), (i + 1, n + i)]
+    elif untied in ("r", "p"):
+        cut = (i,) if untied == "r" else range(1, i + 1)
+        extra = [(m,) for m in cut] + [(n + m,) for m in cut]
+    blocks = [(m, n + m) for m in range(1, n + 1) if m not in cut] + extra
+    beads = {(i, n + i): sym.exp} if untied == "o" else None
 
-    if sym.kind in ("t", "f"):
-        for m in range(1, n + 1):
-            if m not in (i, i + 1):
-                blocks.append((m, n + m))
-        blocks.append((i, i + 1))
-        blocks.append((n + i, n + i + 1))
-        if sym.kind == "f":
-            tie_class = [len(blocks) - 2, len(blocks) - 1]
-    elif sym.kind == "s":
-        for m in range(1, n + 1):
-            if m == i:
-                blocks.append((m, n + m + 1))
-            elif m == i + 1:
-                blocks.append((m, n + m - 1))
-            else:
-                blocks.append((m, n + m))
-    elif sym.kind == "o":
-        blocks = [(m, n + m) for m in range(1, n + 1)]
-        beads = [sym.exp % d if m == i else 0 for m in range(1, n + 1)]
-    elif sym.kind in ("r", "q"):
-        for m in range(1, n + 1):
-            if m != i:
-                blocks.append((m, n + m))
-        blocks.append((i,))
-        blocks.append((n + i,))
-        if sym.kind == "q":
-            tie_class = [len(blocks) - 2, len(blocks) - 1]
-    elif sym.kind in ("p", "w"):
-        for m in range(1, n + 1):
-            if m > i:
-                blocks.append((m, n + m))
-        for m in range(1, i + 1):
-            blocks.append((m,))
-            blocks.append((n + m,))
-        if sym.kind == "w":
-            # tie the two broken arcs of strand i
-            top_idx = len(blocks) - 2
-            bot_idx = len(blocks) - 1
-            tie_class = [top_idx, bot_idx]
-    elif sym.kind == "e":
-        blocks = [(m, n + m) for m in range(1, n + 1)]
-        tie_class = [i - 1, sym.j - 1]
-
-    ties = None
-    if tied:
-        in_class = set(tie_class or ())
-        ties = [tie_class] if tie_class else []
-        ties += [[b] for b in range(len(blocks)) if b not in in_class]
+    ties = [[b] for b in range(len(blocks))] if tied else None
+    if kind.unties is not None:
+        far = sym.j if sym.kind == "e" else n + i
+        ends = [b for b, blk in enumerate(blocks) if i in blk or far in blk]
+        ties = [ends] + [[b] for b in range(len(blocks)) if b not in ends]
     return BeadedDiagram(n, d, blocks, beads, tag, ties)
 
 

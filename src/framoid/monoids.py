@@ -31,6 +31,7 @@ from .diagrams import (
     compose,
     generator,
     identity,
+    kind_symbols,
     memo_sizes,
     render_word,
 )
@@ -470,7 +471,7 @@ class FamilySpec:
     tag: str
     drop_rook: bool                           # broken arcs shed beads and ties
     framed: bool                              # admits d > 1
-    generators: tuple[str, ...]               # generator kinds, see _kind_symbols
+    generators: tuple[str, ...]               # generator kinds, see kind_symbols
     count: Callable[[int, int], int]          # (d, n) -> element count
     schemas: tuple[RelationSchema, ...]       # the presentation, in report order
     # entries call their normal form through this module's global name, so a
@@ -603,20 +604,9 @@ def family(name: str, n: int, d: int = 1) -> MonoidFamily:
     return MonoidFamily(name.lower(), n, d)
 
 
-def _kind_symbols(kind: str, n: int) -> list[GenSymbol]:
-    """The generators of one kind on n strands, ascending; kind ``"e"`` is
-    the adjacent ties e_{i,i+1} and ``"e*"`` every tie e_{i,j}."""
-    if kind == "e*":
-        return [GenSymbol("e", i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    if kind == "e":
-        return [GenSymbol("e", i, i + 1) for i in range(1, n)]
-    last = n - 1 if kind in ("t", "s", "f") else n
-    return [GenSymbol(kind, i) for i in range(1, last + 1)]
-
-
 def generating_symbols(fam: MonoidFamily) -> tuple[GenSymbol, ...]:
     return tuple(sym for kind in fam.spec.generators
-                 for sym in _kind_symbols(kind, fam.n))
+                 for sym in kind_symbols(kind, fam.n))
 
 
 def generating_set(fam: MonoidFamily) -> tuple[BeadedDiagram, ...]:

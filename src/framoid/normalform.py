@@ -218,8 +218,14 @@ def _staircase_pairs(cls) -> tuple[tuple[int, int], ...]:
     return tuple(zip(starts, js))
 
 
+def _refuse_ties(x: BeadedDiagram) -> None:
+    if x.ties is not None:
+        raise ValueError("normal forms are defined for untied diagrams only")
+
+
 def jones_nf(x: BeadedDiagram) -> JonesWord:
     """Unique bead-staircase-bead normal form of a beaded planar matching."""
+    _refuse_ties(x)
     if x.family_tag != "planar-matching":
         raise NotPlanar("the planar normal form needs a planar matching")
     cls = _classify(x)
@@ -238,6 +244,7 @@ def jones_nf(x: BeadedDiagram) -> JonesWord:
 def brauer_nf(x: BeadedDiagram) -> BrauerWord:
     """Normal form of a beaded perfect matching: beads, permutation, adjacent
     brackets, permutation, beads."""
+    _refuse_ties(x)
     n = x.n
     cls = _classify(x)
     ups = sorted((min(blk), blk, bead) for _, bead, blk in cls["up"])
@@ -283,6 +290,7 @@ def rook_nf(x: BeadedDiagram, variant: str = "first") -> RookWord:
     """
     if variant not in ("first", "prime"):
         raise ValueError(f"unknown rook variant {variant!r}")
+    _refuse_ties(x)
     n = x.n
     lines = []
     top_free: list[tuple[int, int]] = []
@@ -293,6 +301,8 @@ def rook_nf(x: BeadedDiagram, variant: str = "first") -> RookWord:
             if blk[1] <= n or blk[0] > n:
                 raise ValueError("rook diagrams have no brackets")
             lines.append((upper, lower, bead))
+        elif len(blk) > 2:
+            raise ValueError("rook diagrams have no blocks of more than two points")
         else:
             p = blk[0]
             if p <= n:
@@ -332,13 +342,11 @@ def min_length_oracle(x: BeadedDiagram, fam, cap: int = 250_000) -> int:
     0/1 breadth-first search over the family's diagrams; bead generators are
     free, every other generator costs one.
     """
-    from .monoids import generating_symbols  # local import avoids a cycle
+    from .monoids import generating_set, generating_symbols  # local import avoids a cycle
 
     start = identity(fam.n, fam.d, tied=fam.tied, tag=fam.tag)
-    moves = []
-    for sym in generating_symbols(fam):
-        diag = generator(sym, fam.n, fam.d, tied=fam.tied, tag=fam.tag)
-        moves.append((diag, 0 if sym.kind == "o" else 1))
+    moves = [(diag, 0 if sym.kind == "o" else 1)
+             for sym, diag in zip(generating_symbols(fam), generating_set(fam))]
     dist = {start: 0}
     queue = deque([start])
     while queue:

@@ -47,8 +47,6 @@ from .algebra import (
 
 DEFAULT_SEED = 0xF4A317
 
-BRIDGE_TARGETS = ("partition", "symmetric", "rookR", "rookRprime", "jones", "brauer")
-
 EXPECT_FAIL = "expect-fail:"
 
 
@@ -360,6 +358,8 @@ _BRIDGE_FAMILY = {
     "jones": ("jdn", _jones_identities),
     "brauer": ("brdn", _brauer_identities),
 }
+
+BRIDGE_TARGETS = tuple(_BRIDGE_FAMILY)
 
 
 def suite_bridges(target: str, d_values: Sequence[int] = (2, 3, 4),

@@ -1,10 +1,13 @@
 """Core diagram model: construction, composition, loops, beads, ties."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from framoid.diagrams import (
     MATCHING,
+    PARTITION,
     PERMUTATION,
     PLANAR,
     BeadedDiagram,
@@ -21,6 +24,7 @@ from framoid.diagrams import (
     _PLANS,
     _shape,
     _tag_join,
+    render_symbol,
     render_word,
 )
 from framoid.monoids import _CLOSURES, closure, default_grid, family, generating_set
@@ -76,6 +80,39 @@ class TestGenerators:
             generator(GenSymbol("e", 2, 2), 3, 1)
         with pytest.raises(ValueError):
             generator(GenSymbol("o", 0), 3, 2)
+
+
+# one sha256 over every generator call below, one line per call, pinned when
+# each tied kind still had its own tie branch in generator
+GENERATOR_PIN = "595f15e7593f7c4029cfa9adddd23681951783d11b6297a579dae432082a0815"
+
+
+def _generator_cases():
+    for kind in "tsorpefqw":
+        for n in range(1, 7):
+            for d in range(1, 4):
+                idx = range(n + 2)
+                pairs = ([(i, j) for i in idx for j in idx] if kind == "e"
+                         else [(i, 0) for i in idx])
+                for i, j in pairs:
+                    for tied in (None, True, False):
+                        for tag in (None, PARTITION):
+                            yield GenSymbol(kind, i, j), n, d, tied, tag
+
+
+def test_every_generator_diagram_is_pinned():
+    lines = []
+    for sym, n, d, tied, tag in _generator_cases():
+        head = f"{render_symbol(sym)}|{n}|{d}|{tied}|{tag}|"
+        try:
+            x = generator(sym, n, d, tied, tag)
+        except Exception as exc:
+            lines.append(head + f"{type(exc).__name__}:{exc}")
+        else:
+            lines.append(head + f"{x.encode()}|{x.family_tag}")
+    assert len(lines) == 8334
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GENERATOR_PIN
 
 
 class TestCompose:

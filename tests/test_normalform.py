@@ -214,6 +214,28 @@ class TestRookNF:
         assert len(words) == predicted_cardinality(fam)
 
 
+class TestRefusals:
+    """A normal form raises for a diagram it cannot represent instead of
+    returning a word for some other element."""
+
+    @pytest.mark.parametrize("name,nf", [
+        ("tjn", jones_nf),
+        ("tbrn", brauer_nf),
+        ("trprimen", lambda x: rook_nf(x, "prime")),
+        ("trn", lambda x: rook_nf(x, "first")),
+    ], ids=["tjn", "tbrn", "trprimen", "trn"])
+    def test_tied_diagrams_are_refused(self, name, nf):
+        for x in closure(family(name, 3)):
+            with pytest.raises(ValueError, match="untied"):
+                nf(x)
+
+    @pytest.mark.parametrize("variant", ["first", "prime"])
+    def test_rook_refuses_blocks_of_three_points(self, variant):
+        x = BeadedDiagram(2, 1, [(1, 2, 3), (4,)], None, "partition")
+        with pytest.raises(ValueError, match="more than two points"):
+            rook_nf(x, variant)
+
+
 class TestPermutationWord:
     def test_worked_examples(self):
         assert permutation_word((1, 3, 4, 2, 5)) == (3, 2)

@@ -1,9 +1,18 @@
-"""The README's documented examples run as written."""
+"""The README's documented examples run as written, and its family table and
+word grammar match the code."""
 
 import re
 from pathlib import Path
 
+from framoid.diagrams import _KINDS, parse_word
+from framoid.monoids import FAMILIES
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _section(heading):
+    text = README.read_text(encoding="utf-8")
+    return text[text.index(heading) + len(heading):].lstrip("\n")
 
 
 def test_library_tour_runs():
@@ -11,3 +20,17 @@ def test_library_tour_runs():
     tour = text[text.index("## Library tour"):]
     block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
     exec(compile(block, f"{README}:Library tour", "exec"), {})
+
+
+def test_families_table_matches_registry():
+    table = _section("## Families").split("\n\n")[0].splitlines()
+    keys = [line.strip("|").split("|")[0].strip(" `") for line in table[2:]]
+    assert tuple(keys) == tuple(FAMILIES)
+
+
+def test_word_grammar_names_every_kind():
+    paragraph = _section("## Word grammar and encodings").split("\n\n")[0]
+    tokens = re.findall(r"`([^`]+)`", paragraph)
+    kinds = [sym.kind for token in tokens for sym in parse_word(token)]
+    assert len(kinds) == len(tokens)
+    assert set(kinds) == set(_KINDS)
