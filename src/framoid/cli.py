@@ -14,8 +14,14 @@ import logging
 import os
 import sys
 
-from .diagrams import CapExceeded, parse_word
-from .monoids import FAMILY_NAMES, closure, family, predicted_cardinality
+from .diagrams import CapExceeded, parse_word, render_symbol
+from .monoids import (
+    FAMILY_NAMES,
+    closure,
+    family,
+    generating_symbols,
+    predicted_cardinality,
+)
 from .normalform import evaluate_word
 from .verify import (
     BRIDGE_TARGETS,
@@ -36,15 +42,25 @@ _LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
 
 def _n_range(text: str) -> list[int]:
     """The strand counts of an ``--n`` value: ``n`` or a range ``a..b``."""
-    lo, _, hi = text.partition("..")
+    lo, sep, hi = text.partition("..")
     try:
-        values = list(range(int(lo), int(hi or lo) + 1))
+        values = list(range(int(lo), int(hi if sep else lo) + 1))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a strand count or a range a..b: {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError(f"empty range: {text!r}")
     return values
+
+
+def _cap(text: str) -> int:
+    """An element cap: a non-negative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
 
 
 def _bool_text(flag: bool) -> str:
@@ -88,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--n", type=_n_range, required=True,
                            help="strand count, or a range a..b")
-            p.add_argument("--cap", type=int, default=1_000_000)
+            p.add_argument("--cap", type=_cap, default=1_000_000)
         if formats:
             p.add_argument("--format", choices=formats, default="json")
 
@@ -110,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n", type=int, default=argparse.SUPPRESS)
     pv.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                     help=f"default 0x{DEFAULT_SEED:X}")
-    pv.add_argument("--cap", type=int, default=argparse.SUPPRESS)
+    pv.add_argument("--cap", type=_cap, default=argparse.SUPPRESS)
     return parser
 
 
@@ -148,9 +164,21 @@ def _cmd_counts(args, out) -> int:
     return 0 if all(match for *_, match in rows) else 1
 
 
-def _cmd_eval_word(args, out) -> int:
+def _family_word(args):
+    """The family and the parsed word of ``--word``, which may use only the
+    family's generators (a bead generator with any exponent)."""
     fam = family(args.family, args.n, args.d)
-    diag, record = evaluate_word(parse_word(args.word), fam)
+    word = parse_word(args.word)
+    allowed = set(generating_symbols(fam))
+    for sym in word:
+        if sym._replace(exp=1) not in allowed:
+            raise ValueError(f"{render_symbol(sym)} is not a generator of {fam}")
+    return fam, word
+
+
+def _cmd_eval_word(args, out) -> int:
+    fam, word = _family_word(args)
+    diag, record = evaluate_word(word, fam)
     loops = {str(p): m for p, m in record.counts}
     if args.format == "text":
         out.write(f"diagram: {diag.encode()}\nloops: {loops}\n")
@@ -161,11 +189,11 @@ def _cmd_eval_word(args, out) -> int:
 
 
 def _cmd_normal_form(args, out) -> int:
-    fam = family(args.family, args.n, args.d)
+    fam, word = _family_word(args)
     if fam.spec.normal_form is None:
         log.error("no normal form for family %s", fam.name)
         return 2
-    diag, _ = evaluate_word(parse_word(args.word), fam)
+    diag, _ = evaluate_word(word, fam)
     out.write(fam.spec.normal_form(diag).text() + "\n")
     return 0
 

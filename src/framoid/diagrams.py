@@ -342,16 +342,6 @@ class BeadedDiagram:
             text += f";ties=[{tie_txt}]"
         return text
 
-    def block_of(self, p: int) -> int:
-        if not 1 <= p <= 2 * self.n:
-            raise ValueError(f"no block contains point {p}")
-        return self.lab[p - 1]
-
-    def reframed(self, d: int) -> "BeadedDiagram":
-        """The same diagram with framing modulus d (beads reduced mod d)."""
-        return BeadedDiagram(self.n, d, beads=self.beads, family_tag=self.family_tag,
-                             ties=self.ties, lab=self.lab)
-
 
 def erase_beads(x: BeadedDiagram) -> BeadedDiagram:
     """Set every bead to zero (diagram shadow of killing the framings)."""

@@ -1,11 +1,13 @@
 """Monoid families: generators, closure enumeration, counting, presentations.
 
 Each of the sixteen families of beaded/tied diagram monoids is one
-:class:`FamilySpec` entry in ``FAMILIES``: its display name, whether its
-elements carry ties, its structural tag, whether broken arcs shed beads and
-ties on composition (the rook-style singleton policy), its generator kinds,
-its count formula, the relation schemas of its presentation and its normal
-form.  ``closure`` enumerates a family breadth-first from its generators;
+:class:`FamilySpec` entry in ``FAMILIES``: its display name, its structural
+tag, whether broken arcs shed beads and ties on composition (the rook-style
+singleton policy), its generator kinds, its count formula, the relation
+schemas of its presentation and its normal form.  Whether its elements carry
+ties and whether it is framed follow from its generator kinds, and the
+relation schemas are built over the generators that ``kind_symbols`` lists.
+``closure`` enumerates a family breadth-first from its generators;
 ``predicted_cardinality`` gives the exact count by formula;
 ``check_relations`` instantiates every defining relation of the family's
 presentation and compares both sides as diagrams.
@@ -16,9 +18,10 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional
 
 from .diagrams import (
@@ -28,6 +31,7 @@ from .diagrams import (
     BeadedDiagram,
     CapExceeded,
     GenSymbol,
+    _KINDS,
     compose,
     generator,
     identity,
@@ -104,10 +108,6 @@ class RelationSchema:
     instances: Callable[[int, int], Iterable[Instance]]
 
 
-def T(i):
-    return GenSymbol("t", i)
-
-
 def S(i):
     return GenSymbol("s", i)
 
@@ -128,10 +128,6 @@ def E(i, j=None):
     return GenSymbol("e", i, i + 1 if j is None else j)
 
 
-def F(i):
-    return GenSymbol("f", i)
-
-
 def Q(i):
     return GenSymbol("q", i)
 
@@ -145,78 +141,102 @@ def _swap(i, j):
     return j
 
 
+# conditions on the indices i, j of two generators
+def _near(i, j):
+    return abs(i - j) == 1
+
+
+def _far(i, j):
+    return abs(i - j) > 1
+
+
+def _pairs(x, y, n, cond=None):
+    """The pairs of generators of kinds x and y on n strands whose indices
+    meet ``cond``."""
+    xs, ys = kind_symbols(x, n), kind_symbols(y, n)
+    return [(a, b) for a in xs for b in ys if cond is None or cond(a.i, b.i)]
+
+
+# shape builders: a schema of one shape over every pair of generators of the
+# kinds x and y (with indices meeting cond), in the order of kind_symbols
+
+def _commute(name, display, x, y, cond=None):
+    """x y = y x; a pair of generators of one kind is listed once."""
+    def instances(d, n):
+        pairs = itertools.combinations(kind_symbols(x, n), 2) if x == y else _pairs(x, y, n)
+        return (((a, b), (b, a)) for a, b in pairs if cond is None or cond(a.i, b.i))
+    return RelationSchema(name, display, instances)
+
+
+def _idempotent(name, display, x):
+    """x x = x."""
+    return RelationSchema(name, display, lambda d, n: (
+        ((a, a), (a,)) for a in kind_symbols(x, n)))
+
+
+def _absorb(name, display, x, y, cond=None):
+    """x y = y x = x."""
+    return RelationSchema(name, display, lambda d, n: (
+        ((a, b), (b, a), (a,)) for a, b in _pairs(x, y, n, cond)))
+
+
+def _sandwich(name, display, x, y, cond=None):
+    """x y x = x."""
+    return RelationSchema(name, display, lambda d, n: (
+        ((a, b, a), (a,)) for a, b in _pairs(x, y, n, cond)))
+
+
 _COXETER = (
     RelationSchema("cross-involution", "s_i s_i = 1", lambda d, n: (
-        ((S(i), S(i)), ()) for i in range(1, n))),
-    RelationSchema("cross-commute", "s_i s_j = s_j s_i, |i-j| > 1", lambda d, n: (
-        ((S(i), S(j)), (S(j), S(i)))
-        for i in range(1, n) for j in range(i + 2, n))),
+        ((s, s), ()) for s in kind_symbols("s", n))),
+    _commute("cross-commute", "s_i s_j = s_j s_i, |i-j| > 1", "s", "s", _far),
     RelationSchema("cross-braid", "s_i s_j s_i = s_j s_i s_j, |i-j| = 1", lambda d, n: (
-        ((S(i), S(i + 1), S(i)), (S(i + 1), S(i), S(i + 1)))
-        for i in range(1, n - 1))),
+        ((a, b, a), (b, a, b)) for a, b in itertools.pairwise(kind_symbols("s", n)))),
 )
 
 
 _BEADS = (
     RelationSchema("bead-order", "o_i^d = 1", lambda d, n: (
-        ((O(i, d),), ()) for i in range(1, n + 1))),
-    RelationSchema("bead-commute", "o_i o_j = o_j o_i", lambda d, n: (
-        ((O(i), O(j)), (O(j), O(i)))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+        ((o._replace(exp=d),), ()) for o in kind_symbols("o", n))),
+    _commute("bead-commute", "o_i o_j = o_j o_i", "o", "o"),
 )
 
 
 _BEAD_CROSS = (
     RelationSchema("bead-cross", "o_j s_i = s_i o_{s_i(j)}", lambda d, n: (
-        ((O(j), S(i)), (S(i), O(_swap(i, j))))
-        for i in range(1, n) for j in range(1, n + 1))),
+        ((o, s), (s, O(_swap(s.i, o.i)))) for s, o in _pairs("s", "o", n))),
 )
 
 
 _TANGLES = (
-    RelationSchema("tangle-idempotent", "t_i t_i = t_i", lambda d, n: (
-        ((T(i), T(i)), (T(i),)) for i in range(1, n))),
-    RelationSchema("tangle-commute", "t_i t_j = t_j t_i, |i-j| > 1", lambda d, n: (
-        ((T(i), T(j)), (T(j), T(i)))
-        for i in range(1, n) for j in range(i + 2, n))),
-    RelationSchema("tangle-sandwich", "t_i t_j t_i = t_i, |i-j| = 1", lambda d, n: (
-        ((T(i), T(j), T(i)), (T(i),))
-        for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+    _idempotent("tangle-idempotent", "t_i t_i = t_i", "t"),
+    _commute("tangle-commute", "t_i t_j = t_j t_i, |i-j| > 1", "t", "t", _far),
+    _sandwich("tangle-sandwich", "t_i t_j t_i = t_i, |i-j| = 1", "t", "t", _near),
 )
 
 
 _TANGLE_BEADS = (
     RelationSchema("bead-slide", "t_i o_i = t_i o_{i+1} and o_i t_i = o_{i+1} t_i",
-                   lambda d, n: (inst for i in range(1, n) for inst in (
-                       ((T(i), O(i)), (T(i), O(i + 1))),
-                       ((O(i), T(i)), (O(i + 1), T(i))),
+                   lambda d, n: (inst for t in kind_symbols("t", n) for inst in (
+                       ((t, O(t.i)), (t, O(t.i + 1))),
+                       ((O(t.i), t), (O(t.i + 1), t)),
                    ))),
-    RelationSchema("bead-tangle-commute", "o_i t_j = t_j o_i, i != j, j+1",
-                   lambda d, n: (
-                       ((O(i), T(j)), (T(j), O(i)))
-                       for j in range(1, n) for i in range(1, n + 1)
-                       if i not in (j, j + 1))),
+    _commute("bead-tangle-commute", "o_i t_j = t_j o_i, i != j, j+1", "o", "t",
+             lambda i, j: i - j not in (0, 1)),
     RelationSchema("tangle-loop-absorb", "t_i o_i^k t_i = t_i", lambda d, n: (
-        ((T(i), O(i, k), T(i)), (T(i),))
-        for i in range(1, n) for k in range(d))),
+        ((t, O(t.i, k), t), (t,)) for t in kind_symbols("t", n) for k in range(d))),
 )
 
 
 _BRAUER_MIXED = (
-    RelationSchema("cross-tangle-absorb", "t_i s_i = s_i t_i = t_i", lambda d, n: (
-        ((T(i), S(i)), (S(i), T(i)), (T(i),)) for i in range(1, n))),
-    RelationSchema("cross-tangle-commute", "t_i s_j = s_j t_i, |i-j| > 1",
-                   lambda d, n: (
-                       inst for i in range(1, n) for j in range(1, n) if abs(i - j) > 1
-                       for inst in (((T(i), S(j)), (S(j), T(i))),))),
+    _absorb("cross-tangle-absorb", "t_i s_i = s_i t_i = t_i", "t", "s", operator.eq),
+    _commute("cross-tangle-commute", "t_i s_j = s_j t_i, |i-j| > 1", "t", "s", _far),
     RelationSchema("cross-tangle-slide", "s_i t_j t_i = s_j t_i, |i-j| = 1",
-                   lambda d, n: (
-                       ((S(i), T(j), T(i)), (S(j), T(i)))
-                       for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+                   lambda d, n: (((S(ti.i), tj, ti), (S(tj.i), ti))
+                                 for ti, tj in _pairs("t", "t", n, _near))),
     RelationSchema("tangle-cross-slide", "t_i t_j s_i = t_i s_j, |i-j| = 1",
-                   lambda d, n: (
-                       ((T(i), T(j), S(i)), (T(i), S(j)))
-                       for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+                   lambda d, n: (((ti, tj, S(ti.i)), (ti, S(tj.i)))
+                                 for ti, tj in _pairs("t", "t", n, _near))),
 )
 
 
@@ -228,115 +248,80 @@ def _tie_triples(d, n):
 
 
 _PARTITION_TIES = (
-    RelationSchema("tie-idempotent", "e_{i,j} e_{i,j} = e_{i,j}", lambda d, n: (
-        ((E(i, j), E(i, j)), (E(i, j),))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
-    RelationSchema("tie-commute", "e_{i,j} e_{r,s} = e_{r,s} e_{i,j}", lambda d, n: (
-        ((E(i, j), E(r, s)), (E(r, s), E(i, j)))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1)
-        for r in range(1, n + 1) for s in range(r + 1, n + 1)
-        if (i, j) < (r, s))),
+    _idempotent("tie-idempotent", "e_{i,j} e_{i,j} = e_{i,j}", "e*"),
+    _commute("tie-commute", "e_{i,j} e_{r,s} = e_{r,s} e_{i,j}", "e*", "e*"),
     RelationSchema("tie-triple", "e_{i,j} e_{i,k} = e_{i,j} e_{j,k} = e_{i,k} e_{j,k}",
                    _tie_triples),
 )
 
 
 _PARTITION_BEADS = (
-    RelationSchema("bead-tie-commute", "o_k e_{i,j} = e_{i,j} o_k", lambda d, n: (
-        ((O(k), E(i, j)), (E(i, j), O(k)))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1)
-        for k in range(1, n + 1))),
+    _commute("bead-tie-commute", "o_k e_{i,j} = e_{i,j} o_k", "o", "e*"),
     RelationSchema("bead-tie-hop", "o_i e_{i,j} = o_j e_{i,j}", lambda d, n: (
-        ((O(i), E(i, j)), (O(j), E(i, j)))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
+        ((O(e.i), e), (O(e.j), e)) for e in kind_symbols("e*", n))),
 )
 
 
 # relations shared by the rook families with and without ties
-_ROOK_IDEMPOTENT = RelationSchema("rook-idempotent", "r_i r_i = r_i", lambda d, n: (
-    ((R(i), R(i)), (R(i),)) for i in range(1, n + 1)))
-_ROOK_COMMUTE = RelationSchema("rook-commute", "r_i r_j = r_j r_i", lambda d, n: (
-    ((R(i), R(j)), (R(j), R(i)))
-    for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+_ROOK_IDEMPOTENT = _idempotent("rook-idempotent", "r_i r_i = r_i", "r")
+_ROOK_COMMUTE = _commute("rook-commute", "r_i r_j = r_j r_i", "r", "r")
 _ROOK_SANDWICH = RelationSchema(
     "rook-sandwich", "r_i s_i r_i = r_i r_{i+1}", lambda d, n: (
-        ((R(i), S(i), R(i)), (R(i), R(i + 1))) for i in range(1, n)))
-_BEAD_ROOK_COMMUTE = RelationSchema(
-    "bead-rook-commute", "r_i o_j = o_j r_i, i != j", lambda d, n: (
-        ((R(i), O(j)), (O(j), R(i)))
-        for i in range(1, n + 1) for j in range(1, n + 1) if i != j))
-_BEAD_PRODUCT_COMMUTE = RelationSchema(
-    "bead-product-commute", "p_i o_j = o_j p_i, j > i", lambda d, n: (
-        ((P(i), O(j)), (O(j), P(i)))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+        ((r, s, r), (r, R(r.i + 1))) for r, s in _pairs("r", "s", n, operator.eq)))
+_BEAD_ROOK_COMMUTE = _commute("bead-rook-commute", "r_i o_j = o_j r_i, i != j",
+                              "r", "o", operator.ne)
+_BEAD_PRODUCT_COMMUTE = _commute("bead-product-commute", "p_i o_j = o_j p_i, j > i",
+                                 "p", "o", operator.lt)
 
 
 _ROOK_R = (
     _ROOK_IDEMPOTENT,
     _ROOK_COMMUTE,
-    RelationSchema("rook-cross-commute", "r_j s_i = s_i r_j, j != i, i+1",
-                   lambda d, n: (
-                       ((R(j), S(i)), (S(i), R(j)))
-                       for i in range(1, n) for j in range(1, n + 1)
-                       if j not in (i, i + 1))),
+    _commute("rook-cross-commute", "r_j s_i = s_i r_j, j != i, i+1", "r", "s",
+             lambda j, i: j - i not in (0, 1)),
     RelationSchema("rook-cross-shift", "r_i s_i = s_i r_{i+1} and r_{i+1} s_i = s_i r_i",
-                   lambda d, n: (inst for i in range(1, n) for inst in (
-                       ((R(i), S(i)), (S(i), R(i + 1))),
-                       ((R(i + 1), S(i)), (S(i), R(i))),
+                   lambda d, n: (inst for s in kind_symbols("s", n) for inst in (
+                       ((R(s.i), s), (s, R(s.i + 1))),
+                       ((R(s.i + 1), s), (s, R(s.i))),
                    ))),
     _ROOK_SANDWICH,
 )
 
 
 _ROOK_P = (
-    RelationSchema("product-idempotent", "p_i p_i = p_i", lambda d, n: (
-        ((P(i), P(i)), (P(i),)) for i in range(1, n + 1))),
-    RelationSchema("product-commute", "p_i p_j = p_j p_i", lambda d, n: (
-        ((P(i), P(j)), (P(j), P(i)))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
-    RelationSchema("product-cross-commute", "p_i s_j = s_j p_i, j > i", lambda d, n: (
-        ((P(i), S(j)), (S(j), P(i)))
-        for i in range(1, n + 1) for j in range(i + 1, n))),
+    _idempotent("product-idempotent", "p_i p_i = p_i", "p"),
+    _commute("product-commute", "p_i p_j = p_j p_i", "p", "p"),
+    _commute("product-cross-commute", "p_i s_j = s_j p_i, j > i", "p", "s", operator.lt),
     RelationSchema("product-cross-absorb", "p_i s_j = p_i, j < i", lambda d, n: (
-        ((P(i), S(j)), (P(i),))
-        for i in range(1, n + 1) for j in range(1, min(i, n)))),
+        ((p, s), (p,)) for p, s in _pairs("p", "s", n, operator.gt))),
     RelationSchema("product-step", "p_i s_i p_i = p_{i+1}", lambda d, n: (
-        ((P(i), S(i), P(i)), (P(i + 1),)) for i in range(1, n))),
+        ((p, s, p), (P(p.i + 1),)) for p, s in _pairs("p", "s", n, operator.eq))),
 )
 
 
 _ROOK_BEADS_FIRST = (
     _BEAD_ROOK_COMMUTE,
-    RelationSchema("bead-rook-absorb", "r_i o_i = o_i r_i = r_i", lambda d, n: (
-        ((R(i), O(i)), (O(i), R(i)), (R(i),)) for i in range(1, n + 1))),
+    _absorb("bead-rook-absorb", "r_i o_i = o_i r_i = r_i", "r", "o", operator.eq),
     _BEAD_PRODUCT_COMMUTE,
-    RelationSchema("bead-product-absorb", "p_i o_j = o_j p_i = p_i, j <= i",
-                   lambda d, n: (
-                       ((P(i), O(j)), (O(j), P(i)), (P(i),))
-                       for i in range(1, n + 1) for j in range(1, i + 1))),
+    _absorb("bead-product-absorb", "p_i o_j = o_j p_i = p_i, j <= i", "p", "o",
+            operator.ge),
 )
-
-
-def _rook_loop_sandwich(d, n):
-    for i in range(1, n + 1):
-        for k in range(d):
-            yield ((R(i), O(i, k), R(i)), (R(i),))
 
 
 def _product_bead_sandwich(d, n):
     # p_i o_1^{m_1} .. o_i^{m_i} p_j = p_j o^m p_i = p_j for i <= j
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for ms in itertools.product(range(d), repeat=i):
-                beads = tuple(O(a + 1, m) for a, m in enumerate(ms) if m)
-                yield ((P(i),) + beads + (P(j),),
-                       (P(j),) + beads + (P(i),),
-                       (P(j),))
+    ps, os = kind_symbols("p", n), kind_symbols("o", n)
+    for a, pi in enumerate(ps):
+        for pj in ps[a:]:
+            for ms in itertools.product(range(d), repeat=pi.i):
+                beads = tuple(o._replace(exp=m) for o, m in zip(os, ms) if m)
+                yield (pi,) + beads + (pj,), (pj,) + beads + (pi,), (pj,)
 
 
 _ROOK_BEADS_PRIME = (
     _BEAD_ROOK_COMMUTE,
-    RelationSchema("rook-loop-absorb", "r_i o_i^k r_i = r_i", _rook_loop_sandwich),
+    RelationSchema("rook-loop-absorb", "r_i o_i^k r_i = r_i", lambda d, n: (
+        ((r, O(r.i, k), r), (r,)) for r in kind_symbols("r", n) for k in range(d))),
     _BEAD_PRODUCT_COMMUTE,
     RelationSchema("product-bead-sandwich",
                    "p_i o_1^{m_1}..o_i^{m_i} p_j = p_j o^m p_i = p_j, i <= j",
@@ -344,80 +329,54 @@ _ROOK_BEADS_PRIME = (
 )
 
 
-_TIE_CROSS = (
-    RelationSchema("tie-idempotent", "e_i e_i = e_i", lambda d, n: (
-        ((E(i), E(i)), (E(i),)) for i in range(1, n))),
-    RelationSchema("tie-commute", "e_i e_j = e_j e_i", lambda d, n: (
-        ((E(i), E(j)), (E(j), E(i)))
-        for i in range(1, n) for j in range(i + 1, n))),
-    RelationSchema("tie-cross-commute", "s_i e_j = e_j s_i, |i-j| != 1", lambda d, n: (
-        ((S(i), E(j)), (E(j), S(i)))
-        for i in range(1, n) for j in range(1, n) if abs(i - j) != 1)),
+_TIES = (
+    _idempotent("tie-idempotent", "e_i e_i = e_i", "e"),
+    _commute("tie-commute", "e_i e_j = e_j e_i", "e", "e"),
+)
+
+
+_TIE_CROSS = _TIES + (
+    _commute("tie-cross-commute", "s_i e_j = e_j s_i, |i-j| != 1", "s", "e",
+             lambda i, j: not _near(i, j)),
     RelationSchema("tie-cross-slide", "e_i s_j s_i = s_j s_i e_j, |i-j| = 1",
-                   lambda d, n: (
-                       ((E(i), S(j), S(i)), (S(j), S(i), E(j)))
-                       for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+                   lambda d, n: (((E(si.i), sj, si), (sj, si, E(sj.i)))
+                                 for si, sj in _pairs("s", "s", n, _near))),
     RelationSchema("tie-cross-triple",
                    "e_i e_j s_i = e_j s_i e_j = s_i e_i e_j, |i-j| = 1",
-                   lambda d, n: (
-                       ((E(i), E(j), S(i)), (E(j), S(i), E(j)), (S(i), E(i), E(j)))
-                       for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+                   lambda d, n: (((ei, ej, S(ei.i)), (ej, S(ei.i), ej), (S(ei.i), ei, ej))
+                                 for ei, ej in _pairs("e", "e", n, _near))),
 )
 
 
 _TIED_JONES = (
-    RelationSchema("tiedtangle-idempotent", "f_i f_i = f_i", lambda d, n: (
-        ((F(i), F(i)), (F(i),)) for i in range(1, n))),
-    RelationSchema("tiedtangle-commute", "f_i f_j = f_j f_i, |i-j| > 1", lambda d, n: (
-        ((F(i), F(j)), (F(j), F(i)))
-        for i in range(1, n) for j in range(i + 2, n))),
-    RelationSchema("tie-tangle-absorb", "e_i t_i = t_i e_i = t_i", lambda d, n: (
-        ((E(i), T(i)), (T(i), E(i)), (T(i),)) for i in range(1, n))),
+    _idempotent("tiedtangle-idempotent", "f_i f_i = f_i", "f"),
+    _commute("tiedtangle-commute", "f_i f_j = f_j f_i, |i-j| > 1", "f", "f", _far),
+    _absorb("tie-tangle-absorb", "e_i t_i = t_i e_i = t_i", "t", "e", operator.eq),
     RelationSchema("tiedtangle-tie-absorb", "f_i e_i = f_i", lambda d, n: (
-        ((F(i), E(i)), (F(i),)) for i in range(1, n))),
-    RelationSchema("tie-tiedtangle-commute", "e_i f_j = f_j e_i", lambda d, n: (
-        ((E(i), F(j)), (F(j), E(i)))
-        for i in range(1, n) for j in range(1, n))),
-    RelationSchema("tangle-tiedtangle-absorb", "t_i f_i = f_i t_i = t_i", lambda d, n: (
-        ((T(i), F(i)), (F(i), T(i)), (T(i),)) for i in range(1, n))),
-    RelationSchema("tangle-tie-commute", "t_i e_j = e_j t_i, |i-j| > 1", lambda d, n: (
-        ((T(i), E(j)), (E(j), T(i)))
-        for i in range(1, n) for j in range(1, n) if abs(i - j) > 1)),
-    RelationSchema("tangle-tiedtangle-commute", "t_i f_j = f_j t_i, |i-j| > 1",
-                   lambda d, n: (
-                       ((T(i), F(j)), (F(j), T(i)))
-                       for i in range(1, n) for j in range(1, n) if abs(i - j) > 1)),
-    RelationSchema("tie-sandwich", "t_i e_j t_i = t_i, |i-j| = 1", lambda d, n: (
-        ((T(i), E(j), T(i)), (T(i),))
-        for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+        ((f, e), (f,)) for f, e in _pairs("f", "e", n, operator.eq))),
+    _commute("tie-tiedtangle-commute", "e_i f_j = f_j e_i", "e", "f"),
+    _absorb("tangle-tiedtangle-absorb", "t_i f_i = f_i t_i = t_i", "t", "f", operator.eq),
+    _commute("tangle-tie-commute", "t_i e_j = e_j t_i, |i-j| > 1", "t", "e", _far),
+    _commute("tangle-tiedtangle-commute", "t_i f_j = f_j t_i, |i-j| > 1", "t", "f", _far),
+    _sandwich("tie-sandwich", "t_i e_j t_i = t_i, |i-j| = 1", "t", "e", _near),
     RelationSchema("tiedtangle-hop", "f_i e_j = e_j t_i e_j, |i-j| = 1", lambda d, n: (
-        ((F(i), E(j)), (E(j), T(i), E(j)))
-        for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+        ((f, e), (e, f._replace(kind="t"), e)) for f, e in _pairs("f", "e", n, _near))),
 )
 
 
 _TIED_BRAUER = (
-    RelationSchema("tiedtangle-cross-commute", "f_i s_j = s_j f_i, |i-j| > 1",
-                   lambda d, n: (
-                       ((F(i), S(j)), (S(j), F(i)))
-                       for i in range(1, n) for j in range(1, n) if abs(i - j) > 1)),
-    RelationSchema("cross-tiedtangle-absorb", "f_i s_i = s_i f_i = f_i", lambda d, n: (
-        ((F(i), S(i)), (S(i), F(i)), (F(i),)) for i in range(1, n))),
+    _commute("tiedtangle-cross-commute", "f_i s_j = s_j f_i, |i-j| > 1", "f", "s", _far),
+    _absorb("cross-tiedtangle-absorb", "f_i s_i = s_i f_i = f_i", "f", "s", operator.eq),
     RelationSchema("tiedtangle-conjugate", "s_i f_j s_i = s_j f_i s_j, |i-j| = 1",
-                   lambda d, n: (
-                       ((S(i), F(j), S(i)), (S(j), F(i), S(j)))
-                       for i in range(1, n) for j in (i - 1, i + 1) if 1 <= j <= n - 1)),
+                   lambda d, n: (((S(fj.i), fi, S(fj.i)), (S(fi.i), fj, S(fi.i)))
+                                 for fi, fj in _pairs("f", "f", n, _near))),
 )
 
 
 _TIED_ROOK_FIRST = (
-    RelationSchema("tie-product-absorb", "e_i p_j = p_j e_i = p_j, i <= j",
-                   lambda d, n: (
-                       ((E(i), P(j)), (P(j), E(i)), (P(j),))
-                       for i in range(1, n) for j in range(i, n + 1))),
-    RelationSchema("tie-product-commute", "e_i p_j = p_j e_i, i > j", lambda d, n: (
-        ((E(i), P(j)), (P(j), E(i)))
-        for i in range(1, n) for j in range(1, i))),
+    _absorb("tie-product-absorb", "e_i p_j = p_j e_i = p_j, i <= j", "p", "e",
+            operator.ge),
+    _commute("tie-product-commute", "e_i p_j = p_j e_i, i > j", "e", "p", operator.gt),
 )
 
 
@@ -425,38 +384,26 @@ _TIED_ROOK_PRIME = (
     _ROOK_IDEMPOTENT,
     _ROOK_COMMUTE,
     RelationSchema("cross-rook-slide", "s_i r_j = r_{s_i(j)} s_i", lambda d, n: (
-        ((S(i), R(j)), (R(_swap(i, j)), S(i)))
-        for i in range(1, n) for j in range(1, n + 1))),
+        ((s, r), (R(_swap(s.i, r.i)), s)) for s, r in _pairs("s", "r", n))),
     _ROOK_SANDWICH,
-    RelationSchema("tiedrook-idempotent", "q_i q_i = q_i", lambda d, n: (
-        ((Q(i), Q(i)), (Q(i),)) for i in range(1, n + 1))),
-    RelationSchema("tiedrook-commute", "q_i q_j = q_j q_i", lambda d, n: (
-        ((Q(i), Q(j)), (Q(j), Q(i)))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1))),
-    RelationSchema("tiedrook-tie-commute", "q_i e_j = e_j q_i", lambda d, n: (
-        ((Q(i), E(j)), (E(j), Q(i)))
-        for i in range(1, n + 1) for j in range(1, n))),
+    _idempotent("tiedrook-idempotent", "q_i q_i = q_i", "q"),
+    _commute("tiedrook-commute", "q_i q_j = q_j q_i", "q", "q"),
+    _commute("tiedrook-tie-commute", "q_i e_j = e_j q_i", "q", "e"),
     RelationSchema("cross-tiedrook-slide", "s_i q_j = q_{s_i(j)} s_i", lambda d, n: (
-        ((S(i), Q(j)), (Q(_swap(i, j)), S(i)))
-        for i in range(1, n) for j in range(1, n + 1))),
+        ((s, q), (Q(_swap(s.i, q.i)), s)) for s, q in _pairs("s", "q", n))),
     RelationSchema("tie-rook-sandwich", "e_i r_j e_i = e_i q_j, j = i, i+1",
-                   lambda d, n: (
-                       ((E(i), R(j), E(i)), (E(i), Q(j)))
-                       for i in range(1, n) for j in (i, i + 1))),
-    RelationSchema("tie-rook-commute", "e_i r_j = r_j e_i, j != i, i+1", lambda d, n: (
-        ((E(i), R(j)), (R(j), E(i)))
-        for i in range(1, n) for j in range(1, n + 1) if j not in (i, i + 1))),
-    RelationSchema("rook-tiedrook-commute", "r_i q_j = q_j r_i", lambda d, n: (
-        ((R(i), Q(j)), (Q(j), R(i)))
-        for i in range(1, n + 1) for j in range(1, n + 1))),
+                   lambda d, n: (((e, r, e), (e, Q(r.i))) for e, r in _pairs(
+                       "e", "r", n, lambda i, j: j - i in (0, 1)))),
+    _commute("tie-rook-commute", "e_i r_j = r_j e_i, j != i, i+1", "e", "r",
+             lambda i, j: j - i not in (0, 1)),
+    _commute("rook-tiedrook-commute", "r_i q_j = q_j r_i", "r", "q"),
     RelationSchema("tiedrook-absorb", "q_i r_i = r_i", lambda d, n: (
-        ((Q(i), R(i)), (R(i),)) for i in range(1, n + 1))),
-    RelationSchema("rook-tie-collapse", "r_j e_i r_j = r_j, j = i, i+1", lambda d, n: (
-        ((R(j), E(i), R(j)), (R(j),))
-        for i in range(1, n) for j in (i, i + 1))),
+        ((q, r), (r,)) for q, r in _pairs("q", "r", n, operator.eq))),
+    _sandwich("rook-tie-collapse", "r_j e_i r_j = r_j, j = i, i+1", "r", "e",
+              lambda j, i: j - i in (0, 1)),
     RelationSchema("rook-tie-shift", "r_i e_i r_{i+1} = s_i q_i r_{i+1}", lambda d, n: (
-        ((R(i), E(i), R(i + 1)), (S(i), Q(i), R(i + 1)))
-        for i in range(1, n))),
+        ((R(s.i), E(s.i), R(s.i + 1)), (s, Q(s.i), R(s.i + 1)))
+        for s in kind_symbols("s", n))),
 )
 
 
@@ -467,10 +414,8 @@ class FamilySpec:
     """Everything framoid knows about one family, for every (d, n)."""
 
     display: str
-    tied: bool
     tag: str
     drop_rook: bool                           # broken arcs shed beads and ties
-    framed: bool                              # admits d > 1
     generators: tuple[str, ...]               # generator kinds, see kind_symbols
     count: Callable[[int, int], int]          # (d, n) -> element count
     schemas: tuple[RelationSchema, ...]       # the presentation, in report order
@@ -479,69 +424,79 @@ class FamilySpec:
     normal_form: Optional[Callable[[BeadedDiagram], NormalFormWord]] = None
     associative: bool = True
 
+    @cached_property
+    def tied(self) -> bool:
+        """Whether the elements carry ties: some generator kind ties."""
+        return any(_KINDS[kind[0]].unties is not None for kind in self.generators)
+
+    @cached_property
+    def framed(self) -> bool:
+        """Whether the family admits d > 1: it has bead generators."""
+        return "o" in self.generators
+
 
 FAMILIES: dict[str, FamilySpec] = {
     "cdn": FamilySpec(
-        "C_d^n", False, PERMUTATION, False, True, ("o",),
+        "C_d^n", PERMUTATION, False, ("o",),
         lambda d, n: d ** n,
         _BEADS),
     "sdn": FamilySpec(
-        "S_{d,n}", False, PERMUTATION, False, True, ("s", "o"),
+        "S_{d,n}", PERMUTATION, False, ("s", "o"),
         lambda d, n: d ** n * math.factorial(n),
         _BEADS + _COXETER + _BEAD_CROSS),
     "pn": FamilySpec(
-        "P_n", True, PERMUTATION, False, False, ("e*",),
+        "P_n", PERMUTATION, False, ("e*",),
         lambda d, n: bell(n),
         _PARTITION_TIES),
     "pdn": FamilySpec(
-        "P_{d,n}", True, PERMUTATION, False, True, ("e*", "o"),
+        "P_{d,n}", PERMUTATION, False, ("e*", "o"),
         lambda d, n: sum(stirling2(n, k) * d ** k for k in range(1, n + 1)),
         _PARTITION_TIES + _BEADS + _PARTITION_BEADS),
     "jn": FamilySpec(
-        "J_n", False, PLANAR, False, False, ("t",),
+        "J_n", PLANAR, False, ("t",),
         lambda d, n: catalan(n),
         _TANGLES,
         lambda x: jones_nf(x)),
     "jdn": FamilySpec(
-        "J_{d,n}", False, PLANAR, False, True, ("t", "o"),
+        "J_{d,n}", PLANAR, False, ("t", "o"),
         lambda d, n: d ** n * catalan(n),
         _TANGLES + _BEADS + _TANGLE_BEADS,
         lambda x: jones_nf(x)),
     "brn": FamilySpec(
-        "Br_n", False, MATCHING, False, False, ("s", "t"),
+        "Br_n", MATCHING, False, ("s", "t"),
         lambda d, n: odd_double_factorial(n),
         _TANGLES + _COXETER + _BRAUER_MIXED,
         lambda x: brauer_nf(x)),
     "brdn": FamilySpec(
-        "Br_{d,n}", False, MATCHING, False, True, ("s", "t", "o"),
+        "Br_{d,n}", MATCHING, False, ("s", "t", "o"),
         lambda d, n: d ** n * odd_double_factorial(n),
         _TANGLES + _COXETER + _BRAUER_MIXED + _BEADS + _TANGLE_BEADS + _BEAD_CROSS,
         lambda x: brauer_nf(x)),
     "rn": FamilySpec(
-        "R_n", False, MATCHING, False, False, ("s", "r"),
+        "R_n", MATCHING, False, ("s", "r"),
         lambda d, n: _rook_sum(n, lambda k: 1),
         _COXETER + _ROOK_R + _ROOK_P,
         lambda x: rook_nf(x, "first")),
     "rdn": FamilySpec(
-        "R_{d,n}", False, MATCHING, True, True, ("s", "r", "o"),
+        "R_{d,n}", MATCHING, True, ("s", "r", "o"),
         lambda d, n: _rook_sum(n, lambda k: d ** k),
         _COXETER + _ROOK_R + _ROOK_P + _BEADS + _BEAD_CROSS + _ROOK_BEADS_FIRST,
         lambda x: rook_nf(x, "first")),
     "rprimedn": FamilySpec(
-        "R'_{d,n}", False, MATCHING, False, True, ("s", "r", "o"),
+        "R'_{d,n}", MATCHING, False, ("s", "r", "o"),
         lambda d, n: _rook_sum(n, lambda k: d ** (2 * n - k)),
         _COXETER + _ROOK_R + _ROOK_P + _BEADS + _BEAD_CROSS + _ROOK_BEADS_PRIME,
         lambda x: rook_nf(x, "prime")),
     "tsn": FamilySpec(
-        "tS_n", True, PERMUTATION, False, False, ("s", "e"),
+        "tS_n", PERMUTATION, False, ("s", "e"),
         lambda d, n: math.factorial(n) * bell(n),
         _COXETER + _TIE_CROSS),
     "tjn": FamilySpec(
-        "tJ_n", True, PLANAR, False, False, ("t", "e", "f"),
+        "tJ_n", PLANAR, False, ("t", "e", "f"),
         lambda d, n: fuss_catalan_41(n),
-        _TANGLES + _TIE_CROSS[:2] + _TIED_JONES),
+        _TANGLES + _TIES + _TIED_JONES),
     "tbrn": FamilySpec(
-        "tBr_n", True, MATCHING, False, False, ("s", "t", "e", "f"),
+        "tBr_n", MATCHING, False, ("s", "t", "e", "f"),
         lambda d, n: odd_double_factorial(n) * bell(n),
         _TANGLES + _COXETER + _BRAUER_MIXED + _TIE_CROSS + _TIED_JONES + _TIED_BRAUER),
     # ties here shed at free points; only the literal defining relations are
@@ -549,12 +504,12 @@ FAMILIES: dict[str, FamilySpec] = {
     # absorb every tie, collapsing the k!*Bell(k) count).  No product on this
     # element set associates: see test_tie_shedding_composition_is_not_associative
     "trn": FamilySpec(
-        "tR_n", True, MATCHING, True, False, ("s", "p", "e"),
+        "tR_n", MATCHING, True, ("s", "p", "e"),
         lambda d, n: _rook_sum(n, bell),
-        _COXETER + _ROOK_P + _TIE_CROSS[:2] + _TIED_ROOK_FIRST,
+        _COXETER + _ROOK_P + _TIES + _TIED_ROOK_FIRST,
         associative=False),
     "trprimen": FamilySpec(
-        "tR'_n", True, MATCHING, False, False, ("s", "r", "e", "q"),
+        "tR'_n", MATCHING, False, ("s", "r", "e", "q"),
         lambda d, n: _rook_sum(n, lambda k: bell(2 * n - k)),
         _COXETER + _TIE_CROSS + _TIED_ROOK_PRIME),
 }

@@ -97,19 +97,6 @@ def gaps(x: BeadedDiagram) -> GapSet:
     return frozenset(i for i in range(1, n + 1) if lab[i - 1] == lab[n + i - 1])
 
 
-def gaps_from_word(x: BeadedDiagram) -> GapSet:
-    """Gap criterion read off the staircase normal form: g is a gap iff
-    neither g nor g-1 occurs as a tangle index."""
-    if x.family_tag != "planar-matching":
-        raise NotPlanar("gaps are defined for planar matchings")
-    pairs = _staircase_pairs(_classify(x))
-    used = set()
-    for i, j in pairs:
-        used.update(range(j, i + 1))
-    return frozenset(g for g in range(1, x.n + 1)
-                     if g not in used and g - 1 not in used)
-
-
 # -- permutation words ---------------------------------------------------------
 
 def permutation_word(images: Sequence[int]) -> tuple[int, ...]:
@@ -145,10 +132,6 @@ class JonesWord:
     top_beads: tuple[tuple[int, int], ...]     # (anchor, exponent), descending
     tangle_runs: tuple[tuple[int, int], ...]   # (i, j): run t_i t_{i-1} .. t_j
     bottom_beads: tuple[tuple[int, int], ...]  # (anchor, exponent), ascending
-
-    @property
-    def tangle_count(self) -> int:
-        return sum(i - j + 1 for i, j in self.tangle_runs)
 
     def tokens(self) -> tuple[GenSymbol, ...]:
         syms = [GenSymbol("o", g, 0, q) for g, q in self.gap_beads if q]

@@ -174,12 +174,39 @@ def test_normal_form_exits_by_family(capsys, name):
     ("verify", "--suite", "tied", "--n", "2..3"),
     ("enumerate", "--family", "jn", "--n", "3..1"),
     ("cardinality-table", "--family", "jn", "--n", "2..x"),
+    ("enumerate", "--family", "jn", "--n", "3.."),
 ])
 def test_bad_strand_count_names_the_flag(capsys, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --n" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--family", "jn", "--n", "3", "--cap", "-1"),
+    ("verify", "--suite", "cardinalities", "--cap", "-1"),
+])
+def test_negative_cap_names_the_flag(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --cap" in captured.err
+
+
+@pytest.mark.parametrize("command", ["eval-word", "normal-form"])
+@pytest.mark.parametrize("name, d, token", [
+    ("cdn", 2, "s1"),
+    ("rdn", 2, "t1"),
+    ("pn", 1, "s1"),
+    ("brdn", 2, "r1"),
+    ("tjn", 1, "e1,3"),
+])
+def test_word_outside_the_family_exits_two(capsys, caplog, command, name, d, token):
+    argv = [command, "--family", name, "--d", str(d), "--n", "3", "--word", token]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert f"{token} is not a generator of {family(name, 3, d)}" in caplog.text
 
 
 def test_debug_log_reports_closure_levels():

@@ -31,6 +31,11 @@ from framoid.monoids import _CLOSURES, closure, default_grid, family, generating
 from framoid.normalform import evaluate_word
 
 
+def block_of(x, p):
+    """The index of the block holding point p, read off the blocks."""
+    return next(b for b, blk in enumerate(x.blocks) if p in blk)
+
+
 class TestIdentity:
     def test_neutral_in_tangle_family(self):
         fam = family("jdn", 3, 2)
@@ -213,7 +218,7 @@ class TestCanonical:
             assert again.blocks == x.blocks and again.encode() == x.encode()
         assert tied.lab == (0, 1, 2, 1, 2, 0)
         assert tied.blocks == ((1, 6), (2, 4), (3, 5))
-        assert [tied.block_of(p) for p in range(1, 7)] == list(tied.lab)
+        assert [block_of(tied, p) for p in range(1, 7)] == list(tied.lab)
 
     @pytest.mark.parametrize("lab", [
         (1, 0, 0, 1),        # labels not in order of the least point

@@ -1,11 +1,13 @@
 """Families: generators, closure counts, counting formulas, presentations."""
 
+import hashlib
 import re
 
 import pytest
 
-from framoid.diagrams import CapExceeded, GenSymbol, generator, render_word
+from framoid.diagrams import BeadedDiagram, CapExceeded, GenSymbol, generator, render_word
 from framoid.monoids import (
+    FAMILIES,
     FAMILY_NAMES,
     RelationSchema,
     bell,
@@ -177,12 +179,18 @@ def test_closure_order_independent_of_generator_order():
     assert seen == els
 
 
+def reframed(x, d):
+    """The same diagram with framing modulus d (beads reduced mod d)."""
+    return BeadedDiagram(x.n, d, beads=x.beads, family_tag=x.family_tag,
+                         ties=x.ties, lab=x.lab)
+
+
 @pytest.mark.parametrize("sub,sup,d", [
     ("jn", "jdn", 3), ("brn", "brdn", 2), ("rn", "rdn", 2), ("rn", "rprimedn", 2),
 ])
 def test_unframed_family_embeds(sub, sup, d):
     n = 3
-    small = {x.reframed(d) for x in closure(family(sub, n))}
+    small = {reframed(x, d) for x in closure(family(sub, n))}
     big = set(closure(family(sup, n, d)))
     assert small <= big
 
@@ -236,6 +244,28 @@ def test_negative_control_mutated_relation():
     assert any("broken-absorb" in w for w in witnesses)
     # the genuine schemas still hold
     assert all(not e.failures for e in report.entries if e.name != "broken-absorb")
+
+
+# one sha256 over the relation schemas of every family, one line per schema
+# and (d, n), pinned when each schema still wrote out its own index ranges
+SCHEMA_PIN = "66df9d9822d064398c6f21b20b175a9114f6a516bcfc52128517135081770725"
+
+
+def test_every_relation_schema_is_pinned():
+    """Each schema's name, display and multiset of instances, an instance
+    taken as the set of its words, over n <= 6 and d <= 3 where framed."""
+    lines = []
+    for name, spec in FAMILIES.items():
+        for n in range(1, 7):
+            for d in ((1, 2, 3) if spec.framed else (1,)):
+                for schema in spec.schemas:
+                    instances = sorted(sorted(map(render_word, frozenset(inst)))
+                                       for inst in schema.instances(d, n))
+                    lines.append(f"{name}|{n}|{d}|{schema.name}|{schema.display}"
+                                 f"|{instances}")
+    assert len(lines) == 2106
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SCHEMA_PIN
 
 
 def test_presentation_object_shape():

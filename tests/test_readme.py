@@ -24,8 +24,11 @@ def test_library_tour_runs():
 
 def test_families_table_matches_registry():
     table = _section("## Families").split("\n\n")[0].splitlines()
-    keys = [line.strip("|").split("|")[0].strip(" `") for line in table[2:]]
-    assert tuple(keys) == tuple(FAMILIES)
+    rows = [[cell.strip(" `") for cell in line.strip("|").split("|")] for line in table[2:]]
+    assert tuple(row[0] for row in rows) == tuple(FAMILIES)
+    # the parameters column follows the framing derived from the generator kinds
+    assert [row[2] for row in rows] == [
+        "d, n" if spec.framed else "n" for spec in FAMILIES.values()]
 
 
 def test_word_grammar_names_every_kind():
