@@ -40,27 +40,29 @@ _LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
            "info": logging.INFO, "debug": logging.DEBUG}
 
 
+def _at_least(low: int, what: str):
+    """An argument type: an integer no less than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+    return parse
+
+
+_cap = _at_least(0, "a non-negative integer")
+_count = _at_least(1, "a positive integer")
+
+
 def _n_range(text: str) -> list[int]:
     """The strand counts of an ``--n`` value: ``n`` or a range ``a..b``."""
     lo, sep, hi = text.partition("..")
-    try:
-        values = list(range(int(lo), int(hi if sep else lo) + 1))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a strand count or a range a..b: {text!r}") from None
+    values = list(range(_count(lo), _count(hi if sep else lo) + 1))
     if not values:
         raise argparse.ArgumentTypeError(f"empty range: {text!r}")
     return values
-
-
-def _cap(text: str) -> int:
-    """An element cap: a non-negative integer."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
 
 
 def _bool_text(flag: bool) -> str:
@@ -97,9 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         p.add_argument("--family", required=True,
                        help=f"one of: {', '.join(FAMILY_NAMES)}")
-        p.add_argument("--d", type=int, default=1, help="framing modulus")
+        p.add_argument("--d", type=_count, default=1, help="framing modulus")
         if need_word:
-            p.add_argument("--n", type=int, required=True, help="strand count")
+            p.add_argument("--n", type=_count, required=True, help="strand count")
             p.add_argument("--word", required=True, help="generator word")
         else:
             p.add_argument("--n", type=_n_range, required=True,
@@ -122,8 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", required=True, choices=tuple(_SUITES))
     pv.add_argument("--target", choices=BRIDGE_TARGETS, default=argparse.SUPPRESS,
                     help="bridge target (default: all)")
-    pv.add_argument("--d", type=int, default=argparse.SUPPRESS)
-    pv.add_argument("--n", type=int, default=argparse.SUPPRESS)
+    pv.add_argument("--d", type=_count, default=argparse.SUPPRESS)
+    pv.add_argument("--n", type=_count, default=argparse.SUPPRESS)
     pv.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                     help=f"default 0x{DEFAULT_SEED:X}")
     pv.add_argument("--cap", type=_cap, default=argparse.SUPPRESS)

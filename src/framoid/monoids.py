@@ -578,14 +578,14 @@ def closure(fam: MonoidFamily, cap: int = 1_000_000) -> tuple[BeadedDiagram, ...
     """All elements of the family: breadth-first closure of the generators.
 
     Deterministic: the result is sorted by canonical encoding.  Raises
-    :class:`CapExceeded` if more than ``cap`` elements appear.  Results are
-    cached per family, whatever the cap: a cached closure larger than
-    ``cap`` raises as a fresh enumeration would.
+    :class:`CapExceeded` if more than ``cap`` elements, the identity among
+    them, appear.  Results are cached per family, whatever the cap: a cached
+    closure larger than ``cap`` raises as a fresh enumeration does.
     """
     elems = _CLOSURES.get(fam)
     if elems is None:
         elems = _CLOSURES[fam] = _enumerate(fam, cap)
-    elif len(elems) > cap:
+    if len(elems) > cap:
         raise CapExceeded(f"closure of {fam} exceeded cap {cap}")
     return elems
 

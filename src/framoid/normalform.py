@@ -1,7 +1,7 @@
 """Normal forms for beaded planar, Brauer-type and rook-type diagrams.
 
-Every element of the enumerable beaded families factors uniquely as bead
-prefixes/suffixes around a beadless skeleton word:
+A normal form is a bead prefix, a beadless skeleton word and a bead suffix,
+all read off one pass over the blocks (``_read``):
 
 * planar matchings: beads on vertical strands and on the top anchors, then
   the unique staircase tangle word, then beads on the bottom anchors;
@@ -10,13 +10,16 @@ prefixes/suffixes around a beadless skeleton word:
 * rook diagrams: top beads, the broken strands ``r_{i_1} .. r_{i_{n-k}}``, a
   permutation, and (in the variant whose free points hold beads) bottom beads.
 
-Anchors follow the sliding convention: on an arc, beads sit at the left
-endpoint; on a leaning line, at the left endpoint (bottom for a ne-line, top
-for a nw-line); on a vertical strand, at the top.  The staircase word is read
-off the skeleton directly.  Its runs ``t_i t_{i-1} .. t_j`` end at the
-bottom anchors j of the bottom arcs and ne-lines, and start at i, one left of
-the right top end of each top arc and of the top end of each ne-line; both
-index lists are sorted and paired in order.
+Beads sit at the left end of an arc or a leaning line (the bottom end of a
+ne-line, the top end of a nw-line) and at the top of a vertical strand.  The
+staircase runs ``t_i t_{i-1} .. t_j`` end at the bottom anchors j, in order,
+and start at the sorted i, one left of the right end of each top arc and of
+the top end of each ne-line.
+
+Each normal form raises ``ValueError`` for a tied diagram or a block of more
+than two points; ``jones_nf`` raises ``NotPlanar`` for a non-planar tag,
+``brauer_nf`` refuses free points, and ``rook_nf`` refuses brackets, and
+beads on free points in its ``"first"`` variant.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .diagrams import (
+    PLANAR,
     BeadedDiagram,
     CapExceeded,
     GenSymbol,
@@ -37,8 +41,6 @@ from .diagrams import (
     parse_word,
     render_word,
 )
-
-GapSet = frozenset
 
 
 def evaluate_word(word, fam) -> tuple[BeadedDiagram, LoopRecord]:
@@ -60,41 +62,32 @@ def evaluate_word(word, fam) -> tuple[BeadedDiagram, LoopRecord]:
     return diag, record
 
 
-# -- block classification -----------------------------------------------------
+# -- block reader --------------------------------------------------------------
 
-def _classify(x: BeadedDiagram):
-    """Split blocks into verticals, up/down brackets and ne/nw lines.
-
-    Returns dict with lists of (anchor, bead, block) per class.
-    """
+def _read(x: BeadedDiagram):
+    """The blocks of an untied diagram by shape, at positions 1..n on each edge:
+    lines ``(upper, lower, bead)``, top and bottom arcs ``(left, right, bead)``
+    and free top and bottom points ``(position, bead)``, each list sorted."""
+    if x.ties is not None:
+        raise ValueError("normal forms are defined for untied diagrams only")
     n = x.n
-    out = {"vertical": [], "up": [], "down": [], "ne": [], "nw": []}
+    lines, ups, downs, tops, bottoms = [], [], [], [], []
     for blk, bead in zip(x.blocks, x.beads):
-        if len(blk) != 2:
-            raise ValueError("classification requires a perfect matching")
-        a, b = blk
-        if b <= n:
-            out["up"].append((a, bead, blk))
-        elif a > n:
-            out["down"].append((a - n, bead, blk))
-        else:
-            upper, lower = a, b - n
-            if upper == lower:
-                out["vertical"].append((upper, bead, blk))
-            elif lower < upper:
-                out["ne"].append((lower, bead, blk))  # anchored at the bottom
+        if len(blk) > 2:
+            raise ValueError("normal forms have no blocks of more than two points")
+        a, b = blk[0], blk[-1]
+        if len(blk) == 1:
+            if a <= n:
+                tops.append((a, bead))
             else:
-                out["nw"].append((upper, bead, blk))  # anchored at the top
-    return out
-
-
-def gaps(x: BeadedDiagram) -> GapSet:
-    """Strands of a planar matching carried by an untouched vertical line."""
-    if x.family_tag != "planar-matching":
-        raise NotPlanar("gaps are defined for planar matchings")
-    n, lab = x.n, x.lab
-    # every block of a planar matching is a pair, so a shared label is a line
-    return frozenset(i for i in range(1, n + 1) if lab[i - 1] == lab[n + i - 1])
+                bottoms.append((a - n, bead))
+        elif b <= n:
+            ups.append((a, b, bead))
+        elif a > n:
+            downs.append((a - n, b - n, bead))
+        else:
+            lines.append((a, b - n, bead))
+    return lines, ups, downs, tops, bottoms
 
 
 # -- permutation words ---------------------------------------------------------
@@ -122,8 +115,18 @@ def permutation_word(images: Sequence[int]) -> tuple[int, ...]:
 
 # -- normal form words ----------------------------------------------------------
 
+def _beads(pairs) -> list[GenSymbol]:
+    """Bead tokens o_a^k for the (anchor, exponent) pairs with k != 0."""
+    return [GenSymbol("o", a, 0, k) for a, k in pairs if k]
+
+
+class _Word:
+    def text(self) -> str:
+        return render_word(self.tokens())
+
+
 @dataclass(frozen=True)
-class JonesWord:
+class JonesWord(_Word):
     """Bead exponents around the unique staircase tangle word."""
 
     n: int
@@ -134,19 +137,14 @@ class JonesWord:
     bottom_beads: tuple[tuple[int, int], ...]  # (anchor, exponent), ascending
 
     def tokens(self) -> tuple[GenSymbol, ...]:
-        syms = [GenSymbol("o", g, 0, q) for g, q in self.gap_beads if q]
-        syms += [GenSymbol("o", a, 0, r) for a, r in self.top_beads if r]
+        syms = _beads(self.gap_beads) + _beads(self.top_beads)
         for i, j in self.tangle_runs:
             syms += [GenSymbol("t", m) for m in range(i, j - 1, -1)]
-        syms += [GenSymbol("o", a, 0, s) for a, s in self.bottom_beads if s]
-        return tuple(syms)
-
-    def text(self) -> str:
-        return render_word(self.tokens())
+        return tuple(syms + _beads(self.bottom_beads))
 
 
 @dataclass(frozen=True)
-class BrauerWord:
+class BrauerWord(_Word):
     n: int
     d: int
     top_beads: tuple[tuple[int, int], ...]
@@ -156,19 +154,15 @@ class BrauerWord:
     bottom_beads: tuple[tuple[int, int], ...]
 
     def tokens(self) -> tuple[GenSymbol, ...]:
-        syms = [GenSymbol("o", a, 0, k) for a, k in self.top_beads if k]
-        syms += [GenSymbol("s", i) for i in self.left_word]
-        syms += [GenSymbol("t", 2 * m - 1) for m in range(1, self.bracket_pairs + 1)]
-        syms += [GenSymbol("s", i) for i in self.right_word]
-        syms += [GenSymbol("o", a, 0, k) for a, k in self.bottom_beads if k]
-        return tuple(syms)
-
-    def text(self) -> str:
-        return render_word(self.tokens())
+        return tuple(_beads(self.top_beads)
+                     + [GenSymbol("s", i) for i in self.left_word]
+                     + [GenSymbol("t", 2 * m - 1) for m in range(1, self.bracket_pairs + 1)]
+                     + [GenSymbol("s", i) for i in self.right_word]
+                     + _beads(self.bottom_beads))
 
 
 @dataclass(frozen=True)
-class RookWord:
+class RookWord(_Word):
     n: int
     d: int
     variant: str                 # "first" or "prime"
@@ -178,92 +172,48 @@ class RookWord:
     bottom_beads: tuple[tuple[int, int], ...]
 
     def tokens(self) -> tuple[GenSymbol, ...]:
-        syms = [GenSymbol("o", a, 0, k) for a, k in self.top_beads if k]
-        syms += [GenSymbol("r", i) for i in self.broken]
-        syms += [GenSymbol("s", i) for i in self.perm_word]
-        syms += [GenSymbol("o", a, 0, k) for a, k in self.bottom_beads if k]
-        return tuple(syms)
-
-    def text(self) -> str:
-        return render_word(self.tokens())
+        return tuple(_beads(self.top_beads)
+                     + [GenSymbol("r", i) for i in self.broken]
+                     + [GenSymbol("s", i) for i in self.perm_word]
+                     + _beads(self.bottom_beads))
 
 
 NormalFormWord = JonesWord | BrauerWord | RookWord
 
 
-# -- planar (Jones-type) normal form -------------------------------------------
-
-def _staircase_pairs(cls) -> tuple[tuple[int, int], ...]:
-    """Runs (i, j) of the staircase word of a classified planar matching."""
-    js = sorted([a for a, _, _ in cls["down"]] + [a for a, _, _ in cls["ne"]])
-    starts = sorted([blk[1] - 1 for _, _, blk in cls["up"]]
-                    + [blk[0] - 1 for _, _, blk in cls["ne"]])
-    return tuple(zip(starts, js))
-
-
-def _refuse_ties(x: BeadedDiagram) -> None:
-    if x.ties is not None:
-        raise ValueError("normal forms are defined for untied diagrams only")
-
+# -- the three normal forms --------------------------------------------------------
 
 def jones_nf(x: BeadedDiagram) -> JonesWord:
     """Unique bead-staircase-bead normal form of a beaded planar matching."""
-    _refuse_ties(x)
-    if x.family_tag != "planar-matching":
+    lines, ups, downs, _, _ = _read(x)
+    if x.family_tag != PLANAR:
         raise NotPlanar("the planar normal form needs a planar matching")
-    cls = _classify(x)
-    gap_beads = tuple(sorted((a, k) for a, k, _ in cls["vertical"]))
-    top_beads = tuple(sorted(
-        [(a, k) for a, k, _ in cls["up"]] + [(a, k) for a, k, _ in cls["nw"]],
-        reverse=True))
-    bottom_beads = tuple(sorted(
-        [(a, k) for a, k, _ in cls["down"]] + [(a, k) for a, k, _ in cls["ne"]]))
-    return JonesWord(x.n, x.d, gap_beads, top_beads, _staircase_pairs(cls),
-                     bottom_beads)
+    ne = [(upper, lower, k) for upper, lower, k in lines if lower < upper]
+    top_beads = sorted([(a, k) for a, _, k in ups]
+                       + [(upper, k) for upper, lower, k in lines if upper < lower],
+                       reverse=True)
+    bottom_beads = tuple(sorted([(a, k) for a, _, k in downs]
+                                + [(lower, k) for _, lower, k in ne]))
+    starts = sorted([b - 1 for _, b, _ in ups] + [upper - 1 for upper, _, _ in ne])
+    return JonesWord(x.n, x.d,
+                     tuple((upper, k) for upper, lower, k in lines if upper == lower),
+                     tuple(top_beads),
+                     tuple(zip(starts, [a for a, _ in bottom_beads])), bottom_beads)
 
-
-# -- Brauer-type normal form ----------------------------------------------------
 
 def brauer_nf(x: BeadedDiagram) -> BrauerWord:
     """Normal form of a beaded perfect matching: beads, permutation, adjacent
     brackets, permutation, beads."""
-    _refuse_ties(x)
-    n = x.n
-    cls = _classify(x)
-    ups = sorted((min(blk), blk, bead) for _, bead, blk in cls["up"])
-    downs = sorted((min(p - n for p in blk), blk, bead) for _, bead, blk in cls["down"])
-    lines = sorted(
-        [(a, blk, bead) for a, bead, blk in cls["vertical"]]
-        + [(blk[0], blk, bead) for a, bead, blk in cls["ne"]]
-        + [(blk[0], blk, bead) for a, bead, blk in cls["nw"]])
-    k = len(ups)
+    lines, ups, downs, tops, bottoms = _read(x)
+    if tops or bottoms:
+        raise ValueError("classification requires a perfect matching")
+    top_ends = [p for a, b, _ in ups for p in (a, b)] + [upper for upper, _, _ in lines]
+    sigma = [top_ends.index(p) + 1 for p in range(1, x.n + 1)]
+    tau = [p for a, b, _ in downs for p in (a, b)] + [lower for _, lower, _ in lines]
+    top_beads = sorted([(a, k) for a, _, k in ups] + [(upper, k) for upper, _, k in lines])
+    return BrauerWord(x.n, x.d, tuple(top_beads), permutation_word(sigma), len(ups),
+                      permutation_word(tau), tuple((a, k) for a, _, k in downs))
 
-    sigma = [0] * n
-    for m, (left, blk, _) in enumerate(ups, start=1):
-        right = blk[1]
-        sigma[left - 1] = 2 * m - 1
-        sigma[right - 1] = 2 * m
-    for m, (upper, blk, _) in enumerate(lines, start=1):
-        sigma[upper - 1] = 2 * k + m
-
-    tau = [0] * n
-    for m, (left, blk, _) in enumerate(downs, start=1):
-        right = max(blk) - n
-        tau[2 * m - 2] = left
-        tau[2 * m - 1] = right
-    for m, (upper, blk, _) in enumerate(lines, start=1):
-        lower = max(blk) - n
-        tau[2 * k + m - 1] = lower
-
-    top_beads = tuple(sorted(
-        [(left, bead) for left, _, bead in ups]
-        + [(upper, bead) for upper, _, bead in lines]))
-    bottom_beads = tuple(sorted((left, bead) for left, _, bead in downs))
-    return BrauerWord(n, x.d, top_beads, permutation_word(sigma), k,
-                      permutation_word(tau), bottom_beads)
-
-
-# -- rook normal forms ------------------------------------------------------------
 
 def rook_nf(x: BeadedDiagram, variant: str = "first") -> RookWord:
     """Normal form of a rook diagram (lines and free points, no brackets).
@@ -273,47 +223,23 @@ def rook_nf(x: BeadedDiagram, variant: str = "first") -> RookWord:
     """
     if variant not in ("first", "prime"):
         raise ValueError(f"unknown rook variant {variant!r}")
-    _refuse_ties(x)
-    n = x.n
-    lines = []
-    top_free: list[tuple[int, int]] = []
-    bottom_free: list[tuple[int, int]] = []
-    for blk, bead in zip(x.blocks, x.beads):
-        if len(blk) == 2:
-            upper, lower = blk[0], blk[1] - n
-            if blk[1] <= n or blk[0] > n:
-                raise ValueError("rook diagrams have no brackets")
-            lines.append((upper, lower, bead))
-        elif len(blk) > 2:
-            raise ValueError("rook diagrams have no blocks of more than two points")
-        else:
-            p = blk[0]
-            if p <= n:
-                top_free.append((p, bead))
-            else:
-                bottom_free.append((p - n, bead))
-            if variant == "first" and bead:
-                raise ValueError("free points hold no beads in this family")
-    lines.sort()
-    top_free.sort()
-    bottom_free.sort()
-
-    sigma = [0] * n
+    lines, ups, downs, tops, bottoms = _read(x)
+    if ups or downs:
+        raise ValueError("rook diagrams have no brackets")
+    line_beads = [(upper, k) for upper, _, k in lines]
+    if variant == "first":
+        if any(k for _, k in tops + bottoms):
+            raise ValueError("free points hold no beads in this family")
+        top_beads, bottom_beads = tuple(line_beads), ()
+    else:
+        top_beads, bottom_beads = tuple(sorted(line_beads + tops)), tuple(bottoms)
+    sigma = [0] * x.n
     for upper, lower, _ in lines:
         sigma[upper - 1] = lower
-    spare = sorted(p for p, _ in bottom_free)
-    for (p, _), target in zip(top_free, spare):
-        sigma[p - 1] = target
-
-    broken = tuple(p for p, _ in top_free)
-    if variant == "first":
-        top_beads = tuple((upper, bead) for upper, _, bead in lines)
-        bottom_beads: tuple = ()
-    else:
-        top_beads = tuple(sorted(
-            [(upper, bead) for upper, _, bead in lines] + top_free))
-        bottom_beads = tuple(bottom_free)
-    return RookWord(n, x.d, variant, top_beads, broken,
+    # a free top point maps to the free bottom point of the same rank
+    for (p, _), (q, _) in zip(tops, bottoms):
+        sigma[p - 1] = q
+    return RookWord(x.n, x.d, variant, top_beads, tuple(p for p, _ in tops),
                     permutation_word(sigma), bottom_beads)
 
 

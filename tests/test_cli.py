@@ -175,12 +175,32 @@ def test_normal_form_exits_by_family(capsys, name):
     ("enumerate", "--family", "jn", "--n", "3..1"),
     ("cardinality-table", "--family", "jn", "--n", "2..x"),
     ("enumerate", "--family", "jn", "--n", "3.."),
+    ("enumerate", "--family", "jn", "--n", "0..2"),
+    ("eval-word", "--family", "jn", "--n", "0", "--word", "t1"),
+    ("verify", "--suite", "tied", "--n", "0"),
 ])
 def test_bad_strand_count_names_the_flag(capsys, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --n" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--family", "jdn", "--d", "0", "--n", "2"),
+    ("normal-form", "--family", "jdn", "--d", "0", "--n", "2", "--word", ""),
+    ("verify", "--suite", "bridges", "--d", "0"),
+])
+def test_zero_framing_names_the_flag(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --d" in captured.err
+
+
+def test_cap_counts_the_identity(capsys):
+    assert main(["enumerate", "--family", "jn", "--n", "1", "--cap", "0"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ import pytest
 
 from framoid.diagrams import BeadedDiagram, CapExceeded, GenSymbol, generator, render_word
 from framoid.monoids import (
+    _CLOSURES,
     FAMILIES,
     FAMILY_NAMES,
     RelationSchema,
@@ -150,6 +151,15 @@ def test_closure_is_cached_per_family_whatever_the_cap():
     with pytest.raises(CapExceeded):
         closure(fam, cap=3)
     assert len(closure(fam)) == 9
+
+
+def test_closure_cap_counts_the_identity():
+    fam = family("jn", 1)
+    _CLOSURES.pop(fam, None)
+    for _ in range(2):  # the fresh enumeration, then the cached closure
+        with pytest.raises(CapExceeded, match="exceeded cap 0"):
+            closure(fam, cap=0)
+    assert len(closure(fam, cap=1)) == 1
 
 
 def test_closure_is_sorted_and_deterministic():

@@ -1,5 +1,7 @@
 """Normal forms: gaps, planar/Brauer/rook words, round trips, minimality."""
 
+import hashlib
+
 import pytest
 
 from framoid.diagrams import (
@@ -8,14 +10,14 @@ from framoid.diagrams import (
     BeadedDiagram,
     GenSymbol,
     LoopRecord,
+    NotPlanar,
     generator,
     identity,
 )
-from framoid.monoids import closure, family, predicted_cardinality
+from framoid.monoids import closure, default_grid, family, predicted_cardinality
 from framoid.normalform import (
     brauer_nf,
     evaluate_word,
-    gaps,
     jones_nf,
     min_length_oracle,
     permutation_word,
@@ -27,6 +29,15 @@ from framoid.normalform import (
 # the {b4,b5} arc, all mod 4
 FIG_BLOCKS = [(1, 4), (2, 3), (5, 6), (7, 8), (9, 10)]
 FIG_BEADS = {frozenset((2, 3)): 1, frozenset((5, 6)): 2, frozenset((9, 10)): 1}
+
+
+def gaps(x):
+    """Strands of a planar matching carried by an untouched vertical line."""
+    if x.family_tag != PLANAR:
+        raise NotPlanar("gaps are defined for planar matchings")
+    n, lab = x.n, x.lab
+    # every block of a planar matching is a pair, so a shared label is a line
+    return frozenset(i for i in range(1, n + 1) if lab[i - 1] == lab[n + i - 1])
 
 
 def gaps_from_word(x):
@@ -249,6 +260,12 @@ class TestRefusals:
         with pytest.raises(ValueError, match="more than two points"):
             rook_nf(x, variant)
 
+    @pytest.mark.parametrize("nf", [jones_nf, brauer_nf], ids=["jones", "brauer"])
+    def test_planar_and_brauer_refuse_blocks_of_three_points(self, nf):
+        x = BeadedDiagram(2, 1, [(1, 2, 3), (4,)], None, "partition")
+        with pytest.raises(ValueError, match="more than two points"):
+            nf(x)
+
 
 class TestPermutationWord:
     def test_worked_examples(self):
@@ -288,3 +305,30 @@ class TestMinimality:
         fam = family("jn", n)
         for x in closure(fam):
             assert tangle_count(jones_nf(x)) == min_length_oracle(x, fam)
+
+
+NF_PIN = "56dc54d8228ee00a2b787ffee8bb09ffbc448e1a50f27586b8500524291dea09"
+
+
+def test_every_normal_form_is_pinned():
+    """Every normal form, word or refusal, of every element of the grid
+    families with n <= 4 (n <= 3 where tied)."""
+    forms = (("jones", jones_nf), ("brauer", brauer_nf),
+             ("first", lambda x: rook_nf(x, "first")),
+             ("prime", lambda x: rook_nf(x, "prime")))
+    lines = []
+    for fam in default_grid():
+        if fam.n > (3 if fam.tied else 4):
+            continue
+        for x in closure(fam):
+            for name, nf in forms:
+                head = f"{fam}|{x.encode()}|{name}"
+                try:
+                    w = nf(x)
+                except ValueError as exc:
+                    lines.append(f"{head}|{type(exc).__name__}:{exc}")
+                else:
+                    lines.append(f"{head}|{w!r}|{w.text()}")
+    assert len(lines) == 85176
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == NF_PIN

@@ -37,3 +37,10 @@ def test_word_grammar_names_every_kind():
     kinds = [sym.kind for token in tokens for sym in parse_word(token)]
     assert len(kinds) == len(tokens)
     assert set(kinds) == set(_KINDS)
+
+
+def test_normal_form_families_match_registry():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.search(r"for the families with a normal form \(([^)]*)\)", text).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == [
+        name for name, spec in FAMILIES.items() if spec.normal_form is not None]
