@@ -23,8 +23,12 @@ The work splits into a shape part and a decoration part.  The shape part
 depends only on label tuples and is memoized: ``_shape`` checks a label
 tuple and reads off its structural tags, and ``_skeleton`` runs the
 union-find over the blocks of two factors once per pair of label tuples.
-Beads, loops and ties are done on every product.  The memos grow with the
-distinct label tuples and pairs of them, not with the elements.
+A third memo, ``_TIES``, checks each distinct tie partition once.  Beads,
+loops and the tie classes of a product are still done on every product:
+``compose`` hands the constructor beads already reduced mod d and ties
+already canonical, so that the constructor's checks are cheap.  The memos
+grow with the distinct label tuples, pairs of them and tie partitions, not
+with the elements.
 
 All values are immutable after construction and safe to share.
 """
@@ -34,6 +38,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import chain
+from operator import index
 from typing import Iterable, NamedTuple, Optional
 
 PARTITION = "partition"
@@ -119,7 +124,10 @@ def _labels_of_blocks(n: int, blocks) -> tuple[tuple[int, ...], list[tuple], lis
     Returns the labels, the blocks as given (as int tuples), and ``order``:
     ``order[label]`` is the position of that block in the input.
     """
-    raw = [tuple(int(p) for p in blk) for blk in blocks]
+    try:
+        raw = [tuple(map(index, blk)) for blk in blocks]
+    except TypeError:
+        raise ValueError("block points must be integers") from None
     owner = [-1] * (2 * n)
     for idx, blk in enumerate(raw):
         if not blk:
@@ -139,6 +147,26 @@ def _labels_of_blocks(n: int, blocks) -> tuple[tuple[int, ...], list[tuple], lis
 def _point_names(n: int) -> tuple[str, ...]:
     """The names t1..tn, b1..bn of the 2n boundary points, in point order."""
     return tuple(f"t{p}" for p in range(1, n + 1)) + tuple(f"b{p}" for p in range(1, n + 1))
+
+
+def _residues(values, d: int) -> list[int]:
+    """The residues mod d of integer bead counts."""
+    try:
+        return [index(v) % d for v in values]
+    except TypeError:
+        raise ValueError("beads must be integers") from None
+
+
+def _bead_map(beads, raw: list[tuple], order: list[int]) -> list:
+    """The beads given as a mapping from point sets to counts, by label."""
+    label = {frozenset(raw[idx]): new for new, idx in enumerate(order)}
+    out = [0] * len(order)
+    for key, v in beads.items():
+        new = label.pop(frozenset(key), None)
+        if new is None:
+            raise ValueError(f"bead key {key!r} names no block, or one already named")
+        out[new] = v
+    return out
 
 
 def _pool_beads(beads: list[int], ties, d: int) -> None:
@@ -195,6 +223,41 @@ def _shape(lab: tuple, n: int) -> tuple[tuple[int, ...], int, frozenset]:
     return lab, k, _TAG_SETS.setdefault(tags, tags)
 
 
+# the distinct valid tie partitions: _TIES[ties] is (ties, k, rest), with
+# ties the canonical partition of the block indices 0..k-1 (classes sorted
+# by their least member, members ascending) and rest the blocks that are
+# not the least of their class
+_TIES: dict[tuple, tuple] = {}
+
+
+def _tie_partition(ties, k: int) -> tuple[tuple, int, tuple]:
+    """Check a tie partition of k blocks once per distinct partition.
+
+    A canonical tuple already checked costs one lookup, and equal partitions
+    become one shared tuple.  Only valid partitions are stored: ties that
+    fail the check raise on every call.
+    """
+    try:
+        hit = _TIES.get(ties)
+    except TypeError:  # a list of lists
+        hit = None
+    if hit is not None and hit[1] == k:
+        return hit
+    canon = tuple(sorted(map(tuple, map(sorted, ties))))
+    members = sorted(chain.from_iterable(canon))
+    if members != list(range(k)) or not all(canon):
+        if len(members) == len(set(members)) and set(members) < set(range(k)):
+            raise ValueError("ties must cover every block")
+        raise ValueError("ties must partition the block indices")
+    hit = _TIES.get(canon)
+    if hit is None:
+        # members equal 0..k-1, so int() only makes them exact ints
+        canon = tuple([tuple(map(int, cls)) for cls in canon])
+        rest = tuple([b for cls in canon for b in cls[1:]])
+        hit = _TIES[canon] = (canon, k, rest)
+    return hit
+
+
 class BeadedDiagram:
     """A set partition of the 2n boundary points with beads and optional ties.
 
@@ -213,7 +276,10 @@ class BeadedDiagram:
     ``BeadedDiagram(n, d, beads=..., family_tag=..., ties=..., lab=...)``
     takes canonical labels, with ``beads`` and ``ties`` indexed by label.
     Both check the partition and the structural tag, through ``_shape``,
-    once per distinct label tuple; beads and ties are checked on every call.
+    once per distinct label tuple, and the ties, through ``_tie_partition``,
+    once per distinct partition; beads are checked on every call.  The
+    blocks form takes integers only: a point, bead or tie member of another
+    type, or a bead key that names no block or a block twice, is refused.
 
     When ties are present and d > 1, beads are pooled per tie class (stored
     on the class's least block): a tie lets beads move freely between its
@@ -236,52 +302,53 @@ class BeadedDiagram:
             lab, raw, order = _labels_of_blocks(n, blocks)
             lab, k, tags = _shape(lab, n)
             if beads is None:
-                canon_beads = [0] * k
+                beads = [0] * k
             elif hasattr(beads, "items"):
-                lookup = {frozenset(key): int(v) for key, v in beads.items()}
-                canon_beads = [lookup.get(frozenset(raw[idx]), 0) % d for idx in order]
+                beads = _residues(_bead_map(beads, raw, order), d)
             else:
                 given = list(beads)
                 if len(given) != k:
                     raise ValueError("beads must match blocks")
-                canon_beads = [int(given[idx]) % d for idx in order]
+                beads = _residues(map(given.__getitem__, order), d)
             if ties is not None:
                 label = {old: new for new, old in enumerate(order)}
                 try:
-                    ties = [[label[int(b)] for b in cls] for cls in ties]
-                except KeyError:
+                    ties = [[label[index(b)] for b in cls] for cls in ties]
+                except (KeyError, TypeError):
                     raise ValueError("ties must partition the block indices") from None
         else:
             lab, k, tags = _shape(tuple(lab), n)
             if beads is None:
-                canon_beads = [0] * k
+                beads = (0,) * k
             else:
-                canon_beads = [v % d for v in beads]
-                if len(canon_beads) != k:
+                beads = tuple(beads)
+                try:
+                    # bytes() takes only integers in 0..255, so one call
+                    # confirms beads that are residues already
+                    reduced = max(bytes(beads)) < d
+                except (TypeError, ValueError):
+                    reduced = False
+                if not reduced:
+                    beads = tuple(_residues(beads, d))
+                if len(beads) != k:
                     raise ValueError("beads must match blocks")
 
-        canon_ties = None
         if ties is not None:
-            canon_ties = tuple(sorted(map(tuple, map(sorted, ties))))
-            members = sorted(chain.from_iterable(canon_ties))
-            if members != list(range(k)) or not all(canon_ties):
-                if len(members) == len(set(members)) and set(members) < set(range(k)):
-                    raise ValueError("ties must cover every block")
-                raise ValueError("ties must partition the block indices")
+            ties, _, rest = _tie_partition(ties, k)
             if d > 1 and blocks is not None:
-                _pool_beads(canon_beads, canon_ties, d)
-            elif d > 1 and any(canon_beads[b] for cls in canon_ties for b in cls[1:]):
+                _pool_beads(beads, ties, d)
+            elif d > 1 and any(map(beads.__getitem__, rest)):
                 raise ValueError("the beads of a tie class must sit on its least block")
 
         self.n = n
         self.d = d
         self.lab = lab
-        self.beads = tuple(canon_beads)
+        self.beads = beads = tuple(beads)
         self.family_tag = family_tag
-        self.ties = canon_ties
+        self.ties = ties
         if family_tag not in tags:
             self._raise_tag_violation()
-        self._hash = hash((n, d, lab, self.beads, canon_ties))
+        self._hash = hash((n, d, lab, beads, ties))
 
     def _raise_tag_violation(self):
         """Name the first block that breaks the structural tag."""
@@ -538,9 +605,9 @@ def _skeleton(alab: tuple, blab: tuple) -> tuple:
     return lab, bytes(comp) if len(comp) <= 256 else tuple(comp), k, trapped, free
 
 
-def memo_sizes() -> tuple[int, int]:
-    """The number of memoized label tuples and of memoized shape products."""
-    return _shape.cache_info().currsize, sum(map(len, _PLANS.values()))
+def memo_sizes() -> tuple[int, int, int]:
+    """The number of memoized label tuples, shape products and tie partitions."""
+    return _shape.cache_info().currsize, sum(map(len, _PLANS.values())), len(_TIES)
 
 
 def compose(a: BeadedDiagram, b: BeadedDiagram, *,
@@ -553,11 +620,12 @@ def compose(a: BeadedDiagram, b: BeadedDiagram, *,
     whose broken arcs cannot hold beads).
 
     The shapes of the product come from ``_skeleton``, memoized per pair of
-    label tuples; beads, loops and ties are done on every call.
+    label tuples; beads, loops and ties are done on every call, and the
+    result is built by the one constructor.
     """
     if a.n != b.n or a.d != b.d:
         raise ValueError("factors must share strand count and framing modulus")
-    if a.tied != b.tied:
+    if (a.ties is None) != (b.ties is None):
         raise ValueError("cannot mix tied and untied diagrams")
 
     n, d = a.n, a.d
@@ -572,14 +640,14 @@ def compose(a: BeadedDiagram, b: BeadedDiagram, *,
     beads = None
     loops = _NO_LOOPS
     if d > 1:
-        # one slot per component; the constructor reduces the beads mod d
+        # one slot per component, kept reduced mod d
         acc = [0] * (k + trapped)
-        for x, bead in enumerate(a.beads + b.beads):
+        for x, bead in zip(comp, a.beads + b.beads):
             if bead:
-                acc[comp[x]] += bead
+                acc[x] = (acc[x] + bead) % d
         beads = acc[:k]
         if trapped:
-            loops = LoopRecord([(v % d, 1) for v in acc[k:]])
+            loops = LoopRecord([(v, 1) for v in acc[k:]])
     elif trapped:
         loops = LoopRecord({0: trapped})
 
@@ -606,17 +674,15 @@ def compose(a: BeadedDiagram, b: BeadedDiagram, *,
                         y = tie[y]
                     if x != y:
                         tie[y] = x
+        # classes in the order of their least block, members ascending: the
+        # canonical form; a free point leaves its class for one of its own
         groups: dict[int, list[int]] = {}
         for v in range(k):
             r = v
             while tie[r] != r:
                 r = tie[r]
-            groups.setdefault(r, []).append(v)
-        ties = list(groups.values())
-        if free:
-            ties = ([[v for v in cls if v not in free] for cls in ties
-                     if any(v not in free for v in cls)]
-                    + [[v] for v in free])
+            groups.setdefault(-1 - v if v in free else r, []).append(v)
+        ties = tuple([tuple(c) for c in groups.values()])
         if beads is not None:
             _pool_beads(beads, ties, d)
 

@@ -616,7 +616,7 @@ def _enumerate(fam: MonoidFamily, cap: int) -> tuple[BeadedDiagram, ...]:
         level += 1
         if debug:
             elapsed = time.perf_counter() - began
-            memos = "" if fresh else ", memos: %d shapes, %d plans" % memo_sizes()
+            memos = "" if fresh else ", memos: %d shapes, %d plans, %d ties" % memo_sizes()
             log.debug("closure %s: level %d, %d new, %d total, %.0f elements/s%s",
                       fam, level, len(fresh), len(seen), len(seen) / elapsed, memos)
     return tuple(sorted(seen, key=BeadedDiagram.encode))

@@ -258,5 +258,7 @@ def test_debug_log_reports_memo_sizes_after_the_last_level():
     assert json.loads(loud.stdout)["count"] == 30
     levels = [line for line in loud.stderr.splitlines() if ": level " in line]
     assert all("memos" not in line for line in levels[:-1])
-    m = re.search(r", 0 new, 30 total, .*, memos: (\d+) shapes, (\d+) plans$", levels[-1])
-    assert m and int(m.group(1)) > 0 and int(m.group(2)) > 0
+    m = re.search(r", 0 new, 30 total, .*, memos: (\d+) shapes, (\d+) plans, (\d+) ties$",
+                  levels[-1])
+    # tS_3 ties the 3 blocks of a permutation in each of Bell(3) = 5 ways
+    assert m and int(m.group(1)) > 0 and int(m.group(2)) > 0 and int(m.group(3)) == 5

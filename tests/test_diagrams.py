@@ -1,6 +1,8 @@
 """Core diagram model: construction, composition, loops, beads, ties."""
 
 import hashlib
+import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +24,10 @@ from framoid.diagrams import (
     memo_sizes,
     parse_word,
     _PLANS,
+    _TIES,
     _shape,
     _tag_join,
+    _tie_partition,
     render_symbol,
     render_word,
 )
@@ -265,6 +269,37 @@ class TestCanonical:
         a = BeadedDiagram(2, 3, [(1, 3), (2, 4)], [1, 1], PERMUTATION, [[0, 1]])
         b = BeadedDiagram(2, 3, [(1, 3), (2, 4)], [2, 0], PERMUTATION, [[0, 1]])
         assert a == b
+
+    @pytest.mark.parametrize("blocks,beads,ties", [
+        ([(1.5, 3), (2, 4)], None, None),          # read as (1, 3) by int()
+        ([(1, 3), (2, 4)], None, [[0.7, 1]]),      # read as [[0, 1]]
+        ([(1, 3), (2, 4)], [1.5, 0], None),        # read as (1, 0)
+        ([(1, 3), (2, 4)], {(1, 2): 1}, None),     # not a block: was dropped
+        ([(1, 3), (2, 4)], {(1, 3): 1, (3, 1): 2}, None),  # one block twice
+    ])
+    def test_block_form_refuses_what_it_would_misread(self, blocks, beads, ties):
+        with pytest.raises(ValueError):
+            BeadedDiagram(2, 3, blocks, beads, PERMUTATION, ties)
+
+    def test_bead_mapping_names_blocks_in_any_point_order(self):
+        x = BeadedDiagram(2, 3, [(2, 4), (1, 3)], {(3, 1): 2, (4, 2): 4}, PERMUTATION)
+        assert x.beads == (2, 1)
+
+    def test_label_form_refuses_a_non_integral_bead(self):
+        with pytest.raises(ValueError, match="integers"):
+            BeadedDiagram(2, 3, beads=[1.5, 0], lab=(0, 1, 0, 1))
+
+    @pytest.mark.parametrize("d,beads,want", [
+        (3, [4, -1], (1, 2)),
+        (7, [300, 6], (6, 6)),
+        (1000, [300, 999], (300, 999)),
+        (1000, [-1, 2000], (999, 0)),
+    ])
+    def test_label_form_reduces_beads_as_the_block_form(self, d, beads, want):
+        by_labels = BeadedDiagram(2, d, beads=beads, lab=(0, 1, 0, 1))
+        by_blocks = BeadedDiagram(2, d, [(1, 3), (2, 4)], beads)
+        assert by_labels.beads == by_blocks.beads == want
+        assert all(type(v) is int for v in by_labels.beads)
 
 
 class TestErasures:
@@ -583,9 +618,10 @@ def compose_reference(a, b, *, drop_rook=False):
 
 
 def _clear_memos():
-    """Empty the shape memos, so that the kernel is tested from cold."""
+    """Empty the shape and tie memos, so that the kernel is tested from cold."""
     _shape.cache_clear()
     _PLANS.clear()
+    _TIES.clear()
 
 
 def _assert_same_product(a, b, drop_rook):
@@ -675,7 +711,7 @@ def test_plans_grow_with_shapes_not_elements():
     shapes = len({x.lab for x in els})
     assert 0 < plans <= shapes * len(generating_set(fam))
     assert plans < len(els)
-    assert memo_sizes() == (_shape.cache_info().currsize, plans)
+    assert memo_sizes() == (_shape.cache_info().currsize, plans, 0)
 
 
 def test_products_with_more_than_256_blocks():
@@ -686,3 +722,127 @@ def test_products_with_more_than_256_blocks():
         assert product.beads == (2,) * n and loops.is_empty
         want, _ = compose_reference(wide, wide)
         assert product == want
+
+
+# -- the tie memo ---------------------------------------------------------------
+
+def _reference_ties(ties, k):
+    """The tie check that every construction ran before the tie memo."""
+    canon = tuple(sorted(map(tuple, map(sorted, ties))))
+    members = sorted(chain.from_iterable(canon))
+    if members != list(range(k)) or not all(canon):
+        if len(members) == len(set(members)) and set(members) < set(range(k)):
+            raise ValueError("ties must cover every block")
+        raise ValueError("ties must partition the block indices")
+    return canon
+
+
+def _set_partitions(k):
+    """Every set partition of 0..k-1, as lists of classes."""
+    if k == 0:
+        yield []
+        return
+    for part in _set_partitions(k - 1):
+        for cls in part:
+            yield [c + [k - 1] if c is cls else c for c in part]
+        yield part + [[k - 1]]
+
+
+def _tied_identity(k, ties):
+    return BeadedDiagram(k, 1, ties=ties, lab=tuple(range(k)) * 2)
+
+
+def test_tie_memo_matches_the_reference_on_every_partition():
+    _clear_memos()
+    rng = random.Random(0x71E)
+    seen = 0
+    for k in range(1, 7):
+        for part in _set_partitions(k):
+            part = [rng.sample(c, len(c)) for c in part]
+            rng.shuffle(part)
+            want = _reference_ties(part, k)
+            for given in (part, tuple(map(tuple, part)), want):
+                assert _tie_partition(given, k)[0] == want
+                assert _tied_identity(k, given).ties == want
+            seen += 1
+    assert seen == 1 + 2 + 5 + 15 + 52 + 203 == len(_TIES)
+
+
+@pytest.mark.parametrize("ties,k", [
+    ([[0], [2]], 3),               # a missing block
+    ([[0, 1], [1, 2]], 3),         # a repeated block
+    ([[0, 1], [], [2]], 3),        # an empty class
+    ([[0, 1], [3]], 3),            # a block out of range
+    ([[1], [0, 0]], 2),            # a list of lists
+    (((0, 1), (2,)), 4),           # a stored partition, fewer blocks than k
+    (((0, 1), (2,)), 2),           # a stored partition, more blocks than k
+])
+def test_invalid_ties_raise_as_the_reference_on_every_call(ties, k):
+    _tie_partition(((0, 1), (2,)), 3)
+    stored = dict(_TIES)
+    with pytest.raises(ValueError) as want:
+        _reference_ties(ties, k)
+    for build in (lambda: _tie_partition(ties, k), lambda: _tied_identity(k, ties)) * 2:
+        with pytest.raises(ValueError) as got:
+            build()
+        assert str(got.value) == str(want.value)
+    assert _TIES == stored
+
+
+def test_tie_members_are_stored_as_ints():
+    # 0.0 == 0 finds the same memo entry, so the first entry must hold ints
+    _clear_memos()
+    x = _tied_identity(2, [[1.0, False]])
+    assert x.ties == ((0, 1),) and all(type(b) is int for b in x.ties[0])
+    assert _tied_identity(2, [[0, 1]]).encode().endswith(";ties=[[0,1]]")
+
+
+def test_equal_tie_partitions_share_one_tuple():
+    a = _tied_identity(3, [[2], [1, 0]])
+    b = _tied_identity(3, ((0, 1), (2,)))
+    assert a.ties is b.ties
+    by_blocks = BeadedDiagram(3, 1, [(3, 6), (1, 4), (2, 5)], None, PERMUTATION,
+                              [[0], [2, 1]])
+    assert by_blocks.ties is a.ties
+    e1 = generator(GenSymbol("e", 1, 2), 3, 1)
+    product, _ = compose(e1, identity(3, 1, tied=True))
+    assert product.ties is a.ties
+
+
+def test_clear_memos_empties_the_tie_memo():
+    _tied_identity(2, [[0, 1]])
+    assert memo_sizes()[2] > 0
+    _clear_memos()
+    assert memo_sizes() == (0, 0, 0)
+
+
+def test_few_tie_partitions_serve_a_tied_closure():
+    fam = family("tsn", 5)
+    _CLOSURES.pop(fam, None)
+    _clear_memos()
+    els = closure(fam)
+    assert len(els) == 6240
+    assert len({id(x.ties) for x in els}) == len(_TIES) == memo_sizes()[2] == 52
+
+
+def test_compose_builds_its_result_through_the_constructor(monkeypatch):
+    """One constructor call per product: every product is checked by it."""
+    r1 = generator(GenSymbol("r", 1), 3, 2)
+    pairs = [
+        (generator(GenSymbol("t", 1), 3, 1), generator(GenSymbol("t", 1), 3, 1), False),
+        (generator(GenSymbol("o", 1), 3, 3), generator(GenSymbol("s", 1), 3, 3), False),
+        (generator(GenSymbol("e", 1, 2), 3, 2), generator(GenSymbol("q", 2), 3, 2), True),
+        (r1, r1, True),
+    ]
+    calls = []
+    init = BeadedDiagram.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BeadedDiagram, "__init__", counting)
+    for a, b, drop_rook in pairs:
+        calls.clear()
+        product, _ = compose(a, b, drop_rook=drop_rook)
+        assert len(calls) == 1 and type(product) is BeadedDiagram
