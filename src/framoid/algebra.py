@@ -108,7 +108,11 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        terms = self.terms
+        if not terms or (len(terms) == 1 and () in terms):
+            # a constant equals its value, so it hashes as that value
+            return hash(terms.get((), 0))
+        return hash(tuple(sorted(terms.items())))
 
     def __add__(self, other):
         if not isinstance(other, (LaurentPoly, int, Fraction)):

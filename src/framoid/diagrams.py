@@ -67,10 +67,15 @@ class LoopRecord:
         if counts:
             items = counts.items() if hasattr(counts, "items") else counts
             for residue, mult in items:
+                try:
+                    residue, mult = index(residue), index(mult)
+                except TypeError:
+                    raise ValueError("loop residues and multiplicities must be "
+                                     "integers") from None
                 if mult < 0:
                     raise ValueError("loop multiplicities must be non-negative")
                 if mult:
-                    acc[int(residue)] = acc.get(int(residue), 0) + int(mult)
+                    acc[residue] = acc.get(residue, 0) + mult
         self.counts = tuple(sorted(acc.items()))
 
     @property
@@ -348,7 +353,10 @@ class BeadedDiagram:
         self.ties = ties
         if family_tag not in tags:
             self._raise_tag_violation()
-        self._hash = hash((n, d, lab, beads, ties))
+        # hash(None) is an address, so an untied diagram leaves ties out of
+        # its hash to hash alike in every process
+        self._hash = (hash((n, d, lab, beads)) if ties is None
+                      else hash((n, d, lab, beads, ties)))
 
     def _raise_tag_violation(self):
         """Name the first block that breaks the structural tag."""

@@ -1,5 +1,6 @@
 """Bundled verification suites: cardinalities, presentations, bridge
-identities, framed Temperley-Lieb checks and specialization maps.
+identities, framed Temperley-Lieb checks and specialization maps.  The tied
+suite's catalogues come from one row table, ``_TIED_FAMILY``.
 
 Every suite returns a :class:`SuiteReport` whose entries carry one identity
 each; failures come with a reproducible witness.  Randomized suites take a
@@ -14,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .diagrams import BeadedDiagram, CapExceeded
@@ -433,119 +435,72 @@ def suite_framed_tl(d_values: Sequence[int] = (1, 2, 3),
 
 # -- tied specializations --------------------------------------------------------------
 
-def _commuting_pairs(names: Sequence[str], n: int):
-    for a_idx, a_kind in enumerate(names):
-        for b_kind in names[a_idx:]:
-            for i in range(1, n):
-                for j in range(1, n):
-                    if abs(i - j) == 1 or (a_kind == b_kind and j <= i):
-                        continue
-                    yield a_kind, i, b_kind, j
+# A row is (identity, lhs word, rhs word), each a ``str.format`` template over
+# the index i and, in a row over adjacent indices, j = i - 1 or i + 1; a row
+# that two tied algebras share is declared once.
+_T_SQUARE = ("t_{i}^2 = x t_{i} -> t_{i}", "t{i} t{i}", "t{i}")
+_E_SQUARE = ("e_{i}^2 = e_{i}", "e{i} e{i}", "e{i}")
+_T_E = ("t_{i} e_{i} = t_{i}", "t{i} e{i}", "t{i}")
+_F_E = ("f_{i} e_{i} = f_{i}", "f{i} e{i}", "f{i}")
+_T_T_T = ("t_{i} t_{j} t_{i} = t_{i}", "t{i} t{j} t{i}", "t{i}")
+_T_E_T = ("t_{i} e_{j} t_{i} = t_{i}", "t{i} e{j} t{i}", "t{i}")
+_F_E_ADJ = ("f_{i} e_{j} = e_{j} t_{i} e_{j}", "f{i} e{j}", "e{j} t{i} e{j}")
+_BRAIDS_AND_TIES = (
+    ("g_{i} g_{j} g_{i} = g_{j} g_{i} g_{j}", "s{i} s{j} s{i}", "s{j} s{i} s{j}"),
+    ("e_{i} g_{j} g_{i} = g_{j} g_{i} e_{j}", "e{i} s{j} s{i}", "s{j} s{i} e{j}"),
+    ("e_{i} e_{j} g_{i} = e_{j} g_{i} e_{j}", "e{i} e{j} s{i}", "e{j} s{i} e{j}"),
+    ("e_{j} g_{i} e_{j} = g_{i} e_{i} e_{j}", "e{j} s{i} e{j}", "s{i} e{i} e{j}"),
+)
 
 
-def _tied_tl_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
-    n = fam.n
-    el = lambda w: from_word(w, fam, NEGLECT)
-    for a_kind, i, b_kind, j in _commuting_pairs(("t", "e", "f"), n):
-        yield (f"{a_kind}_{i} {b_kind}_{j} = {b_kind}_{j} {a_kind}_{i} (x=y=1)",
-               el(f"{a_kind}{i} {b_kind}{j}"), el(f"{b_kind}{j} {a_kind}{i}"))
-    for i in range(1, n):
-        el_t = el(f"t{i}")
-        yield (f"t_{i}^2 = x t_{i} -> t_{i}", el(f"t{i} t{i}"), el_t)
-        yield (f"e_{i}^2 = e_{i}", el(f"e{i} e{i}"), el(f"e{i}"))
-        yield (f"f_{i}^2 = y f_{i} -> f_{i}", el(f"f{i} f{i}"), el(f"f{i}"))
-        yield (f"t_{i} e_{i} = t_{i}", el(f"t{i} e{i}"), el_t)
-        yield (f"f_{i} e_{i} = f_{i}", el(f"f{i} e{i}"), el(f"f{i}"))
-        yield (f"f_{i} t_{i} = y t_{i} -> t_{i}", el(f"f{i} t{i}"), el_t)
-        for j in (i - 1, i + 1):
-            if not 1 <= j <= n - 1:
-                continue
-            yield (f"e_{i} e_{j} = e_{j} e_{i}", el(f"e{i} e{j}"), el(f"e{j} e{i}"))
-            yield (f"t_{i} t_{j} t_{i} = t_{i}", el(f"t{i} t{j} t{i}"), el_t)
-            yield (f"t_{i} e_{j} t_{i} = t_{i}", el(f"t{i} e{j} t{i}"), el_t)
-            yield (f"f_{i} e_{j} = e_{j} f_{i}", el(f"f{i} e{j}"), el(f"e{j} f{i}"))
-            yield (f"f_{i} e_{j} = e_{j} t_{i} e_{j}",
-                   el(f"f{i} e{j}"), el(f"e{j} t{i} e{j}"))
+def _tied_identities(kinds: Sequence[str], params: str, rows_i: Sequence[tuple],
+                     rows_j: Sequence[tuple]):
+    """The catalogue of one tied algebra at the specialization ``params``:
+    far pairs of ``kinds`` commute, then for each i come the ``rows_i`` and
+    the ``rows_j`` for j = i - 1 and j = i + 1 within 1..n - 1."""
+    def catalogue(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+        n = fam.n
+        el = lambda w: from_word(w, fam, NEGLECT)
+        for a, b in combinations_with_replacement(kinds, 2):
+            for i, j in product(range(1, n), repeat=2):
+                if abs(i - j) != 1 and (a != b or j > i):
+                    yield (f"{a}_{i} {b}_{j} = {b}_{j} {a}_{i} {params}",
+                           el(f"{a}{i} {b}{j}"), el(f"{b}{j} {a}{i}"))
+        for i in range(1, n):
+            for rows, j in ((rows_i, i), (rows_j, i - 1), (rows_j, i + 1)):
+                for row in rows if 1 <= j < n else ():
+                    ident, lhs, rhs = (part.format(i=i, j=j) for part in row)
+                    yield ident, el(lhs), el(rhs)
+    return catalogue
 
 
-def _tied_bmw_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
-    # braids specialize to crossings at a = q = 1; inverses are the crossings
-    n = fam.n
-    el = lambda w: from_word(w, fam, NEGLECT)
-    zero = AlgebraElement(fam, NEGLECT)
-    for a_kind, i, b_kind, j in _commuting_pairs(("s", "t", "e", "f"), n):
-        yield (f"{a_kind}_{i} {b_kind}_{j} = {b_kind}_{j} {a_kind}_{i} (a=q=x=1)",
-               el(f"{a_kind}{i} {b_kind}{j}"), el(f"{b_kind}{j} {a_kind}{i}"))
-    for i in range(1, n):
-        el_t = el(f"t{i}")
-        yield (f"t_{i}^2 = x t_{i} -> t_{i}", el(f"t{i} t{i}"), el_t)
-        yield (f"t_{i} e_{i} = t_{i}", el(f"t{i} e{i}"), el_t)
-        yield (f"f_{i} e_{i} = f_{i}", el(f"f{i} e{i}"), el(f"f{i}"))
-        yield (f"g_{i} t_{i} = a^-1 t_{i} -> s_{i} t_{i} = t_{i}",
-               el(f"s{i} t{i}"), el_t)
-        yield (f"f_{i} g_{i} = a^-1 f_{i} -> f_{i} s_{i} = f_{i}",
-               el(f"f{i} s{i}"), el(f"f{i}"))
-        yield (f"g_{i} - g_{i}^-1 = (q-q^-1)(e_{i}-f_{i}) -> 0 = 0",
-               el(f"s{i}") - el(f"s{i}"), zero)
-        for j in (i - 1, i + 1):
-            if not 1 <= j <= n - 1:
-                continue
-            yield (f"g_{i} g_{j} g_{i} = g_{j} g_{i} g_{j}",
-                   el(f"s{i} s{j} s{i}"), el(f"s{j} s{i} s{j}"))
-            yield (f"e_{i} g_{j} g_{i} = g_{j} g_{i} e_{j}",
-                   el(f"e{i} s{j} s{i}"), el(f"s{j} s{i} e{j}"))
-            yield (f"e_{i} e_{j} g_{i} = e_{j} g_{i} e_{j}",
-                   el(f"e{i} e{j} s{i}"), el(f"e{j} s{i} e{j}"))
-            yield (f"e_{j} g_{i} e_{j} = g_{i} e_{i} e_{j}",
-                   el(f"e{j} s{i} e{j}"), el(f"s{i} e{i} e{j}"))
-            yield (f"t_{i} t_{j} t_{i} = t_{i}", el(f"t{i} t{j} t{i}"), el_t)
-            yield (f"t_{i} e_{j} t_{i} = t_{i}", el(f"t{i} e{j} t{i}"), el_t)
-            yield (f"f_{i} e_{j} = e_{j} t_{i} e_{j}",
-                   el(f"f{i} e{j}"), el(f"e{j} t{i} e{j}"))
-            yield (f"t_{i} g_{j} t_{i} = a t_{i} -> t_{i} s_{j} t_{i} = t_{i}",
-                   el(f"t{i} s{j} t{i}"), el_t)
-            yield (f"g_{i} g_{j} t_{i} = t_{j} g_{i} g_{j}",
-                   el(f"s{i} s{j} t{i}"), el(f"t{j} s{i} s{j}"))
-            yield (f"t_{j} g_{i} g_{j} = t_{j} t_{i}",
-                   el(f"t{j} s{i} s{j}"), el(f"t{j} t{i}"))
-            yield (f"g_{i} t_{j} g_{i} = g_{j}^-1 t_{i} g_{j}^-1",
-                   el(f"s{i} t{j} s{i}"), el(f"s{j} t{i} s{j}"))
-            yield (f"g_{i} f_{j} g_{i} = g_{j}^-1 f_{i} g_{j}^-1",
-                   el(f"s{i} f{j} s{i}"), el(f"s{j} f{i} s{j}"))
-            yield (f"g_{i} t_{j} t_{i} = g_{j}^-1 t_{i}",
-                   el(f"s{i} t{j} t{i}"), el(f"s{j} t{i}"))
-            yield (f"t_{i} t_{j} g_{i} = t_{i} g_{j}^-1",
-                   el(f"t{i} t{j} s{i}"), el(f"t{i} s{j}"))
-
-
-def _bt_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
-    n = fam.n
-    el = lambda w: from_word(w, fam, NEGLECT)
-    one_el = from_word("", fam, NEGLECT)
-    for a_kind, i, b_kind, j in _commuting_pairs(("s", "e"), n):
-        yield (f"{a_kind}_{i} {b_kind}_{j} = {b_kind}_{j} {a_kind}_{i} (v=1)",
-               el(f"{a_kind}{i} {b_kind}{j}"), el(f"{b_kind}{j} {a_kind}{i}"))
-    for i in range(1, n):
-        yield (f"e_{i}^2 = e_{i}", el(f"e{i} e{i}"), el(f"e{i}"))
-        yield (f"g_{i}^2 = 1 + (v-v^-1) e_{i} g_{i} -> s_{i}^2 = 1",
-               el(f"s{i} s{i}"), one_el)
-        for j in (i - 1, i + 1):
-            if not 1 <= j <= n - 1:
-                continue
-            yield (f"g_{i} g_{j} g_{i} = g_{j} g_{i} g_{j}",
-                   el(f"s{i} s{j} s{i}"), el(f"s{j} s{i} s{j}"))
-            yield (f"e_{i} g_{j} g_{i} = g_{j} g_{i} e_{j}",
-                   el(f"e{i} s{j} s{i}"), el(f"s{j} s{i} e{j}"))
-            yield (f"e_{i} e_{j} g_{i} = e_{j} g_{i} e_{j}",
-                   el(f"e{i} e{j} s{i}"), el(f"e{j} s{i} e{j}"))
-            yield (f"e_{j} g_{i} e_{j} = g_{i} e_{i} e_{j}",
-                   el(f"e{j} s{i} e{j}"), el(f"s{i} e{i} e{j}"))
-
-
+# (family, kinds whose far pairs commute, specialized parameters, rows over i,
+# rows over adjacent j); braids specialize to crossings at a = q = 1, and
+# their inverses are the crossings
 _TIED_FAMILY = (
-    ("tjn", _tied_tl_identities),
-    ("tbrn", _tied_bmw_identities),
-    ("tsn", _bt_identities),
+    ("tjn", ("t", "e", "f"), "(x=y=1)",
+     (_T_SQUARE, _E_SQUARE, ("f_{i}^2 = y f_{i} -> f_{i}", "f{i} f{i}", "f{i}"),
+      _T_E, _F_E, ("f_{i} t_{i} = y t_{i} -> t_{i}", "f{i} t{i}", "t{i}")),
+     (("e_{i} e_{j} = e_{j} e_{i}", "e{i} e{j}", "e{j} e{i}"), _T_T_T, _T_E_T,
+      ("f_{i} e_{j} = e_{j} f_{i}", "f{i} e{j}", "e{j} f{i}"), _F_E_ADJ)),
+    ("tbrn", ("s", "t", "e", "f"), "(a=q=x=1)",
+     (_T_SQUARE, _T_E, _F_E,
+      ("g_{i} t_{i} = a^-1 t_{i} -> s_{i} t_{i} = t_{i}", "s{i} t{i}", "t{i}"),
+      ("f_{i} g_{i} = a^-1 f_{i} -> f_{i} s_{i} = f_{i}", "f{i} s{i}", "f{i}"),
+      # both sides equal at q = 1
+      ("g_{i} - g_{i}^-1 = (q-q^-1)(e_{i}-f_{i}) -> 0 = 0", "s{i}", "s{i}")),
+     (*_BRAIDS_AND_TIES, _T_T_T, _T_E_T, _F_E_ADJ,
+      ("t_{i} g_{j} t_{i} = a t_{i} -> t_{i} s_{j} t_{i} = t_{i}",
+       "t{i} s{j} t{i}", "t{i}"),
+      ("g_{i} g_{j} t_{i} = t_{j} g_{i} g_{j}", "s{i} s{j} t{i}", "t{j} s{i} s{j}"),
+      ("t_{j} g_{i} g_{j} = t_{j} t_{i}", "t{j} s{i} s{j}", "t{j} t{i}"),
+      ("g_{i} t_{j} g_{i} = g_{j}^-1 t_{i} g_{j}^-1", "s{i} t{j} s{i}", "s{j} t{i} s{j}"),
+      ("g_{i} f_{j} g_{i} = g_{j}^-1 f_{i} g_{j}^-1", "s{i} f{j} s{i}", "s{j} f{i} s{j}"),
+      ("g_{i} t_{j} t_{i} = g_{j}^-1 t_{i}", "s{i} t{j} t{i}", "s{j} t{i}"),
+      ("t_{i} t_{j} g_{i} = t_{i} g_{j}^-1", "t{i} t{j} s{i}", "t{i} s{j}"))),
+    ("tsn", ("s", "e"), "(v=1)",
+     (_E_SQUARE, ("g_{i}^2 = 1 + (v-v^-1) e_{i} g_{i} -> s_{i}^2 = 1", "s{i} s{i}", "")),
+     _BRAIDS_AND_TIES),
 )
 
 
@@ -555,8 +510,8 @@ def suite_tied_specializations(n_max: int = 4) -> SuiteReport:
     Kauffman-type -> tied Brauer at a=q=x=1, braids-and-ties at v=1."""
     report = SuiteReport("tied-specializations")
     for n in range(2, n_max + 1):
-        for name, catalogue in _TIED_FAMILY:
-            _check_catalogue(report, family(name, n), catalogue)
+        for name, *table in _TIED_FAMILY:
+            _check_catalogue(report, family(name, n), _tied_identities(*table))
     return report
 
 

@@ -67,6 +67,13 @@ class TestLaurentPoly:
         p = LaurentPoly.var("y2") + LaurentPoly.var("alpha1") + 1
         assert p.text() == "1 + 1*alpha1 + 1*y2"
 
+    @pytest.mark.parametrize("value", [0, 2, -3, Fraction(1, 2), Fraction(4, 2)])
+    def test_a_constant_hashes_as_the_value_it_equals(self, value):
+        p = LaurentPoly.const(value)
+        assert p == value and hash(p) == hash(value)
+        assert {value: "found"}.get(p) == "found"
+        assert {p: "found"}.get(value) == "found"
+
 
 class TestLoopScalars:
     def test_neglect(self):

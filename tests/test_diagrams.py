@@ -1,7 +1,11 @@
 """Core diagram model: construction, composition, loops, beads, ties."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 from itertools import chain
 
 import pytest
@@ -183,6 +187,17 @@ class TestCompose:
         assert any(len(cls) > 1 for cls in plain.ties)
         dropped, _ = compose(e1, p1, drop_rook=True)
         assert dropped == p1
+
+
+    @pytest.mark.parametrize("counts", [{1.5: 1}, {0: 1.7}, [(Fraction(3, 2), 1)]])
+    def test_loop_record_refuses_what_it_would_truncate(self, counts):
+        with pytest.raises(ValueError, match="integers"):
+            LoopRecord(counts)
+
+    def test_loop_record_counts_are_ints(self):
+        rec = LoopRecord([(True, 2), (3, False), (1, 1)])
+        assert rec.counts == ((1, 3),) and repr(rec) == "LoopRecord({1: 3})"
+        assert all(type(v) is int for pair in rec.counts for v in pair)
 
 
 class TestCanonical:
@@ -846,3 +861,14 @@ def test_compose_builds_its_result_through_the_constructor(monkeypatch):
         calls.clear()
         product, _ = compose(a, b, drop_rook=drop_rook)
         assert len(calls) == 1 and type(product) is BeadedDiagram
+
+
+def test_diagram_hashes_agree_across_processes():
+    # hash(None) is an address on some interpreters: an untied diagram must
+    # hash the same in every process once string hashing is pinned
+    code = ("from framoid.diagrams import identity\n"
+            "print(hash(identity(2, 1)), hash(identity(2, 3, tied=True)))")
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env=env).stdout for _ in range(2)]
+    assert runs[0] == runs[1] and len(runs[0].split()) == 2

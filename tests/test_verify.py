@@ -1,15 +1,23 @@
 """Suite machinery: reports, determinism, coverage, negative controls."""
 
+import ast
 import hashlib
 import json
+import sys
+from collections import Counter
+from pathlib import Path
+from typing import Iterator, Sequence
 
 import pytest
 
+from framoid.algebra import NEGLECT, AlgebraElement, from_word
 from framoid.monoids import FAMILY_NAMES, check_relations, default_grid, family
 from framoid.verify import (
     BRIDGE_TARGETS,
     DEFAULT_SEED,
     EXPECT_FAIL,
+    _TIED_FAMILY,
+    _tied_identities,
     suite_bridges,
     suite_cardinalities,
     suite_framed_tl,
@@ -182,3 +190,173 @@ SMALL_RUNS = {
 def test_report_bytes_are_pinned(name):
     text = SMALL_RUNS[name]().text()
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[name]
+
+
+def test_no_report_records_an_identity_twice():
+    # every suite at its default grid; a smaller cap, triple or pair count
+    # changes only a count inside an identity, one entry per family either way
+    runs = [suite_cardinalities(cap=1), suite_presentations(), suite_tied_specializations(),
+            suite_framed_tl(triples=12), suite_specialization_homomorphism(pairs=1)]
+    runs += [suite_bridges(target) for target in BRIDGE_TARGETS]
+    for report in runs:
+        seen = Counter((e.family, e.d, e.n, e.identity) for e in report.entries)
+        assert [key for key, count in seen.items() if count > 1] == [], report.name
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_the_package_imports_only_the_standard_library():
+    for path in sorted((ROOT / "src" / "framoid").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "framoid" or top in sys.stdlib_module_names, (path.name, name)
+    project = (ROOT / "pyproject.toml").read_text(encoding="utf-8").split("\n[")[1]
+    assert project.startswith("project]") and "\ndependencies = []\n" in project
+
+
+# -- differential gate: the tied row table against the catalogues it replaced --
+
+# The three hand-written catalogues the row table replaced, kept verbatim as
+# the reference: the pinned report bytes hold only identities and statuses,
+# so a row whose sides changed but still agree would not show there.
+
+def _commuting_pairs(names: Sequence[str], n: int):
+    for a_idx, a_kind in enumerate(names):
+        for b_kind in names[a_idx:]:
+            for i in range(1, n):
+                for j in range(1, n):
+                    if abs(i - j) == 1 or (a_kind == b_kind and j <= i):
+                        continue
+                    yield a_kind, i, b_kind, j
+
+
+def _tied_tl_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+    n = fam.n
+    el = lambda w: from_word(w, fam, NEGLECT)
+    for a_kind, i, b_kind, j in _commuting_pairs(("t", "e", "f"), n):
+        yield (f"{a_kind}_{i} {b_kind}_{j} = {b_kind}_{j} {a_kind}_{i} (x=y=1)",
+               el(f"{a_kind}{i} {b_kind}{j}"), el(f"{b_kind}{j} {a_kind}{i}"))
+    for i in range(1, n):
+        el_t = el(f"t{i}")
+        yield (f"t_{i}^2 = x t_{i} -> t_{i}", el(f"t{i} t{i}"), el_t)
+        yield (f"e_{i}^2 = e_{i}", el(f"e{i} e{i}"), el(f"e{i}"))
+        yield (f"f_{i}^2 = y f_{i} -> f_{i}", el(f"f{i} f{i}"), el(f"f{i}"))
+        yield (f"t_{i} e_{i} = t_{i}", el(f"t{i} e{i}"), el_t)
+        yield (f"f_{i} e_{i} = f_{i}", el(f"f{i} e{i}"), el(f"f{i}"))
+        yield (f"f_{i} t_{i} = y t_{i} -> t_{i}", el(f"f{i} t{i}"), el_t)
+        for j in (i - 1, i + 1):
+            if not 1 <= j <= n - 1:
+                continue
+            yield (f"e_{i} e_{j} = e_{j} e_{i}", el(f"e{i} e{j}"), el(f"e{j} e{i}"))
+            yield (f"t_{i} t_{j} t_{i} = t_{i}", el(f"t{i} t{j} t{i}"), el_t)
+            yield (f"t_{i} e_{j} t_{i} = t_{i}", el(f"t{i} e{j} t{i}"), el_t)
+            yield (f"f_{i} e_{j} = e_{j} f_{i}", el(f"f{i} e{j}"), el(f"e{j} f{i}"))
+            yield (f"f_{i} e_{j} = e_{j} t_{i} e_{j}",
+                   el(f"f{i} e{j}"), el(f"e{j} t{i} e{j}"))
+
+
+def _tied_bmw_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+    # braids specialize to crossings at a = q = 1; inverses are the crossings
+    n = fam.n
+    el = lambda w: from_word(w, fam, NEGLECT)
+    zero = AlgebraElement(fam, NEGLECT)
+    for a_kind, i, b_kind, j in _commuting_pairs(("s", "t", "e", "f"), n):
+        yield (f"{a_kind}_{i} {b_kind}_{j} = {b_kind}_{j} {a_kind}_{i} (a=q=x=1)",
+               el(f"{a_kind}{i} {b_kind}{j}"), el(f"{b_kind}{j} {a_kind}{i}"))
+    for i in range(1, n):
+        el_t = el(f"t{i}")
+        yield (f"t_{i}^2 = x t_{i} -> t_{i}", el(f"t{i} t{i}"), el_t)
+        yield (f"t_{i} e_{i} = t_{i}", el(f"t{i} e{i}"), el_t)
+        yield (f"f_{i} e_{i} = f_{i}", el(f"f{i} e{i}"), el(f"f{i}"))
+        yield (f"g_{i} t_{i} = a^-1 t_{i} -> s_{i} t_{i} = t_{i}",
+               el(f"s{i} t{i}"), el_t)
+        yield (f"f_{i} g_{i} = a^-1 f_{i} -> f_{i} s_{i} = f_{i}",
+               el(f"f{i} s{i}"), el(f"f{i}"))
+        yield (f"g_{i} - g_{i}^-1 = (q-q^-1)(e_{i}-f_{i}) -> 0 = 0",
+               el(f"s{i}") - el(f"s{i}"), zero)
+        for j in (i - 1, i + 1):
+            if not 1 <= j <= n - 1:
+                continue
+            yield (f"g_{i} g_{j} g_{i} = g_{j} g_{i} g_{j}",
+                   el(f"s{i} s{j} s{i}"), el(f"s{j} s{i} s{j}"))
+            yield (f"e_{i} g_{j} g_{i} = g_{j} g_{i} e_{j}",
+                   el(f"e{i} s{j} s{i}"), el(f"s{j} s{i} e{j}"))
+            yield (f"e_{i} e_{j} g_{i} = e_{j} g_{i} e_{j}",
+                   el(f"e{i} e{j} s{i}"), el(f"e{j} s{i} e{j}"))
+            yield (f"e_{j} g_{i} e_{j} = g_{i} e_{i} e_{j}",
+                   el(f"e{j} s{i} e{j}"), el(f"s{i} e{i} e{j}"))
+            yield (f"t_{i} t_{j} t_{i} = t_{i}", el(f"t{i} t{j} t{i}"), el_t)
+            yield (f"t_{i} e_{j} t_{i} = t_{i}", el(f"t{i} e{j} t{i}"), el_t)
+            yield (f"f_{i} e_{j} = e_{j} t_{i} e_{j}",
+                   el(f"f{i} e{j}"), el(f"e{j} t{i} e{j}"))
+            yield (f"t_{i} g_{j} t_{i} = a t_{i} -> t_{i} s_{j} t_{i} = t_{i}",
+                   el(f"t{i} s{j} t{i}"), el_t)
+            yield (f"g_{i} g_{j} t_{i} = t_{j} g_{i} g_{j}",
+                   el(f"s{i} s{j} t{i}"), el(f"t{j} s{i} s{j}"))
+            yield (f"t_{j} g_{i} g_{j} = t_{j} t_{i}",
+                   el(f"t{j} s{i} s{j}"), el(f"t{j} t{i}"))
+            yield (f"g_{i} t_{j} g_{i} = g_{j}^-1 t_{i} g_{j}^-1",
+                   el(f"s{i} t{j} s{i}"), el(f"s{j} t{i} s{j}"))
+            yield (f"g_{i} f_{j} g_{i} = g_{j}^-1 f_{i} g_{j}^-1",
+                   el(f"s{i} f{j} s{i}"), el(f"s{j} f{i} s{j}"))
+            yield (f"g_{i} t_{j} t_{i} = g_{j}^-1 t_{i}",
+                   el(f"s{i} t{j} t{i}"), el(f"s{j} t{i}"))
+            yield (f"t_{i} t_{j} g_{i} = t_{i} g_{j}^-1",
+                   el(f"t{i} t{j} s{i}"), el(f"t{i} s{j}"))
+
+
+def _bt_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+    n = fam.n
+    el = lambda w: from_word(w, fam, NEGLECT)
+    one_el = from_word("", fam, NEGLECT)
+    for a_kind, i, b_kind, j in _commuting_pairs(("s", "e"), n):
+        yield (f"{a_kind}_{i} {b_kind}_{j} = {b_kind}_{j} {a_kind}_{i} (v=1)",
+               el(f"{a_kind}{i} {b_kind}{j}"), el(f"{b_kind}{j} {a_kind}{i}"))
+    for i in range(1, n):
+        yield (f"e_{i}^2 = e_{i}", el(f"e{i} e{i}"), el(f"e{i}"))
+        yield (f"g_{i}^2 = 1 + (v-v^-1) e_{i} g_{i} -> s_{i}^2 = 1",
+               el(f"s{i} s{i}"), one_el)
+        for j in (i - 1, i + 1):
+            if not 1 <= j <= n - 1:
+                continue
+            yield (f"g_{i} g_{j} g_{i} = g_{j} g_{i} g_{j}",
+                   el(f"s{i} s{j} s{i}"), el(f"s{j} s{i} s{j}"))
+            yield (f"e_{i} g_{j} g_{i} = g_{j} g_{i} e_{j}",
+                   el(f"e{i} s{j} s{i}"), el(f"s{j} s{i} e{j}"))
+            yield (f"e_{i} e_{j} g_{i} = e_{j} g_{i} e_{j}",
+                   el(f"e{i} e{j} s{i}"), el(f"e{j} s{i} e{j}"))
+            yield (f"e_{j} g_{i} e_{j} = g_{i} e_{i} e_{j}",
+                   el(f"e{j} s{i} e{j}"), el(f"s{i} e{i} e{j}"))
+
+
+REFERENCE_TIED = {"tjn": _tied_tl_identities, "tbrn": _tied_bmw_identities,
+                  "tsn": _bt_identities}
+
+TAUTOLOGY = "g_{i} - g_{i}^-1 = (q-q^-1)(e_{i}-f_{i}) -> 0 = 0"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(REFERENCE_TIED))
+def test_tied_row_table_matches_the_reference_catalogues(name, n):
+    fam = family(name, n)
+    table = next(row[1:] for row in _TIED_FAMILY if row[0] == name)
+    got = list(_tied_identities(*table)(fam))
+    want = list(REFERENCE_TIED[name](fam))
+    assert [g[0] for g in got] == [w[0] for w in want]
+    # the reference compares s_i - s_i with zero, the table s_i with s_i
+    tautologies = {TAUTOLOGY.format(i=i): i for i in range(1, n)}
+    for (ident, lhs, rhs), (_, ref_lhs, ref_rhs) in zip(got, want):
+        if ident in tautologies:
+            assert (lhs - rhs).is_zero and (ref_lhs - ref_rhs).is_zero, ident
+            assert lhs == from_word(f"s{tautologies[ident]}", fam, NEGLECT), ident
+        else:
+            assert lhs == ref_lhs and rhs == ref_rhs, ident
+    assert sum(g[0] in tautologies for g in got) == (n - 1 if name == "tbrn" else 0)
