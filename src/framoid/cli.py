@@ -219,10 +219,13 @@ def _cmd_verify(args, out) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=_LEVELS.get(os.environ.get("FRAMOID_LOG", "warn"), logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s")
+    wanted = os.environ.get("FRAMOID_LOG") or "warn"
+    level = _LEVELS.get(wanted.lower())
+    logging.basicConfig(stream=sys.stderr, level=level or logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
+    if level is None:
+        log.warning("unknown FRAMOID_LOG value %r, using warn; choose from %s",
+                    wanted, ", ".join(_LEVELS))
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,6 +1,10 @@
 """Bundled verification suites: cardinalities, presentations, bridge
 identities, framed Temperley-Lieb checks and specialization maps.  The tied
-suite's catalogues come from one row table, ``_TIED_FAMILY``.
+suite's catalogues come from one row table, ``_TIED_FAMILY``.  The bridge
+suite's catalogues are word rows too, read through the deframization image
+table (``_image_evaluator``), which sends each tied generator to its averaged
+bridge in the framed family; ``_BRIDGE_FAMILY`` gives each target its family,
+loop policy and index generator.
 
 Every suite returns a :class:`SuiteReport` whose entries carry one identity
 each; failures come with a reproducible witness.  Randomized suites take a
@@ -11,14 +15,17 @@ serialized report omits timings.
 from __future__ import annotations
 
 import json
+import operator
 import random
+import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from functools import cache, partial, reduce
+from itertools import combinations, combinations_with_replacement, groupby, product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .diagrams import BeadedDiagram, CapExceeded
+from .diagrams import _KINDS, CapExceeded, parse_word
 from .monoids import (
     MonoidFamily,
     _swap,
@@ -42,6 +49,7 @@ from .algebra import (
     equal,
     from_diagram,
     from_word,
+    one,
     specialize,
     x_var,
     y_var,
@@ -121,6 +129,16 @@ def _check_catalogue(report: SuiteReport, fam: MonoidFamily,
         t0 = time.perf_counter()
 
 
+def _read_rows(indexed_rows, evaluate: Callable[[str], AlgebraElement]
+               ) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+    """Each ``(identity, lhs, rhs)`` template of ``(rows, fields)`` pairs,
+    formatted with its fields; ``evaluate`` reads both words."""
+    for rows, fields in indexed_rows:
+        for row in rows:
+            ident, lhs, rhs = (part.format(**fields) for part in row)
+            yield ident, evaluate(lhs), evaluate(rhs)
+
+
 # -- cardinalities ---------------------------------------------------------------
 
 def suite_cardinalities(grid: Optional[Sequence[MonoidFamily]] = None,
@@ -149,216 +167,213 @@ def suite_presentations(grid: Optional[Sequence[MonoidFamily]] = None) -> SuiteR
     return report
 
 
-# -- bridge identity catalogues ----------------------------------------------------
+# -- deframization image table ---------------------------------------------------
 
-def _partition_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
-    policy = NEGLECT
-    n = fam.n
-    el = lambda w: from_word(w, fam, policy)
-    eb = lambda i, j: bridge_e(i, j, fam, policy)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            yield (f"ebar_{i}{j}^2 = ebar_{i}{j}", eb(i, j) * eb(i, j), eb(i, j))
-            yield (f"z_{i} ebar_{i}{j} = z_{j} ebar_{i}{j}",
-                   el(f"o{i}") * eb(i, j), el(f"o{j}") * eb(i, j))
-            yield (f"z_{i} ebar_{i}{j} = ebar_{i}{j} z_{i}",
-                   el(f"o{i}") * eb(i, j), eb(i, j) * el(f"o{i}"))
-            yield (f"ebar_{i}{j} z_{i} = ebar_{i}{j} z_{j}",
-                   eb(i, j) * el(f"o{i}"), eb(i, j) * el(f"o{j}"))
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            (i, j), (r, s) = pairs[a], pairs[b]
-            yield (f"ebar_{i}{j} ebar_{r}{s} = ebar_{r}{s} ebar_{i}{j}",
-                   eb(i, j) * eb(r, s), eb(r, s) * eb(i, j))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                yield (f"ebar_{i}{j} ebar_{i}{k} = ebar_{i}{j} ebar_{j}{k}",
-                       eb(i, j) * eb(i, k), eb(i, j) * eb(j, k))
-                yield (f"ebar_{i}{j} ebar_{j}{k} = ebar_{i}{k} ebar_{j}{k}",
-                       eb(i, j) * eb(j, k), eb(i, k) * eb(j, k))
+# The image of each tied kind of ``diagrams._KINDS`` is its averaged bridge; the
+# lambdas look the functions up by name when called, so a rebound one runs.
+_BRIDGES = {
+    "e": lambda sym, fam, policy: bridge_e(sym.i, sym.j, fam, policy),
+    "f": lambda sym, fam, policy: bridge_f(sym.i, fam, policy),
+    "q": lambda sym, fam, policy: bridge_q(sym.i, fam, policy),
+    "w": lambda sym, fam, policy: bridge_w(sym.i, sym.i, sym.i, fam, policy),
+}
+# beyond the generator grammar: Z{i}, the averaged framing, Z0{i}, the same at
+# alpha = 1, and w{i}({j},{h}), the transport bridge wbar_i(j, h)
+_Z_TOKEN = re.compile(r"Z(0?)([1-9][0-9]*)")
+_W_TOKEN = re.compile(r"w([0-9]+)\(([0-9]+),([0-9]+)\)")
 
 
-def _symmetric_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
-    policy = ALPHA  # permutation products close no loops: any policy gives the same
-    n = fam.n
-    el = lambda w: from_word(w, fam, policy)
-    eb = lambda i: bridge_e(i, i + 1, fam, policy)
-    for i in range(1, n):
-        yield (f"ebar_{i}^2 = ebar_{i}", eb(i) * eb(i), eb(i))
-        yield (f"z_{i} ebar_{i} = z_{i + 1} ebar_{i}",
-               el(f"o{i}") * eb(i), el(f"o{i + 1}") * eb(i))
-        yield (f"z_{i} ebar_{i} = ebar_{i} z_{i}",
-               el(f"o{i}") * eb(i), eb(i) * el(f"o{i}"))
-        for j in range(i + 1, n):
-            yield (f"ebar_{i} ebar_{j} = ebar_{j} ebar_{i}",
-                   eb(i) * eb(j), eb(j) * eb(i))
-    for i in range(1, n):
-        for j in range(1, n):
-            if abs(i - j) != 1:
-                yield (f"s_{i} ebar_{j} = ebar_{j} s_{i}",
-                       el(f"s{i}") * eb(j), eb(j) * el(f"s{i}"))
+def _image(token: str, fam, policy: str) -> Optional[AlgebraElement]:
+    """The image of one token; None for a generator that is its own image."""
+    if m := _Z_TOKEN.fullmatch(token):
+        z = cap_z(int(m[2]), fam, policy)
+        return specialize(z, alpha_to_one(fam.d)) if m[1] else z
+    if m := _W_TOKEN.fullmatch(token):
+        return bridge_w(*map(int, m.groups()), fam, policy)
+    (sym,) = parse_word(token)
+    return None if _KINDS[sym.kind].unties is None else _BRIDGES[sym.kind](sym, fam, policy)
+
+
+def _image_evaluator(fam, policy: str) -> Callable[[str], AlgebraElement]:
+    """A word's deframization image in the algebra of ``fam``: a run of plain
+    generators is one ``from_word``, any other token its image (built once per
+    evaluator), and the factors multiply left to right."""
+    image = cache(partial(_image, fam=fam, policy=policy))
+
+    def evaluate(word: str) -> AlgebraElement:
+        factors = []
+        for plain, tokens in groupby(word.split(), lambda token: image(token) is None):
+            if plain:
+                factors.append(from_word(" ".join(tokens), fam, policy))
             else:
-                yield (f"ebar_{i} s_{j} s_{i} = s_{j} s_{i} ebar_{j}",
-                       eb(i) * el(f"s{j} s{i}"), el(f"s{j} s{i}") * eb(j))
-                yield (f"ebar_{i} ebar_{j} s_{i} = ebar_{j} s_{i} ebar_{j}",
-                       eb(i) * eb(j) * el(f"s{i}"), eb(j) * el(f"s{i}") * eb(j))
-                yield (f"ebar_{j} s_{i} ebar_{j} = s_{i} ebar_{i} ebar_{j}",
-                       eb(j) * el(f"s{i}") * eb(j), el(f"s{i}") * eb(i) * eb(j))
+                factors += map(image, tokens)
+        return reduce(operator.mul, factors) if factors else one(fam, policy)
+    return evaluate
 
 
-def _rook_first_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
-    # plain scalars: beads escape through free points, so the averaged scalar
-    # framing appears with all alpha specialized to 1
-    policy = NEGLECT
-    n, d = fam.n, fam.d
-    el = lambda w: from_word(w, fam, policy)
-    eb = lambda i: bridge_e(i, i + 1, fam, policy)
-    z0 = lambda i: specialize(cap_z(i, fam, policy), alpha_to_one(d))
+# -- bridge identity rows ----------------------------------------------------------
+
+# A bridge row is (identity, lhs word, rhs word), ``str.format`` templates over
+# the fields of ``_at``; both words are read through the image evaluator.
+_PARTITION_PAIR = (
+    ("ebar_{i}{j}^2 = ebar_{i}{j}", "e{i},{j} e{i},{j}", "e{i},{j}"),
+    ("z_{i} ebar_{i}{j} = z_{j} ebar_{i}{j}", "o{i} e{i},{j}", "o{j} e{i},{j}"),
+    ("z_{i} ebar_{i}{j} = ebar_{i}{j} z_{i}", "o{i} e{i},{j}", "e{i},{j} o{i}"),
+    ("ebar_{i}{j} z_{i} = ebar_{i}{j} z_{j}", "e{i},{j} o{i}", "e{i},{j} o{j}"))
+_PARTITION_COMMUTE = (("ebar_{i}{j} ebar_{r}{s} = ebar_{r}{s} ebar_{i}{j}",
+                       "e{i},{j} e{r},{s}", "e{r},{s} e{i},{j}"),)
+_PARTITION_TRIPLE = (("ebar_{i}{j} ebar_{i}{k} = ebar_{i}{j} ebar_{j}{k}",
+                      "e{i},{j} e{i},{k}", "e{i},{j} e{j},{k}"),
+                     ("ebar_{i}{j} ebar_{j}{k} = ebar_{i}{k} ebar_{j}{k}",
+                      "e{i},{j} e{j},{k}", "e{i},{k} e{j},{k}"))
+_SYMMETRIC_I = (("ebar_{i}^2 = ebar_{i}", "e{i} e{i}", "e{i}"),
+                ("z_{i} ebar_{i} = z_{i1} ebar_{i}", "o{i} e{i}", "o{i1} e{i}"),
+                ("z_{i} ebar_{i} = ebar_{i} z_{i}", "o{i} e{i}", "e{i} o{i}"))
+_SYMMETRIC_COMMUTE = (("ebar_{i} ebar_{j} = ebar_{j} ebar_{i}", "e{i} e{j}", "e{j} e{i}"),)
+_SYMMETRIC_FAR = (("s_{i} ebar_{j} = ebar_{j} s_{i}", "s{i} e{j}", "e{j} s{i}"),)
+_SYMMETRIC_ADJACENT = (
+    ("ebar_{i} s_{j} s_{i} = s_{j} s_{i} ebar_{j}", "e{i} s{j} s{i}", "s{j} s{i} e{j}"),
+    ("ebar_{i} ebar_{j} s_{i} = ebar_{j} s_{i} ebar_{j}", "e{i} e{j} s{i}", "e{j} s{i} e{j}"),
+    ("ebar_{j} s_{i} ebar_{j} = s_{i} ebar_{i} ebar_{j}", "e{j} s{i} e{j}", "s{i} e{i} e{j}"))
+# plain scalars: beads escape through free points, so the averaged scalar
+# framing appears with all alpha specialized to 1
+_ROOK_LATER = (("ebar_{i} p_{j} = p_{j}", "e{i} p{j}", "p{j}"),
+               ("p_{j} ebar_{i} = p_{j}", "p{j} e{i}", "p{j}"))
+_ROOK_I = (("ebar_{i} p_{i} = Z0_{i1} p_{i}", "e{i} p{i}", "Z0{i1} p{i}"),
+           ("p_{i} ebar_{i} = p_{i} Z0_{i1}", "p{i} e{i}", "p{i} Z0{i1}"))
+_ROOK_EARLIER = (("ebar_{i} p_{j} = p_{j} ebar_{i}", "e{i} p{j}", "p{j} e{i}"),)
+_ROOK_DEGENERATE = (("qbar_{i} = r_{i} (bridge degenerates)", "q{i}", "r{i}"),
+                    ("wbar_{i} = p_{i} (bridge degenerates)", "w{i}", "p{i}"))
+_PRIME_I = (("qbar_{i}^2 = qbar_{i} Z_{i}", "q{i} q{i}", "q{i} Z{i}"),
+            ("z_{i} qbar_{i} = qbar_{i} z_{i}", "o{i} q{i}", "q{i} o{i}"))
+_PRIME_PAIR = (("qbar_{i} qbar_{j} = qbar_{j} qbar_{i}", "q{i} q{j}", "q{j} q{i}"),
+               ("r_{i} qbar_{j} = qbar_{j} r_{i}", "r{i} q{j}", "q{j} r{i}"),
+               ("r_{j} qbar_{i} = qbar_{i} r_{j}", "r{j} q{i}", "q{i} r{j}"))
+_PRIME_ANY = (("qbar_{j} ebar_{i} = ebar_{i} qbar_{j}", "q{j} e{i}", "e{i} q{j}"),
+              ("s_{i} qbar_{j} = qbar_{swap} s_{i}", "s{i} q{j}", "q{swap} s{i}"))
+_PRIME_ENDS = (("ebar_{i} r_{j} ebar_{i} = ebar_{i} qbar_{j}", "e{i} r{j} e{i}",
+                "e{i} q{j}"),)
+_PRIME_FAR = (("ebar_{i} r_{j} = r_{j} ebar_{i}", "e{i} r{j}", "r{j} e{i}"),)
+_PRIME_ADJACENT = (
+    ("r_{i} ebar_{i} r_{i} = r_{i} Z_{i1}", "r{i} e{i} r{i}", "r{i} Z{i1}"),
+    ("r_{i1} ebar_{i} r_{i1} = Z_{i} r_{i1}", "r{i1} e{i} r{i1}", "Z{i} r{i1}"),
+    ("r_{i} ebar_{i} r_{i1} = s_{i} qbar_{i} r_{i1}", "r{i} e{i} r{i1}", "s{i} q{i} r{i1}"))
+# wbar_i(i, i) is spelled as in the transport rows, so that it is built once
+_PRIME_W = (("wbar_{i1} = r_1..r_{i} qbar_{i1}", "w{i1}({i1},{i1})", "{rooks} q{i1}"),)
+# transport across the two broken arcs of p_i
+_PRIME_TRANSPORT = (("z_{j} wbar_{i}({j},{h}) = wbar_{i}({j},{h}) z_{h}",
+                     "o{j} w{i}({j},{h})", "w{i}({j},{h}) o{h}"),)
+_JONES_I = (("fbar_{i}^2 = fbar_{i} Z_{i}", "f{i} f{i}", "f{i} Z{i}"),
+            ("t_{i}^2 = t_{i}", "t{i} t{i}", "t{i}"),
+            ("ebar_{i} t_{i} = t_{i}", "e{i} t{i}", "t{i}"),
+            ("t_{i} ebar_{i} = t_{i}", "t{i} e{i}", "t{i}"),
+            ("fbar_{i} ebar_{i} = fbar_{i}", "f{i} e{i}", "f{i}"),
+            ("ebar_{i} fbar_{i} = fbar_{i}", "e{i} f{i}", "f{i}"),
+            ("t_{i} fbar_{i} = t_{i} Z_{i}", "t{i} f{i}", "t{i} Z{i}"),
+            ("fbar_{i} t_{i} = Z_{i} t_{i}", "f{i} t{i}", "Z{i} t{i}"),
+            ("z_{i} fbar_{i} = z_{i1} fbar_{i}", "o{i} f{i}", "o{i1} f{i}"),
+            ("z_{i} fbar_{i} = fbar_{i} z_{i}", "o{i} f{i}", "f{i} o{i}"),
+            ("fbar_{i} z_{i} = fbar_{i} z_{i1}", "f{i} o{i}", "f{i} o{i1}"))
+_JONES_FAR = (("fbar_{i} fbar_{j} = fbar_{j} fbar_{i}", "f{i} f{j}", "f{j} f{i}"),
+              ("t_{i} ebar_{j} = ebar_{j} t_{i}", "t{i} e{j}", "e{j} t{i}"),
+              ("t_{i} fbar_{j} = fbar_{j} t_{i}", "t{i} f{j}", "f{j} t{i}"),
+              ("ebar_{i} fbar_{j} = fbar_{j} ebar_{i}", "e{i} f{j}", "f{j} e{i}"))
+_JONES_ADJACENT = (  # the strand of ebar_j away from the tangle keeps its framing
+    ("t_{i} ebar_{j} t_{i} = t_{i} Z_{away}", "t{i} e{j} t{i}", "t{i} Z{away}"),
+    ("fbar_{i} ebar_{j} = ebar_{j} t_{i} ebar_{j}", "f{i} e{j}", "e{j} t{i} e{j}"),
+    ("ebar_{j} fbar_{i} = ebar_{j} t_{i} ebar_{j}", "e{j} f{i}", "e{j} t{i} e{j}"),
+    ("t_{i} t_{j} t_{i} = t_{i}", "t{i} t{j} t{i}", "t{i}"))
+_JONES_CONTROL = ((EXPECT_FAIL + "fbar_1^2 = fbar_1 (needs Z)", "f1 f1", "f1"),)
+_BRAUER_I = (("fbar_{i} s_{i} = fbar_{i}", "f{i} s{i}", "f{i}"),
+             ("s_{i} fbar_{i} = fbar_{i}", "s{i} f{i}", "f{i}"))
+_BRAUER_FAR = (("fbar_{i} s_{j} = s_{j} fbar_{i}", "f{i} s{j}", "s{j} f{i}"),)
+_BRAUER_ADJACENT = (
+    ("s_{i} fbar_{j} s_{i} = s_{j} fbar_{i} s_{j}", "s{i} f{j} s{i}", "s{j} f{i} s{j}"),)
+
+
+def _at(i: int, j: int = 0, **more) -> dict:
+    """The fields of a row at indices i and j, with i1 = i + 1, swap = the
+    image of strand j under s_i, and away = the end of ebar_j away from t_i."""
+    return dict(i=i, i1=i + 1, j=j, swap=_swap(i, j), away=j + 1 if j > i else j, **more)
+
+
+# The index generators: ``rows(n, d)`` yields (rows, fields) in report order.
+
+def _around(n, rows_i, far, adjacent, same=()):
+    """``rows_i`` at each i < n, each followed by the ``same`` (j = i),
+    ``adjacent`` or ``far`` rows at each j < n."""
     for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            yield (f"ebar_{i} p_{j} = p_{j}", eb(i) * el(f"p{j}"), el(f"p{j}"))
-            yield (f"p_{j} ebar_{i} = p_{j}", el(f"p{j}") * eb(i), el(f"p{j}"))
-        yield (f"ebar_{i} p_{i} = Z0_{i + 1} p_{i}",
-               eb(i) * el(f"p{i}"), z0(i + 1) * el(f"p{i}"))
-        yield (f"p_{i} ebar_{i} = p_{i} Z0_{i + 1}",
-               el(f"p{i}") * eb(i), el(f"p{i}") * z0(i + 1))
-        for j in range(1, i):
-            yield (f"ebar_{i} p_{j} = p_{j} ebar_{i}",
-                   eb(i) * el(f"p{j}"), el(f"p{j}") * eb(i))
-    for i in range(1, n + 1):
-        yield (f"qbar_{i} = r_{i} (bridge degenerates)",
-               bridge_q(i, fam, policy), el(f"r{i}"))
-        yield (f"wbar_{i} = p_{i} (bridge degenerates)",
-               bridge_w(i, i, i, fam, policy), el(f"p{i}"))
-
-
-def _rook_prime_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
-    policy = ALPHA
-    n = fam.n
-    el = lambda w: from_word(w, fam, policy)
-    eb = lambda i: bridge_e(i, i + 1, fam, policy)
-    qb = lambda i: bridge_q(i, fam, policy)
-    zc = lambda i: cap_z(i, fam, policy)
-    for i in range(1, n + 1):
-        yield (f"qbar_{i}^2 = qbar_{i} Z_{i}", qb(i) * qb(i), qb(i) * zc(i))
-        yield (f"z_{i} qbar_{i} = qbar_{i} z_{i}",
-               el(f"o{i}") * qb(i), qb(i) * el(f"o{i}"))
-        for j in range(i + 1, n + 1):
-            yield (f"qbar_{i} qbar_{j} = qbar_{j} qbar_{i}",
-                   qb(i) * qb(j), qb(j) * qb(i))
-            yield (f"r_{i} qbar_{j} = qbar_{j} r_{i}",
-                   el(f"r{i}") * qb(j), qb(j) * el(f"r{i}"))
-            yield (f"r_{j} qbar_{i} = qbar_{i} r_{j}",
-                   el(f"r{j}") * qb(i), qb(i) * el(f"r{j}"))
-    for i in range(1, n):
-        for j in range(1, n + 1):
-            yield (f"qbar_{j} ebar_{i} = ebar_{i} qbar_{j}",
-                   qb(j) * eb(i), eb(i) * qb(j))
-            yield (f"s_{i} qbar_{j} = qbar_{_swap(i, j)} s_{i}",
-                   el(f"s{i}") * qb(j), qb(_swap(i, j)) * el(f"s{i}"))
-        for j in (i, i + 1):
-            yield (f"ebar_{i} r_{j} ebar_{i} = ebar_{i} qbar_{j}",
-                   eb(i) * el(f"r{j}") * eb(i), eb(i) * qb(j))
-        for j in range(1, n + 1):
-            if j not in (i, i + 1):
-                yield (f"ebar_{i} r_{j} = r_{j} ebar_{i}",
-                       eb(i) * el(f"r{j}"), el(f"r{j}") * eb(i))
-        yield (f"r_{i} ebar_{i} r_{i} = r_{i} Z_{i + 1}",
-               el(f"r{i}") * eb(i) * el(f"r{i}"), el(f"r{i}") * zc(i + 1))
-        yield (f"r_{i + 1} ebar_{i} r_{i + 1} = Z_{i} r_{i + 1}",
-               el(f"r{i + 1}") * eb(i) * el(f"r{i + 1}"), zc(i) * el(f"r{i + 1}"))
-        yield (f"r_{i} ebar_{i} r_{i + 1} = s_{i} qbar_{i} r_{i + 1}",
-               el(f"r{i}") * eb(i) * el(f"r{i + 1}"),
-               el(f"s{i}") * qb(i) * el(f"r{i + 1}"))
-    for i in range(2, n + 1):
-        word = " ".join(f"r{m}" for m in range(1, i))
-        yield (f"wbar_{i} = r_1..r_{i - 1} qbar_{i}",
-               bridge_w(i, i, i, fam, policy), el(word) * qb(i))
-    # transport across the two broken arcs of p_i
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            for h in range(1, i + 1):
-                wb = bridge_w(i, j, h, fam, policy)
-                yield (f"z_{j} wbar_{i}({j},{h}) = wbar_{i}({j},{h}) z_{h}",
-                       el(f"o{j}") * wb, wb * el(f"o{h}"))
-
-
-def _jones_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
-    policy = ALPHA
-    n = fam.n
-    el = lambda w: from_word(w, fam, policy)
-    eb = lambda i: bridge_e(i, i + 1, fam, policy)
-    fb = lambda i: bridge_f(i, fam, policy)
-    zc = lambda i: cap_z(i, fam, policy)
-    for i in range(1, n):
-        yield (f"fbar_{i}^2 = fbar_{i} Z_{i}", fb(i) * fb(i), fb(i) * zc(i))
-        yield (f"t_{i}^2 = t_{i}", el(f"t{i}") * el(f"t{i}"), el(f"t{i}"))
-        yield (f"ebar_{i} t_{i} = t_{i}", eb(i) * el(f"t{i}"), el(f"t{i}"))
-        yield (f"t_{i} ebar_{i} = t_{i}", el(f"t{i}") * eb(i), el(f"t{i}"))
-        yield (f"fbar_{i} ebar_{i} = fbar_{i}", fb(i) * eb(i), fb(i))
-        yield (f"ebar_{i} fbar_{i} = fbar_{i}", eb(i) * fb(i), fb(i))
-        yield (f"t_{i} fbar_{i} = t_{i} Z_{i}", el(f"t{i}") * fb(i), el(f"t{i}") * zc(i))
-        yield (f"fbar_{i} t_{i} = Z_{i} t_{i}", fb(i) * el(f"t{i}"), zc(i) * el(f"t{i}"))
-        yield (f"z_{i} fbar_{i} = z_{i + 1} fbar_{i}",
-               el(f"o{i}") * fb(i), el(f"o{i + 1}") * fb(i))
-        yield (f"z_{i} fbar_{i} = fbar_{i} z_{i}",
-               el(f"o{i}") * fb(i), fb(i) * el(f"o{i}"))
-        yield (f"fbar_{i} z_{i} = fbar_{i} z_{i + 1}",
-               fb(i) * el(f"o{i}"), fb(i) * el(f"o{i + 1}"))
+        yield rows_i, _at(i)
         for j in range(1, n):
-            if abs(i - j) > 1:
-                yield (f"fbar_{i} fbar_{j} = fbar_{j} fbar_{i}",
-                       fb(i) * fb(j), fb(j) * fb(i))
-                yield (f"t_{i} ebar_{j} = ebar_{j} t_{i}",
-                       el(f"t{i}") * eb(j), eb(j) * el(f"t{i}"))
-                yield (f"t_{i} fbar_{j} = fbar_{j} t_{i}",
-                       el(f"t{i}") * fb(j), fb(j) * el(f"t{i}"))
-                yield (f"ebar_{i} fbar_{j} = fbar_{j} ebar_{i}",
-                       eb(i) * fb(j), fb(j) * eb(i))
-            elif abs(i - j) == 1:
-                # the strand of ebar_j away from the tangle keeps its framing
-                away = j + 1 if j > i else j
-                yield (f"t_{i} ebar_{j} t_{i} = t_{i} Z_{away}",
-                       el(f"t{i}") * eb(j) * el(f"t{i}"), el(f"t{i}") * zc(away))
-                yield (f"fbar_{i} ebar_{j} = ebar_{j} t_{i} ebar_{j}",
-                       fb(i) * eb(j), eb(j) * el(f"t{i}") * eb(j))
-                yield (f"ebar_{j} fbar_{i} = ebar_{j} t_{i} ebar_{j}",
-                       eb(j) * fb(i), eb(j) * el(f"t{i}") * eb(j))
-                yield (f"t_{i} t_{j} t_{i} = t_{i}",
-                       el(f"t{i} t{j} t{i}"), el(f"t{i}"))
-    if n >= 2 and fam.d >= 2:
-        yield (f"{EXPECT_FAIL}fbar_1^2 = fbar_1 (needs Z)", fb(1) * fb(1), fb(1))
+            yield (same if j == i else adjacent if abs(i - j) == 1 else far), _at(i, j)
 
 
-def _brauer_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
-    policy = ALPHA
-    n = fam.n
-    el = lambda w: from_word(w, fam, policy)
-    fb = lambda i: bridge_f(i, fam, policy)
-    yield from _jones_identities(fam)
-    yield from _symmetric_identities(fam)
+def _partition_rows(n, d):
+    pairs = list(combinations(range(1, n + 1), 2))
+    yield from ((_PARTITION_PAIR, _at(i, j)) for i, j in pairs)
+    for (i, j), (r, s) in combinations(pairs, 2):
+        yield _PARTITION_COMMUTE, _at(i, j, r=r, s=s)
+    for i, j, k in combinations(range(1, n + 1), 3):
+        yield _PARTITION_TRIPLE, _at(i, j, k=k)
+
+
+def _symmetric_rows(n, d):
     for i in range(1, n):
-        yield (f"fbar_{i} s_{i} = fbar_{i}", fb(i) * el(f"s{i}"), fb(i))
-        yield (f"s_{i} fbar_{i} = fbar_{i}", el(f"s{i}") * fb(i), fb(i))
-        for j in range(1, n):
-            if abs(i - j) > 1:
-                yield (f"fbar_{i} s_{j} = s_{j} fbar_{i}",
-                       fb(i) * el(f"s{j}"), el(f"s{j}") * fb(i))
-            elif abs(i - j) == 1:
-                yield (f"s_{i} fbar_{j} s_{i} = s_{j} fbar_{i} s_{j}",
-                       el(f"s{i}") * fb(j) * el(f"s{i}"),
-                       el(f"s{j}") * fb(i) * el(f"s{j}"))
+        yield _SYMMETRIC_I, _at(i)
+        yield from ((_SYMMETRIC_COMMUTE, _at(i, j)) for j in range(i + 1, n))
+    yield from _around(n, (), _SYMMETRIC_FAR, _SYMMETRIC_ADJACENT, same=_SYMMETRIC_FAR)
 
 
+def _rook_first_rows(n, d):
+    for i in range(1, n):
+        yield from ((_ROOK_LATER, _at(i, j)) for j in range(i + 1, n + 1))
+        yield _ROOK_I, _at(i)
+        yield from ((_ROOK_EARLIER, _at(i, j)) for j in range(1, i))
+    yield from ((_ROOK_DEGENERATE, _at(i)) for i in range(1, n + 1))
+
+
+def _rook_prime_rows(n, d):
+    for i in range(1, n + 1):
+        yield _PRIME_I, _at(i)
+        yield from ((_PRIME_PAIR, _at(i, j)) for j in range(i + 1, n + 1))
+    for i in range(1, n):
+        yield from ((_PRIME_ANY, _at(i, j)) for j in range(1, n + 1))
+        yield from ((_PRIME_ENDS, _at(i, j)) for j in (i, i + 1))
+        yield from ((_PRIME_FAR, _at(i, j)) for j in range(1, n + 1) if j not in (i, i + 1))
+        yield _PRIME_ADJACENT, _at(i)
+    for i in range(1, n):
+        yield _PRIME_W, _at(i, rooks=" ".join(f"r{m}" for m in range(1, i + 1)))
+    for i in range(1, n + 1):
+        for j, h in product(range(1, i + 1), repeat=2):
+            yield _PRIME_TRANSPORT, _at(i, j, h=h)
+
+
+def _jones_rows(n, d):
+    yield from _around(n, _JONES_I, _JONES_FAR, _JONES_ADJACENT)
+    if n >= 2 and d >= 2:
+        yield _JONES_CONTROL, {}
+
+
+def _brauer_rows(n, d):
+    yield from _jones_rows(n, d)
+    yield from _symmetric_rows(n, d)
+    yield from _around(n, _BRAUER_I, _BRAUER_FAR, _BRAUER_ADJACENT)
+
+
+def _bridge_identities(fam, policy: str, rows):
+    """The rows of ``rows(n, d)``, read through one image evaluator."""
+    return _read_rows(rows(fam.n, fam.d), _image_evaluator(fam, policy))
+
+
+# target: (framed family, loop policy, index generator); permutation products
+# close no loops, so any policy would do for symmetric
 _BRIDGE_FAMILY = {
-    "partition": ("cdn", _partition_identities),
-    "symmetric": ("sdn", _symmetric_identities),
-    "rookR": ("rdn", _rook_first_identities),
-    "rookRprime": ("rprimedn", _rook_prime_identities),
-    "jones": ("jdn", _jones_identities),
-    "brauer": ("brdn", _brauer_identities),
+    "partition": ("cdn", NEGLECT, _partition_rows),
+    "symmetric": ("sdn", ALPHA, _symmetric_rows),
+    "rookR": ("rdn", NEGLECT, _rook_first_rows),
+    "rookRprime": ("rprimedn", ALPHA, _rook_prime_rows),
+    "jones": ("jdn", ALPHA, _jones_rows),
+    "brauer": ("brdn", ALPHA, _brauer_rows),
 }
 
 BRIDGE_TARGETS = tuple(_BRIDGE_FAMILY)
@@ -370,10 +385,11 @@ def suite_bridges(target: str, d_values: Sequence[int] = (2, 3, 4),
     if target not in _BRIDGE_FAMILY:
         raise ValueError(f"unknown bridge target {target!r}; "
                          f"choose from {BRIDGE_TARGETS}")
-    name, catalogue = _BRIDGE_FAMILY[target]
+    name, policy, rows = _BRIDGE_FAMILY[target]
     report = SuiteReport(f"bridges-{target}")
     for d in d_values:
-        _check_catalogue(report, family(name, n, d), catalogue)
+        _check_catalogue(report, family(name, n, d),
+                         partial(_bridge_identities, policy=policy, rows=rows))
     return report
 
 
@@ -466,11 +482,7 @@ def _tied_identities(kinds: Sequence[str], params: str, rows_i: Sequence[tuple],
                 if abs(i - j) != 1 and (a != b or j > i):
                     yield (f"{a}_{i} {b}_{j} = {b}_{j} {a}_{i} {params}",
                            el(f"{a}{i} {b}{j}"), el(f"{b}{j} {a}{i}"))
-        for i in range(1, n):
-            for rows, j in ((rows_i, i), (rows_j, i - 1), (rows_j, i + 1)):
-                for row in rows if 1 <= j < n else ():
-                    ident, lhs, rhs = (part.format(i=i, j=j) for part in row)
-                    yield ident, el(lhs), el(rhs)
+        yield from _read_rows(_around(n, rows_i, (), rows_j), el)
     return catalogue
 
 

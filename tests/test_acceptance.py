@@ -21,7 +21,6 @@ from framoid.normalform import (
     brauer_nf,
     evaluate_word,
     jones_nf,
-    min_length_oracle,
     rook_nf,
 )
 from framoid.verify import (
@@ -33,6 +32,8 @@ from framoid.verify import (
     suite_specialization_homomorphism,
     suite_tied_specializations,
 )
+
+from length_oracle import min_length_oracle
 
 
 def _report(criterion, ok, detail):

@@ -229,16 +229,22 @@ def test_word_outside_the_family_exits_two(capsys, caplog, command, name, d, tok
     assert f"{token} is not a generator of {family(name, 3, d)}" in caplog.text
 
 
-def test_debug_log_reports_closure_levels():
+def _cli(*argv, **env):
+    """One ``python -m framoid.cli`` run in a fresh process: the caller's
+    environment without ``FRAMOID_LOG``, plus ``env``."""
     import os
     import subprocess
     import sys
 
-    argv = [sys.executable, "-m", "framoid.cli", "enumerate", "--family", "jdn",
-            "--d", "2", "--n", "3"]
-    quiet = subprocess.run(argv, capture_output=True, text=True, check=True)
-    loud = subprocess.run(argv, capture_output=True, text=True, check=True,
-                          env={**os.environ, "FRAMOID_LOG": "debug"})
+    base = {k: v for k, v in os.environ.items() if k != "FRAMOID_LOG"}
+    return subprocess.run([sys.executable, "-m", "framoid.cli", *argv],
+                          capture_output=True, text=True, env={**base, **env})
+
+
+def test_debug_log_reports_closure_levels():
+    argv = ("enumerate", "--family", "jdn", "--d", "2", "--n", "3")
+    quiet, loud = _cli(*argv), _cli(*argv, FRAMOID_LOG="debug")
+    assert quiet.returncode == loud.returncode == 0
     assert loud.stdout == quiet.stdout
     assert quiet.stderr == ""
     levels = [line for line in loud.stderr.splitlines()
@@ -248,13 +254,8 @@ def test_debug_log_reports_closure_levels():
 
 
 def test_debug_log_reports_memo_sizes_after_the_last_level():
-    import os
-    import subprocess
-    import sys
-
-    argv = [sys.executable, "-m", "framoid.cli", "enumerate", "--family", "tsn", "--n", "3"]
-    loud = subprocess.run(argv, capture_output=True, text=True, check=True,
-                          env={**os.environ, "FRAMOID_LOG": "debug"})
+    loud = _cli("enumerate", "--family", "tsn", "--n", "3", FRAMOID_LOG="debug")
+    assert loud.returncode == 0
     assert json.loads(loud.stdout)["count"] == 30
     levels = [line for line in loud.stderr.splitlines() if ": level " in line]
     assert all("memos" not in line for line in levels[:-1])
@@ -262,3 +263,37 @@ def test_debug_log_reports_memo_sizes_after_the_last_level():
                   levels[-1])
     # tS_3 ties the 3 blocks of a permutation in each of Bell(3) = 5 ways
     assert m and int(m.group(1)) > 0 and int(m.group(2)) > 0 and int(m.group(3)) == 5
+
+
+def test_log_level_is_read_case_insensitively_and_an_unknown_one_warns():
+    argv = ("verify", "--suite", "tied", "--n", "2")
+    quiet = _cli(*argv)
+    assert quiet.returncode == 0 and quiet.stderr == ""
+    summary = "INFO framoid: tied-specializations: 24/24 ok"
+    for value in ("INFO", "Info", "info"):
+        loud = _cli(*argv, FRAMOID_LOG=value)
+        assert (loud.returncode, loud.stdout) == (0, quiet.stdout)
+        assert loud.stderr.splitlines() == [summary], value
+    unknown = _cli(*argv, FRAMOID_LOG="verbose")
+    assert (unknown.returncode, unknown.stdout) == (0, quiet.stdout)
+    [warning] = unknown.stderr.splitlines()
+    assert warning.startswith("WARNING framoid: unknown FRAMOID_LOG value 'verbose'")
+    assert warning.endswith("choose from error, warn, info, debug")
+    assert _cli(*argv, FRAMOID_LOG="").stderr == ""  # empty is unset
+
+
+# one small run of each subcommand
+STABLE_COMMANDS = (
+    ("enumerate", "--family", "jdn", "--d", "2", "--n", "3"),
+    ("cardinality-table", "--family", "rdn", "--d", "2", "--n", "1..3", "--format", "csv"),
+    ("eval-word", "--family", "brdn", "--d", "3", "--n", "3", "--word", "t1 o2 s2 t1"),
+    ("normal-form", "--family", "jdn", "--d", "3", "--n", "4", "--word", "t2 o1 t1 t3 o4^2"),
+    ("verify", "--suite", "bridges", "--target", "rookRprime", "--d", "2", "--n", "3"),
+)
+
+
+@pytest.mark.parametrize("argv", STABLE_COMMANDS, ids=lambda argv: argv[0])
+def test_stdout_is_the_same_bytes_under_two_hash_seeds(argv):
+    runs = [_cli(*argv, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout

@@ -19,10 +19,11 @@ from framoid.normalform import (
     brauer_nf,
     evaluate_word,
     jones_nf,
-    min_length_oracle,
     permutation_word,
     rook_nf,
 )
+
+from length_oracle import min_length_oracle
 
 # the running example: planar diagram with arcs {t1,t4},{t2,t3},{t5,b1},
 # {b2,b3},{b4,b5}; one bead on the {t2,t3} arc, two on the long line, one on

@@ -10,13 +10,30 @@ from typing import Iterator, Sequence
 
 import pytest
 
-from framoid.algebra import NEGLECT, AlgebraElement, from_word
-from framoid.monoids import FAMILY_NAMES, check_relations, default_grid, family
+import framoid.verify as verify
+from framoid.algebra import (
+    ALPHA,
+    NEGLECT,
+    AlgebraElement,
+    alpha_to_one,
+    bridge_e,
+    bridge_f,
+    bridge_q,
+    bridge_w,
+    cap_z,
+    from_word,
+    specialize,
+)
+from framoid.diagrams import _KINDS, parse_word
+from framoid.monoids import FAMILY_NAMES, _swap, check_relations, default_grid, family
 from framoid.verify import (
+    _BRIDGE_FAMILY,
     BRIDGE_TARGETS,
     DEFAULT_SEED,
     EXPECT_FAIL,
     _TIED_FAMILY,
+    _bridge_identities,
+    _image_evaluator,
     _tied_identities,
     suite_bridges,
     suite_cardinalities,
@@ -142,8 +159,6 @@ def test_report_lines_are_json_without_timing():
 
 
 def test_specialization_homomorphism_refuses_small_n_before_any_work(monkeypatch):
-    import framoid.verify as verify
-
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the check of n")
 
@@ -360,3 +375,281 @@ def test_tied_row_table_matches_the_reference_catalogues(name, n):
         else:
             assert lhs == ref_lhs and rhs == ref_rhs, ident
     assert sum(g[0] in tautologies for g in got) == (n - 1 if name == "tbrn" else 0)
+
+
+# -- differential gate: the bridge rows against the catalogues they replaced --
+
+# The six hand-written catalogues the bridge rows and the image evaluator
+# replaced, kept verbatim as the reference.
+
+def _partition_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+    policy = NEGLECT
+    n = fam.n
+    el = lambda w: from_word(w, fam, policy)
+    eb = lambda i, j: bridge_e(i, j, fam, policy)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            yield (f"ebar_{i}{j}^2 = ebar_{i}{j}", eb(i, j) * eb(i, j), eb(i, j))
+            yield (f"z_{i} ebar_{i}{j} = z_{j} ebar_{i}{j}",
+                   el(f"o{i}") * eb(i, j), el(f"o{j}") * eb(i, j))
+            yield (f"z_{i} ebar_{i}{j} = ebar_{i}{j} z_{i}",
+                   el(f"o{i}") * eb(i, j), eb(i, j) * el(f"o{i}"))
+            yield (f"ebar_{i}{j} z_{i} = ebar_{i}{j} z_{j}",
+                   eb(i, j) * el(f"o{i}"), eb(i, j) * el(f"o{j}"))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for a in range(len(pairs)):
+        for b in range(a + 1, len(pairs)):
+            (i, j), (r, s) = pairs[a], pairs[b]
+            yield (f"ebar_{i}{j} ebar_{r}{s} = ebar_{r}{s} ebar_{i}{j}",
+                   eb(i, j) * eb(r, s), eb(r, s) * eb(i, j))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                yield (f"ebar_{i}{j} ebar_{i}{k} = ebar_{i}{j} ebar_{j}{k}",
+                       eb(i, j) * eb(i, k), eb(i, j) * eb(j, k))
+                yield (f"ebar_{i}{j} ebar_{j}{k} = ebar_{i}{k} ebar_{j}{k}",
+                       eb(i, j) * eb(j, k), eb(i, k) * eb(j, k))
+
+
+def _symmetric_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+    policy = ALPHA  # permutation products close no loops: any policy gives the same
+    n = fam.n
+    el = lambda w: from_word(w, fam, policy)
+    eb = lambda i: bridge_e(i, i + 1, fam, policy)
+    for i in range(1, n):
+        yield (f"ebar_{i}^2 = ebar_{i}", eb(i) * eb(i), eb(i))
+        yield (f"z_{i} ebar_{i} = z_{i + 1} ebar_{i}",
+               el(f"o{i}") * eb(i), el(f"o{i + 1}") * eb(i))
+        yield (f"z_{i} ebar_{i} = ebar_{i} z_{i}",
+               el(f"o{i}") * eb(i), eb(i) * el(f"o{i}"))
+        for j in range(i + 1, n):
+            yield (f"ebar_{i} ebar_{j} = ebar_{j} ebar_{i}",
+                   eb(i) * eb(j), eb(j) * eb(i))
+    for i in range(1, n):
+        for j in range(1, n):
+            if abs(i - j) != 1:
+                yield (f"s_{i} ebar_{j} = ebar_{j} s_{i}",
+                       el(f"s{i}") * eb(j), eb(j) * el(f"s{i}"))
+            else:
+                yield (f"ebar_{i} s_{j} s_{i} = s_{j} s_{i} ebar_{j}",
+                       eb(i) * el(f"s{j} s{i}"), el(f"s{j} s{i}") * eb(j))
+                yield (f"ebar_{i} ebar_{j} s_{i} = ebar_{j} s_{i} ebar_{j}",
+                       eb(i) * eb(j) * el(f"s{i}"), eb(j) * el(f"s{i}") * eb(j))
+                yield (f"ebar_{j} s_{i} ebar_{j} = s_{i} ebar_{i} ebar_{j}",
+                       eb(j) * el(f"s{i}") * eb(j), el(f"s{i}") * eb(i) * eb(j))
+
+
+def _rook_first_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+    # plain scalars: beads escape through free points, so the averaged scalar
+    # framing appears with all alpha specialized to 1
+    policy = NEGLECT
+    n, d = fam.n, fam.d
+    el = lambda w: from_word(w, fam, policy)
+    eb = lambda i: bridge_e(i, i + 1, fam, policy)
+    z0 = lambda i: specialize(cap_z(i, fam, policy), alpha_to_one(d))
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            yield (f"ebar_{i} p_{j} = p_{j}", eb(i) * el(f"p{j}"), el(f"p{j}"))
+            yield (f"p_{j} ebar_{i} = p_{j}", el(f"p{j}") * eb(i), el(f"p{j}"))
+        yield (f"ebar_{i} p_{i} = Z0_{i + 1} p_{i}",
+               eb(i) * el(f"p{i}"), z0(i + 1) * el(f"p{i}"))
+        yield (f"p_{i} ebar_{i} = p_{i} Z0_{i + 1}",
+               el(f"p{i}") * eb(i), el(f"p{i}") * z0(i + 1))
+        for j in range(1, i):
+            yield (f"ebar_{i} p_{j} = p_{j} ebar_{i}",
+                   eb(i) * el(f"p{j}"), el(f"p{j}") * eb(i))
+    for i in range(1, n + 1):
+        yield (f"qbar_{i} = r_{i} (bridge degenerates)",
+               bridge_q(i, fam, policy), el(f"r{i}"))
+        yield (f"wbar_{i} = p_{i} (bridge degenerates)",
+               bridge_w(i, i, i, fam, policy), el(f"p{i}"))
+
+
+def _rook_prime_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+    policy = ALPHA
+    n = fam.n
+    el = lambda w: from_word(w, fam, policy)
+    eb = lambda i: bridge_e(i, i + 1, fam, policy)
+    qb = lambda i: bridge_q(i, fam, policy)
+    zc = lambda i: cap_z(i, fam, policy)
+    for i in range(1, n + 1):
+        yield (f"qbar_{i}^2 = qbar_{i} Z_{i}", qb(i) * qb(i), qb(i) * zc(i))
+        yield (f"z_{i} qbar_{i} = qbar_{i} z_{i}",
+               el(f"o{i}") * qb(i), qb(i) * el(f"o{i}"))
+        for j in range(i + 1, n + 1):
+            yield (f"qbar_{i} qbar_{j} = qbar_{j} qbar_{i}",
+                   qb(i) * qb(j), qb(j) * qb(i))
+            yield (f"r_{i} qbar_{j} = qbar_{j} r_{i}",
+                   el(f"r{i}") * qb(j), qb(j) * el(f"r{i}"))
+            yield (f"r_{j} qbar_{i} = qbar_{i} r_{j}",
+                   el(f"r{j}") * qb(i), qb(i) * el(f"r{j}"))
+    for i in range(1, n):
+        for j in range(1, n + 1):
+            yield (f"qbar_{j} ebar_{i} = ebar_{i} qbar_{j}",
+                   qb(j) * eb(i), eb(i) * qb(j))
+            yield (f"s_{i} qbar_{j} = qbar_{_swap(i, j)} s_{i}",
+                   el(f"s{i}") * qb(j), qb(_swap(i, j)) * el(f"s{i}"))
+        for j in (i, i + 1):
+            yield (f"ebar_{i} r_{j} ebar_{i} = ebar_{i} qbar_{j}",
+                   eb(i) * el(f"r{j}") * eb(i), eb(i) * qb(j))
+        for j in range(1, n + 1):
+            if j not in (i, i + 1):
+                yield (f"ebar_{i} r_{j} = r_{j} ebar_{i}",
+                       eb(i) * el(f"r{j}"), el(f"r{j}") * eb(i))
+        yield (f"r_{i} ebar_{i} r_{i} = r_{i} Z_{i + 1}",
+               el(f"r{i}") * eb(i) * el(f"r{i}"), el(f"r{i}") * zc(i + 1))
+        yield (f"r_{i + 1} ebar_{i} r_{i + 1} = Z_{i} r_{i + 1}",
+               el(f"r{i + 1}") * eb(i) * el(f"r{i + 1}"), zc(i) * el(f"r{i + 1}"))
+        yield (f"r_{i} ebar_{i} r_{i + 1} = s_{i} qbar_{i} r_{i + 1}",
+               el(f"r{i}") * eb(i) * el(f"r{i + 1}"),
+               el(f"s{i}") * qb(i) * el(f"r{i + 1}"))
+    for i in range(2, n + 1):
+        word = " ".join(f"r{m}" for m in range(1, i))
+        yield (f"wbar_{i} = r_1..r_{i - 1} qbar_{i}",
+               bridge_w(i, i, i, fam, policy), el(word) * qb(i))
+    # transport across the two broken arcs of p_i
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            for h in range(1, i + 1):
+                wb = bridge_w(i, j, h, fam, policy)
+                yield (f"z_{j} wbar_{i}({j},{h}) = wbar_{i}({j},{h}) z_{h}",
+                       el(f"o{j}") * wb, wb * el(f"o{h}"))
+
+
+def _jones_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+    policy = ALPHA
+    n = fam.n
+    el = lambda w: from_word(w, fam, policy)
+    eb = lambda i: bridge_e(i, i + 1, fam, policy)
+    fb = lambda i: bridge_f(i, fam, policy)
+    zc = lambda i: cap_z(i, fam, policy)
+    for i in range(1, n):
+        yield (f"fbar_{i}^2 = fbar_{i} Z_{i}", fb(i) * fb(i), fb(i) * zc(i))
+        yield (f"t_{i}^2 = t_{i}", el(f"t{i}") * el(f"t{i}"), el(f"t{i}"))
+        yield (f"ebar_{i} t_{i} = t_{i}", eb(i) * el(f"t{i}"), el(f"t{i}"))
+        yield (f"t_{i} ebar_{i} = t_{i}", el(f"t{i}") * eb(i), el(f"t{i}"))
+        yield (f"fbar_{i} ebar_{i} = fbar_{i}", fb(i) * eb(i), fb(i))
+        yield (f"ebar_{i} fbar_{i} = fbar_{i}", eb(i) * fb(i), fb(i))
+        yield (f"t_{i} fbar_{i} = t_{i} Z_{i}", el(f"t{i}") * fb(i), el(f"t{i}") * zc(i))
+        yield (f"fbar_{i} t_{i} = Z_{i} t_{i}", fb(i) * el(f"t{i}"), zc(i) * el(f"t{i}"))
+        yield (f"z_{i} fbar_{i} = z_{i + 1} fbar_{i}",
+               el(f"o{i}") * fb(i), el(f"o{i + 1}") * fb(i))
+        yield (f"z_{i} fbar_{i} = fbar_{i} z_{i}",
+               el(f"o{i}") * fb(i), fb(i) * el(f"o{i}"))
+        yield (f"fbar_{i} z_{i} = fbar_{i} z_{i + 1}",
+               fb(i) * el(f"o{i}"), fb(i) * el(f"o{i + 1}"))
+        for j in range(1, n):
+            if abs(i - j) > 1:
+                yield (f"fbar_{i} fbar_{j} = fbar_{j} fbar_{i}",
+                       fb(i) * fb(j), fb(j) * fb(i))
+                yield (f"t_{i} ebar_{j} = ebar_{j} t_{i}",
+                       el(f"t{i}") * eb(j), eb(j) * el(f"t{i}"))
+                yield (f"t_{i} fbar_{j} = fbar_{j} t_{i}",
+                       el(f"t{i}") * fb(j), fb(j) * el(f"t{i}"))
+                yield (f"ebar_{i} fbar_{j} = fbar_{j} ebar_{i}",
+                       eb(i) * fb(j), fb(j) * eb(i))
+            elif abs(i - j) == 1:
+                # the strand of ebar_j away from the tangle keeps its framing
+                away = j + 1 if j > i else j
+                yield (f"t_{i} ebar_{j} t_{i} = t_{i} Z_{away}",
+                       el(f"t{i}") * eb(j) * el(f"t{i}"), el(f"t{i}") * zc(away))
+                yield (f"fbar_{i} ebar_{j} = ebar_{j} t_{i} ebar_{j}",
+                       fb(i) * eb(j), eb(j) * el(f"t{i}") * eb(j))
+                yield (f"ebar_{j} fbar_{i} = ebar_{j} t_{i} ebar_{j}",
+                       eb(j) * fb(i), eb(j) * el(f"t{i}") * eb(j))
+                yield (f"t_{i} t_{j} t_{i} = t_{i}",
+                       el(f"t{i} t{j} t{i}"), el(f"t{i}"))
+    if n >= 2 and fam.d >= 2:
+        yield (f"{EXPECT_FAIL}fbar_1^2 = fbar_1 (needs Z)", fb(1) * fb(1), fb(1))
+
+
+def _brauer_identities(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+    policy = ALPHA
+    n = fam.n
+    el = lambda w: from_word(w, fam, policy)
+    fb = lambda i: bridge_f(i, fam, policy)
+    yield from _jones_identities(fam)
+    yield from _symmetric_identities(fam)
+    for i in range(1, n):
+        yield (f"fbar_{i} s_{i} = fbar_{i}", fb(i) * el(f"s{i}"), fb(i))
+        yield (f"s_{i} fbar_{i} = fbar_{i}", el(f"s{i}") * fb(i), fb(i))
+        for j in range(1, n):
+            if abs(i - j) > 1:
+                yield (f"fbar_{i} s_{j} = s_{j} fbar_{i}",
+                       fb(i) * el(f"s{j}"), el(f"s{j}") * fb(i))
+            elif abs(i - j) == 1:
+                yield (f"s_{i} fbar_{j} s_{i} = s_{j} fbar_{i} s_{j}",
+                       el(f"s{i}") * fb(j) * el(f"s{i}"),
+                       el(f"s{j}") * fb(i) * el(f"s{j}"))
+
+
+REFERENCE_BRIDGES = {"partition": _partition_identities, "symmetric": _symmetric_identities,
+                     "rookR": _rook_first_identities, "rookRprime": _rook_prime_identities,
+                     "jones": _jones_identities, "brauer": _brauer_identities}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("target", BRIDGE_TARGETS)
+def test_bridge_rows_match_the_reference_catalogues(target, n):
+    name, policy, rows = _BRIDGE_FAMILY[target]
+    for d in (2, 3, 4):
+        fam = family(name, n, d)
+        got = list(_bridge_identities(fam, policy, rows))
+        want = list(REFERENCE_BRIDGES[target](fam))
+        assert [g[0] for g in got] == [w[0] for w in want], (target, n, d)
+        for (ident, lhs, rhs), (_, ref_lhs, ref_rhs) in zip(got, want):
+            assert lhs == ref_lhs and rhs == ref_rhs, (target, n, d, ident)
+            # the control stays a false identity at every d >= 2
+            assert ident.startswith(EXPECT_FAIL) == (lhs != rhs), (target, n, d, ident)
+        controls = [g[0] for g in got if g[0].startswith(EXPECT_FAIL)]
+        assert len(controls) == (target in ("jones", "brauer")), (target, n, d)
+
+
+def _row_tokens(n: int = 4, d: int = 2):
+    """Every token of every bridge row's words at (n, d)."""
+    for _, _, rows in _BRIDGE_FAMILY.values():
+        for templates, fields in rows(n, d):
+            for _, lhs, rhs in templates:
+                yield from (lhs + " " + rhs).format(**fields).split()
+
+
+def test_bridge_rows_use_every_tied_kind_and_both_framings():
+    kinds = set()
+    for token in _row_tokens():
+        if token.startswith("Z"):
+            kinds.add("Z0" if token.startswith("Z0") else "Z")
+        elif "(" not in token:  # not the transport bridge w{i}({j},{h})
+            kinds.add(parse_word(token)[0].kind)
+    tied = {kind for kind, spec in _KINDS.items() if spec.unties is not None}
+    assert tied | {"Z", "Z0"} <= kinds
+
+
+def test_each_catalogue_call_builds_each_image_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(verify, name)
+
+        def build(*args):
+            calls[(name, *args[:-2])] += 1
+            return original(*args)
+        return build
+
+    for name in ("bridge_e", "bridge_f", "bridge_q", "bridge_w", "cap_z"):
+        monkeypatch.setattr(verify, name, counting(name))
+    for target in BRIDGE_TARGETS:
+        calls.clear()
+        assert suite_bridges(target, d_values=(3,), n=4).passed  # one catalogue call
+        assert calls and max(calls.values()) == 1, (target, calls.most_common(3))
+
+
+def test_image_evaluator_multiplies_runs_and_images_left_to_right():
+    fam = family("jdn", 3, 2)
+    image = _image_evaluator(fam, ALPHA)
+    want = (from_word("o1", fam, ALPHA) * bridge_e(1, 2, fam, ALPHA)
+            * from_word("o2 t1", fam, ALPHA) * bridge_f(2, fam, ALPHA) * cap_z(3, fam, ALPHA))
+    assert image("o1 e1 o2 t1 f2 Z3") == want
+    assert image("Z03") == specialize(cap_z(3, fam, ALPHA), alpha_to_one(2))
+    assert image("") == from_word("", fam, ALPHA)
+    with pytest.raises(ValueError):
+        image("x1")
