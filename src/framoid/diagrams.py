@@ -21,7 +21,8 @@ removed and reported in a :class:`LoopRecord`, one count per bead residue.
 
 The work splits into a shape part and a decoration part.  The shape part
 depends only on label tuples and is memoized: ``_shape`` checks a label
-tuple and reads off its structural tags, and ``_skeleton`` runs the
+tuple and keeps the structural tags that ``_tag_errors``, the one statement
+of what each tag requires, finds unbroken, and ``_skeleton`` runs the
 union-find over the blocks of two factors once per pair of label tuples.
 A third memo, ``_TIES``, checks each distinct tie partition once.  Beads,
 loops and the tie classes of a product are still done on every product:
@@ -54,7 +55,7 @@ class CapExceeded(RuntimeError):
 
 
 class NotPlanar(ValueError):
-    """Raised when a planar matching was required but arcs cross."""
+    """Raised when a planar matching was required but points are free or arcs cross."""
 
 
 class LoopRecord:
@@ -119,10 +120,6 @@ def _tag_join(t1: str, t2: str) -> str:
     return MATCHING
 
 
-def _crossing(x1, y1, x2, y2) -> bool:
-    return (x1 < x2 < y1 < y2) or (x2 < x1 < y2 < y1)
-
-
 def _labels_of_blocks(n: int, blocks) -> tuple[tuple[int, ...], list[tuple], list[int]]:
     """Canonical labels of a partition given as blocks in any order.
 
@@ -184,6 +181,40 @@ def _pool_beads(beads: list[int], ties, d: int) -> None:
             beads[cls[0]] = pooled
 
 
+def _tag_errors(lab: tuple, n: int) -> dict[str, ValueError]:
+    """What each structural tag requires of canonical labels: for each tag
+    the labels break, the error that a diagram claiming it raises.  A
+    matching has no block of more than two points; a permutation pairs each
+    top point with one bottom point; a planar matching pairs all 2n points
+    by arcs that do not cross; every set partition is a partition."""
+    k = max(lab) + 1
+    if max(map(lab.count, range(k))) > 2:
+        return {tag: ValueError(f"{tag} diagrams admit only blocks of size <= 2")
+                for tag in (MATCHING, PLANAR, PERMUTATION)}
+    errors: dict[str, ValueError] = {}
+    # each top point opens its own block and the bottom points meet those
+    # blocks once each
+    if lab[:n] != tuple(range(n)) or sorted(lab[n:]) != list(range(n)):
+        errors[PERMUTATION] = ValueError("permutation diagrams pair one top with one bottom point")
+    if k > n:
+        errors[PLANAR] = NotPlanar("planar matchings have no free points")
+        return errors
+    # in the boundary order t1..tn, bn..b1 every point opens an arc or closes
+    # the arc opened last; one that closes an earlier arc crosses the last
+    stack: list[int] = []
+    for x in lab[:n] + lab[:n - 1:-1]:
+        if stack and stack[-1] == x:
+            stack.pop()
+        elif x in stack:
+            a, b = [tuple(p for p, y in enumerate(lab, 1) if y == v)
+                    for v in sorted((x, stack[-1]))]
+            errors[PLANAR] = NotPlanar(f"arcs cross: {a} and {b}")
+            break
+        else:
+            stack.append(x)
+    return errors
+
+
 # the distinct tag sets, so that equal sets returned by _shape are one object
 _TAG_SETS: dict[frozenset, frozenset] = {}
 
@@ -203,28 +234,7 @@ def _shape(lab: tuple, n: int) -> tuple[tuple[int, ...], int, frozenset]:
     if first != list(range(k)):
         raise ValueError("labels must number the blocks 0..k-1 "
                          "in the order of their least point")
-    size = [0] * k
-    for x in lab:
-        size[x] += 1
-    tags = {PARTITION}
-    if max(size) <= 2:
-        tags.add(MATCHING)
-        # each top point opens its own block and the bottom points meet
-        # those blocks once each
-        if lab[:n] == tuple(range(n)) and sorted(lab[n:]) == list(range(n)):
-            tags.add(PERMUTATION)
-        # n blocks, and in the boundary order t1..tn, bn..b1 every point
-        # closes the block on top of the stack or opens one
-        if k == n:
-            stack = []
-            for x in lab[:n] + lab[:n - 1:-1]:
-                if stack and stack[-1] == x:
-                    stack.pop()
-                else:
-                    stack.append(x)
-            if not stack:
-                tags.add(PLANAR)
-    tags = frozenset(tags)
+    tags = _TAGS.difference(_tag_errors(lab, n))
     return lab, k, _TAG_SETS.setdefault(tags, tags)
 
 
@@ -345,37 +355,18 @@ class BeadedDiagram:
             elif d > 1 and any(map(beads.__getitem__, rest)):
                 raise ValueError("the beads of a tie class must sit on its least block")
 
+        if family_tag not in tags:
+            raise _tag_errors(lab, n)[family_tag]
         self.n = n
         self.d = d
         self.lab = lab
         self.beads = beads = tuple(beads)
         self.family_tag = family_tag
         self.ties = ties
-        if family_tag not in tags:
-            self._raise_tag_violation()
         # hash(None) is an address, so an untied diagram leaves ties out of
         # its hash to hash alike in every process
         self._hash = (hash((n, d, lab, beads)) if ties is None
                       else hash((n, d, lab, beads, ties)))
-
-    def _raise_tag_violation(self):
-        """Name the first block that breaks the structural tag."""
-        n, tag, blocks = self.n, self.family_tag, self.blocks
-        for blk in blocks:
-            if len(blk) > 2:
-                raise ValueError(f"{tag} diagrams admit only blocks of size <= 2")
-        if tag == PERMUTATION:
-            raise ValueError("permutation diagrams pair one top with one bottom point")
-        chords = []
-        for blk in blocks:
-            if len(blk) != 2:
-                raise NotPlanar("planar matchings have no free points")
-            x, y = (p if p <= n else 3 * n + 1 - p for p in blk)
-            chords.append((min(x, y), max(x, y)))
-        for a in range(len(chords)):
-            for b in range(a + 1, len(chords)):
-                if _crossing(*chords[a], *chords[b]):
-                    raise NotPlanar(f"arcs cross: {blocks[a]} and {blocks[b]}")
 
     # -- identity & hashing ------------------------------------------------
 
@@ -449,39 +440,34 @@ class GenSymbol(NamedTuple):
 
 class _Kind(NamedTuple):
     reach: int                    # the index i runs over 1..n - reach
-    tag: str                      # the structural tag of the generator alone
+    tag: Optional[str]            # its structural tag; None if all strands stay vertical
     unties: Optional[str] = None  # a tied kind: the kind whose two ends it ties
 
 
 # every fact about a generator kind; "1" is the identity, which e_{i,j} ties
 _KINDS = {
-    "t": _Kind(1, PLANAR), "s": _Kind(1, PERMUTATION), "o": _Kind(0, PERMUTATION),
+    "t": _Kind(1, PLANAR), "s": _Kind(1, PERMUTATION), "o": _Kind(0, None),
     "r": _Kind(0, MATCHING), "p": _Kind(0, MATCHING),
-    "e": _Kind(1, PERMUTATION, "1"), "f": _Kind(1, PLANAR, "t"),
+    "e": _Kind(1, None, "1"), "f": _Kind(1, PLANAR, "t"),
     "q": _Kind(0, MATCHING, "r"), "w": _Kind(0, MATCHING, "p"),
 }
 
-_SYM_RE = re.compile(r"^([%s])(\d+)(?:\^(-?\d+))?$" % "".join(k for k in _KINDS if k != "e"))
-_TIE_RE = re.compile(r"^e(\d+)(?:,(\d+))?$")
+# a kind and its index i, then a second index j (e only) or an exponent k
+_TOKEN_RE = re.compile(r"([%s])(\d+)(?:,(\d+))?(?:\^(-?\d+))?" % "".join(_KINDS))
 
 
 def parse_word(text: str) -> tuple[GenSymbol, ...]:
     """Parse a whitespace-separated generator word such as ``"t1 o3^2 e1,3"``."""
     out = []
     for token in text.split():
-        m = _TIE_RE.match(token)
-        if m:
-            i = int(m.group(1))
-            j = int(m.group(2)) if m.group(2) else i + 1
-            out.append(GenSymbol("e", i, j))
-            continue
-        m = _SYM_RE.match(token)
-        if not m:
+        m = _TOKEN_RE.fullmatch(token)
+        if not m or (m[3] and m[1] != "e") or (m[4] and m[1] == "e"):
             raise ValueError(f"cannot parse generator token {token!r}")
-        kind, idx, exp = m.group(1), int(m.group(2)), m.group(3)
-        if exp is not None and kind != "o":
+        kind, i, j, exp = m[1], int(m[2]), m[3], m[4]
+        if exp and kind != "o":
             raise ValueError(f"only bead generators take exponents: {token!r}")
-        out.append(GenSymbol(kind, idx, 0, int(exp) if exp is not None else 1))
+        out.append(GenSymbol("e", i, int(j) if j else i + 1) if kind == "e"
+                   else GenSymbol(kind, i, 0, int(exp) if exp else 1))
     return tuple(out)
 
 
@@ -497,7 +483,7 @@ def render_word(word: Iterable[GenSymbol]) -> str:
     return " ".join(render_symbol(sym) for sym in word)
 
 
-def symbol_valid(sym: GenSymbol, n: int, d: int) -> bool:
+def symbol_valid(sym: GenSymbol, n: int) -> bool:
     kind = _KINDS.get(sym.kind)
     return (kind is not None and 1 <= sym.i <= n - kind.reach
             and (sym.kind != "e" or sym.i < sym.j <= n))
@@ -508,7 +494,7 @@ def kind_symbols(kind: str, n: int) -> list[GenSymbol]:
     the adjacent ties e_{i,i+1} and ``"e*"`` every tie e_{i,j}."""
     syms = [GenSymbol(kind[0], i, j) for i in range(1, n + 1)
             for j in (range(1, n + 1) if kind == "e*" else [i + 1 if kind == "e" else 0])]
-    return [sym for sym in syms if symbol_valid(sym, n, 1)]
+    return [sym for sym in syms if symbol_valid(sym, n)]
 
 
 @lru_cache(maxsize=None)
@@ -520,7 +506,7 @@ def generator(sym: GenSymbol, n: int, d: int,
     and t_j for e_{i,j}, t_i and b_i for the others.  Memoized: diagrams are
     immutable, so every caller shares one instance.
     """
-    if not symbol_valid(sym, n, d):
+    if not symbol_valid(sym, n):
         raise ValueError(f"generator {render_symbol(sym)} out of range for n={n}")
     kind = _KINDS[sym.kind]
     if tied is None:
@@ -528,7 +514,7 @@ def generator(sym: GenSymbol, n: int, d: int,
     elif not tied and kind.unties is not None:
         raise ValueError(f"generator {render_symbol(sym)} requires ties")
     if tag is None:
-        tag = kind.tag
+        tag = kind.tag or PERMUTATION
 
     i, untied = sym.i, kind.unties or sym.kind
     # the strands that stop being vertical, and the blocks that replace them

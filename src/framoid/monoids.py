@@ -1,12 +1,12 @@
 """Monoid families: generators, closure enumeration, counting, presentations.
 
 Each of the sixteen families of beaded/tied diagram monoids is one
-:class:`FamilySpec` entry in ``FAMILIES``: its display name, its structural
-tag, whether broken arcs shed beads and ties on composition (the rook-style
-singleton policy), its generator kinds, its count formula, the relation
-schemas of its presentation and its normal form.  Whether its elements carry
-ties and whether it is framed follow from its generator kinds, and the
-relation schemas are built over the generators that ``kind_symbols`` lists.
+:class:`FamilySpec` entry in ``FAMILIES``: whether broken arcs shed beads and
+ties on composition (the rook-style singleton policy), its generator kinds,
+its count formula, the relation schemas of its presentation, its normal form
+and whether it associates.  Its structural tag, ties and framing follow from
+its generator kinds, and the relation schemas are built over the generators
+that ``kind_symbols`` lists.
 ``closure`` enumerates a family breadth-first from its generators;
 ``predicted_cardinality`` gives the exact count by formula;
 ``check_relations`` instantiates every defining relation of the family's
@@ -21,17 +21,16 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable, Optional
 
 from .diagrams import (
-    MATCHING,
     PERMUTATION,
-    PLANAR,
     BeadedDiagram,
     CapExceeded,
     GenSymbol,
     _KINDS,
+    _tag_join,
     compose,
     generator,
     identity,
@@ -411,10 +410,8 @@ _TIED_ROOK_PRIME = (
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Everything framoid knows about one family, for every (d, n)."""
+    """The registry entry of one family, for every (d, n)."""
 
-    display: str
-    tag: str
     drop_rook: bool                           # broken arcs shed beads and ties
     generators: tuple[str, ...]               # generator kinds, see kind_symbols
     count: Callable[[int, int], int]          # (d, n) -> element count
@@ -430,6 +427,12 @@ class FamilySpec:
         return any(_KINDS[kind[0]].unties is not None for kind in self.generators)
 
     @cached_property
+    def tag(self) -> str:
+        """The join of the generator kinds' structural tags."""
+        tags = {_KINDS[kind[0]].tag for kind in self.generators} - {None}
+        return reduce(_tag_join, tags or {PERMUTATION})
+
+    @cached_property
     def framed(self) -> bool:
         """Whether the family admits d > 1: it has bead generators."""
         return "o" in self.generators
@@ -437,66 +440,66 @@ class FamilySpec:
 
 FAMILIES: dict[str, FamilySpec] = {
     "cdn": FamilySpec(
-        "C_d^n", PERMUTATION, False, ("o",),
+        False, ("o",),
         lambda d, n: d ** n,
         _BEADS),
     "sdn": FamilySpec(
-        "S_{d,n}", PERMUTATION, False, ("s", "o"),
+        False, ("s", "o"),
         lambda d, n: d ** n * math.factorial(n),
         _BEADS + _COXETER + _BEAD_CROSS),
     "pn": FamilySpec(
-        "P_n", PERMUTATION, False, ("e*",),
+        False, ("e*",),
         lambda d, n: bell(n),
         _PARTITION_TIES),
     "pdn": FamilySpec(
-        "P_{d,n}", PERMUTATION, False, ("e*", "o"),
+        False, ("e*", "o"),
         lambda d, n: sum(stirling2(n, k) * d ** k for k in range(1, n + 1)),
         _PARTITION_TIES + _BEADS + _PARTITION_BEADS),
     "jn": FamilySpec(
-        "J_n", PLANAR, False, ("t",),
+        False, ("t",),
         lambda d, n: catalan(n),
         _TANGLES,
         lambda x: jones_nf(x)),
     "jdn": FamilySpec(
-        "J_{d,n}", PLANAR, False, ("t", "o"),
+        False, ("t", "o"),
         lambda d, n: d ** n * catalan(n),
         _TANGLES + _BEADS + _TANGLE_BEADS,
         lambda x: jones_nf(x)),
     "brn": FamilySpec(
-        "Br_n", MATCHING, False, ("s", "t"),
+        False, ("s", "t"),
         lambda d, n: odd_double_factorial(n),
         _TANGLES + _COXETER + _BRAUER_MIXED,
         lambda x: brauer_nf(x)),
     "brdn": FamilySpec(
-        "Br_{d,n}", MATCHING, False, ("s", "t", "o"),
+        False, ("s", "t", "o"),
         lambda d, n: d ** n * odd_double_factorial(n),
         _TANGLES + _COXETER + _BRAUER_MIXED + _BEADS + _TANGLE_BEADS + _BEAD_CROSS,
         lambda x: brauer_nf(x)),
     "rn": FamilySpec(
-        "R_n", MATCHING, False, ("s", "r"),
+        False, ("s", "r"),
         lambda d, n: _rook_sum(n, lambda k: 1),
         _COXETER + _ROOK_R + _ROOK_P,
         lambda x: rook_nf(x, "first")),
     "rdn": FamilySpec(
-        "R_{d,n}", MATCHING, True, ("s", "r", "o"),
+        True, ("s", "r", "o"),
         lambda d, n: _rook_sum(n, lambda k: d ** k),
         _COXETER + _ROOK_R + _ROOK_P + _BEADS + _BEAD_CROSS + _ROOK_BEADS_FIRST,
         lambda x: rook_nf(x, "first")),
     "rprimedn": FamilySpec(
-        "R'_{d,n}", MATCHING, False, ("s", "r", "o"),
+        False, ("s", "r", "o"),
         lambda d, n: _rook_sum(n, lambda k: d ** (2 * n - k)),
         _COXETER + _ROOK_R + _ROOK_P + _BEADS + _BEAD_CROSS + _ROOK_BEADS_PRIME,
         lambda x: rook_nf(x, "prime")),
     "tsn": FamilySpec(
-        "tS_n", PERMUTATION, False, ("s", "e"),
+        False, ("s", "e"),
         lambda d, n: math.factorial(n) * bell(n),
         _COXETER + _TIE_CROSS),
     "tjn": FamilySpec(
-        "tJ_n", PLANAR, False, ("t", "e", "f"),
+        False, ("t", "e", "f"),
         lambda d, n: fuss_catalan_41(n),
         _TANGLES + _TIES + _TIED_JONES),
     "tbrn": FamilySpec(
-        "tBr_n", MATCHING, False, ("s", "t", "e", "f"),
+        False, ("s", "t", "e", "f"),
         lambda d, n: odd_double_factorial(n) * bell(n),
         _TANGLES + _COXETER + _BRAUER_MIXED + _TIE_CROSS + _TIED_JONES + _TIED_BRAUER),
     # ties here shed at free points; only the literal defining relations are
@@ -504,12 +507,12 @@ FAMILIES: dict[str, FamilySpec] = {
     # absorb every tie, collapsing the k!*Bell(k) count).  No product on this
     # element set associates: see test_tie_shedding_composition_is_not_associative
     "trn": FamilySpec(
-        "tR_n", MATCHING, True, ("s", "p", "e"),
+        True, ("s", "p", "e"),
         lambda d, n: _rook_sum(n, bell),
         _COXETER + _ROOK_P + _TIES + _TIED_ROOK_FIRST,
         associative=False),
     "trprimen": FamilySpec(
-        "tR'_n", MATCHING, False, ("s", "r", "e", "q"),
+        False, ("s", "r", "e", "q"),
         lambda d, n: _rook_sum(n, lambda k: bell(2 * n - k)),
         _COXETER + _TIE_CROSS + _TIED_ROOK_PRIME),
 }

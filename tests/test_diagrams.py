@@ -20,22 +20,34 @@ from framoid.diagrams import (
     GenSymbol,
     LoopRecord,
     NotPlanar,
+    _KINDS,
     compose,
     erase_beads,
     erase_ties,
     generator,
     identity,
+    kind_symbols,
     memo_sizes,
     parse_word,
     _PLANS,
+    _TAGS,
     _TIES,
     _shape,
     _tag_join,
     _tie_partition,
     render_symbol,
     render_word,
+    symbol_valid,
 )
-from framoid.monoids import _CLOSURES, closure, default_grid, family, generating_set
+from framoid.monoids import (
+    _CLOSURES,
+    FAMILY_NAMES,
+    closure,
+    default_grid,
+    family,
+    generating_set,
+    generating_symbols,
+)
 from framoid.normalform import evaluate_word
 
 
@@ -340,8 +352,7 @@ def _tokens(fam):
 
 
 def _valid(sym, fam):
-    from framoid.diagrams import symbol_valid
-    if not symbol_valid(sym, fam.n, fam.d):
+    if not symbol_valid(sym, fam.n):
         return False
     allowed = {"jdn": "to", "brdn": "tso", "pdn": "oe", "tbrn": "tse"}[fam.name]
     return sym.kind in allowed
@@ -498,6 +509,34 @@ def test_word_grammar_round_trip():
         parse_word("x9")
     with pytest.raises(ValueError):
         parse_word("t1^2")
+
+
+def test_every_generator_token_round_trips():
+    syms = {sym for name in FAMILY_NAMES for n in range(1, 6)
+            for sym in generating_symbols(family(name, n))}
+    # w, a generator of no family, and every tie e_{i,j}
+    syms |= {sym for n in range(1, 6) for kind in [*_KINDS, "e*"]
+             for sym in kind_symbols(kind, n)}
+    syms |= {GenSymbol("o", i, 0, k) for i in range(1, 6) for k in range(-3, 4)}
+    for sym in syms:
+        assert parse_word(render_symbol(sym)) == (sym,)
+    for k in range(-3, 4):
+        assert parse_word(f"o2^{k}") == (GenSymbol("o", 2, 0, k),)
+
+
+@pytest.mark.parametrize("token,message", [
+    ("t1^2", "only bead generators take exponents"),
+    *((token, "cannot parse generator token") for token in (
+        "s1,2", "e1^2", "o1,2", "x1", "e1,", "t", "e1,3^2", "o1^", "E1")),
+])
+def test_word_grammar_refuses_tokens_with_todays_messages(token, message):
+    with pytest.raises(ValueError, match=message):
+        parse_word(token)
+
+
+def test_word_grammar_leaves_index_ranges_to_symbol_valid():
+    assert parse_word("r0 e2,1") == (GenSymbol("r", 0), GenSymbol("e", 2, 1))
+    assert not any(symbol_valid(sym, 5) for sym in parse_word("r0 e2,1"))
 
 
 def test_encoding_format():
@@ -706,6 +745,110 @@ def test_tag_violations_raise_on_every_call(tag, error):
                 build()
             raised.append((type(err.value), str(err.value)))
     assert len(set(raised)) == 1
+
+
+# -- differential gate: the tag rule against the two checks it replaced ------
+
+def _reference_tags(lab, n):
+    """The tag set that _shape read off labels before _tag_errors, kept
+    verbatim as the reference."""
+    k = max(lab) + 1
+    size = [0] * k
+    for x in lab:
+        size[x] += 1
+    tags = {PARTITION}
+    if max(size) <= 2:
+        tags.add(MATCHING)
+        # each top point opens its own block and the bottom points meet
+        # those blocks once each
+        if lab[:n] == tuple(range(n)) and sorted(lab[n:]) == list(range(n)):
+            tags.add(PERMUTATION)
+        # n blocks, and in the boundary order t1..tn, bn..b1 every point
+        # closes the block on top of the stack or opens one
+        if k == n:
+            stack = []
+            for x in lab[:n] + lab[:n - 1:-1]:
+                if stack and stack[-1] == x:
+                    stack.pop()
+                else:
+                    stack.append(x)
+            if not stack:
+                tags.add(PLANAR)
+    return frozenset(tags)
+
+
+def _crossing(x1, y1, x2, y2) -> bool:
+    return (x1 < x2 < y1 < y2) or (x2 < x1 < y2 < y1)
+
+
+def _reference_tag_violation(n, tag, blocks):
+    """The block scan that named a broken tag before _tag_errors, kept
+    verbatim as the reference; it assumes the tag is broken."""
+    for blk in blocks:
+        if len(blk) > 2:
+            raise ValueError(f"{tag} diagrams admit only blocks of size <= 2")
+    if tag == PERMUTATION:
+        raise ValueError("permutation diagrams pair one top with one bottom point")
+    chords = []
+    for blk in blocks:
+        if len(blk) != 2:
+            raise NotPlanar("planar matchings have no free points")
+        x, y = (p if p <= n else 3 * n + 1 - p for p in blk)
+        chords.append((min(x, y), max(x, y)))
+    for a in range(len(chords)):
+        for b in range(a + 1, len(chords)):
+            if _crossing(*chords[a], *chords[b]):
+                raise NotPlanar(f"arcs cross: {blocks[a]} and {blocks[b]}")
+
+
+def _crossing_messages(n, blocks):
+    """The "arcs cross" message for each pair of blocks that cross, named in
+    block order, by the reference's chords."""
+    chords = [tuple(sorted(p if p <= n else 3 * n + 1 - p for p in blk)) for blk in blocks]
+    return {f"arcs cross: {blocks[a]} and {blocks[b]}"
+            for a in range(len(blocks)) for b in range(a + 1, len(blocks))
+            if _crossing(*chords[a], *chords[b])}
+
+
+def test_tag_rule_matches_the_reference_on_every_closure_and_generator():
+    """Every label tuple of the default_grid() closures, of every generator
+    with n <= 5, and of every set partition with n <= 3 (the closures hold no
+    block of three points): the same tag set, and a claimed broken tag
+    raises the reference's error type from both constructor forms, with one
+    message.  The message is the reference's, except that of crossing arcs
+    may name any pair of blocks that cross."""
+    shapes = {(x.lab, x.n) for fam in default_grid() for x in closure(fam)}
+    shapes |= {(generator(sym, n, 1).lab, n) for n in range(1, 6)
+               for kind in [*_KINDS, "e*"] for sym in kind_symbols(kind, n)}
+    shapes |= {(BeadedDiagram(n, 1, [[p + 1 for p in cls] for cls in part]).lab, n)
+               for n in range(1, 4) for part in _set_partitions(2 * n)}
+    broken = set()
+    for lab, n in shapes:
+        tags = _shape(lab, n)[2]
+        assert tags == _reference_tags(lab, n), lab
+        blocks = BeadedDiagram(n, 1, lab=lab).blocks
+        for tag in sorted(_TAGS - tags):
+            with pytest.raises(ValueError) as want:
+                _reference_tag_violation(n, tag, blocks)
+            raised = []
+            for build in (lambda: BeadedDiagram(n, 1, blocks, None, tag),
+                          lambda: BeadedDiagram(n, 1, family_tag=tag, lab=lab)):
+                with pytest.raises(ValueError) as got:
+                    build()
+                raised.append((type(got.value), str(got.value)))
+            [(kind, message)] = set(raised)
+            assert kind is type(want.value), (lab, tag)
+            why = str(want.value).split()[0]
+            if why == "arcs":
+                assert message in _crossing_messages(n, blocks), (lab, message)
+            else:
+                assert message == str(want.value), (lab, tag)
+            broken.add((tag, why))
+    # every tag is broken somewhere, and the planar tag in each of its three
+    # ways, which the first word of the message tells apart
+    assert {tag for tag, _ in broken} == _TAGS - {PARTITION}
+    assert {why for tag, why in broken if tag == PLANAR} == {
+        "planar-matching", "planar", "arcs"}
 
 
 def test_equal_labels_share_one_tuple():

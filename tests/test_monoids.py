@@ -5,7 +5,16 @@ import re
 
 import pytest
 
-from framoid.diagrams import BeadedDiagram, CapExceeded, GenSymbol, generator, render_word
+from framoid.diagrams import (
+    MATCHING,
+    PERMUTATION,
+    PLANAR,
+    BeadedDiagram,
+    CapExceeded,
+    GenSymbol,
+    generator,
+    render_word,
+)
 from framoid.monoids import (
     _CLOSURES,
     FAMILIES,
@@ -283,6 +292,20 @@ def test_presentation_object_shape():
     names = {s.name for s in fam.spec.schemas}
     assert "rook-tie-shift" in names
     assert all(sym.kind in "sreq" for sym in generating_symbols(fam))
+
+
+# the structural tag each family declared before tags were derived from its
+# generator kinds
+DECLARED_TAGS = {
+    "cdn": PERMUTATION, "sdn": PERMUTATION, "pn": PERMUTATION, "pdn": PERMUTATION,
+    "jn": PLANAR, "jdn": PLANAR, "brn": MATCHING, "brdn": MATCHING,
+    "rn": MATCHING, "rdn": MATCHING, "rprimedn": MATCHING, "tsn": PERMUTATION,
+    "tjn": PLANAR, "tbrn": MATCHING, "trn": MATCHING, "trprimen": MATCHING,
+}
+
+
+def test_family_tags_follow_from_the_generator_kinds():
+    assert {name: spec.tag for name, spec in FAMILIES.items()} == DECLARED_TAGS
 
 
 def test_invalid_family_parameters():

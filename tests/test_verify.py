@@ -237,6 +237,25 @@ def test_the_package_imports_only_the_standard_library():
     assert project.startswith("project]") and "\ndependencies = []\n" in project
 
 
+
+def test_every_registry_field_is_read():
+    """Each declared field of FamilySpec is read outside the class body, as
+    an attribute of a spec: ``x.spec``, a name ``spec`` or ``FAMILIES[...]``."""
+    fields, read = [], set()
+    for path in sorted((ROOT / "src" / "framoid").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name == "FamilySpec":
+                fields += [stmt.target.id for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                owner = node.value
+                if (isinstance(owner, ast.Attribute) and owner.attr == "spec"
+                        or isinstance(owner, ast.Name) and owner.id == "spec"
+                        or isinstance(owner, ast.Subscript)
+                        and isinstance(owner.value, ast.Name) and owner.value.id == "FAMILIES"):
+                    read.add(node.attr)
+    assert fields and [name for name in fields if name not in read] == []
+
 # -- differential gate: the tied row table against the catalogues it replaced --
 
 # The three hand-written catalogues the row table replaced, kept verbatim as
