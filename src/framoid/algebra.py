@@ -321,40 +321,39 @@ def _averaged(fam, policy: str, summand) -> AlgebraElement:
     return AlgebraElement(fam, policy, _accumulate({}, terms()))
 
 
+def _conjugated(fam, policy: str, top: int, core: tuple, bottom: int) -> AlgebraElement:
+    """(1/d) sum_k z_top^k core z_bottom^{-k}, ``core`` a word of symbols."""
+    d = fam.d
+    return _averaged(fam, policy, lambda k: (
+        (GenSymbol("o", top, 0, k), *core, GenSymbol("o", bottom, 0, (d - k) % d)), ONE))
+
+
 def bridge_e(i: int, j: int, fam, policy: str = ALPHA) -> AlgebraElement:
     """(1/d) sum_k z_i^k z_j^{-k}: lets beads hop between strands i and j."""
     if not 1 <= i < j <= fam.n:
         raise ValueError(f"need 1 <= i < j <= n, got ({i}, {j})")
-    d = fam.d
-    return _averaged(fam, policy, lambda k: (
-        (GenSymbol("o", i, 0, k), GenSymbol("o", j, 0, (d - k) % d)), ONE))
+    return _conjugated(fam, policy, i, (), j)
 
 
 def bridge_f(i: int, fam, policy: str = ALPHA) -> AlgebraElement:
     """(1/d) sum_k z_i^k t_i z_i^{-k}: the tied-tangle bridge."""
     if not 1 <= i <= fam.n - 1:
         raise ValueError(f"tangle index {i} out of range")
-    d = fam.d
-    return _averaged(fam, policy, lambda k: (
-        (GenSymbol("o", i, 0, k), GenSymbol("t", i), GenSymbol("o", i, 0, (d - k) % d)), ONE))
+    return _conjugated(fam, policy, i, (GenSymbol("t", i),), i)
 
 
 def bridge_q(i: int, fam, policy: str = ALPHA) -> AlgebraElement:
     """(1/d) sum_k z_i^k r_i z_i^{-k}: the tied-rook bridge."""
     if not 1 <= i <= fam.n:
         raise ValueError(f"rook index {i} out of range")
-    d = fam.d
-    return _averaged(fam, policy, lambda k: (
-        (GenSymbol("o", i, 0, k), GenSymbol("r", i), GenSymbol("o", i, 0, (d - k) % d)), ONE))
+    return _conjugated(fam, policy, i, (GenSymbol("r", i),), i)
 
 
 def bridge_w(i: int, j: int, h: int, fam, policy: str = ALPHA) -> AlgebraElement:
     """(1/d) sum_k z_j^k p_i z_h^{-k} with j, h <= i."""
     if not (1 <= i <= fam.n and 1 <= j <= i and 1 <= h <= i):
         raise ValueError(f"need j, h <= i <= n, got ({i}, {j}, {h})")
-    d = fam.d
-    return _averaged(fam, policy, lambda k: (
-        (GenSymbol("o", j, 0, k), GenSymbol("p", i), GenSymbol("o", h, 0, (d - k) % d)), ONE))
+    return _conjugated(fam, policy, j, (GenSymbol("p", i),), h)
 
 
 def cap_z(i: int, fam, policy: str = ALPHA) -> AlgebraElement:

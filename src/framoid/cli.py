@@ -16,6 +16,7 @@ import sys
 
 from .diagrams import CapExceeded, parse_word, render_symbol
 from .monoids import (
+    DEFAULT_CAP,
     FAMILY_NAMES,
     closure,
     family,
@@ -106,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--n", type=_n_range, required=True,
                            help="strand count, or a range a..b")
-            p.add_argument("--cap", type=_cap, default=1_000_000)
+            p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
         if formats:
             p.add_argument("--format", choices=formats, default="json")
 

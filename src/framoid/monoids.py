@@ -576,8 +576,10 @@ def generating_set(fam: MonoidFamily) -> tuple[BeadedDiagram, ...]:
 # closure results, one per family; cleared by closure.cache_clear()
 _CLOSURES: dict[MonoidFamily, tuple[BeadedDiagram, ...]] = {}
 
+DEFAULT_CAP = 1_000_000
 
-def closure(fam: MonoidFamily, cap: int = 1_000_000) -> tuple[BeadedDiagram, ...]:
+
+def closure(fam: MonoidFamily, cap: int = DEFAULT_CAP) -> tuple[BeadedDiagram, ...]:
     """All elements of the family: breadth-first closure of the generators.
 
     Deterministic: the result is sorted by canonical encoding.  Raises

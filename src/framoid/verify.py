@@ -1,10 +1,9 @@
 """Bundled verification suites: cardinalities, presentations, bridge
-identities, framed Temperley-Lieb checks and specialization maps.  The tied
-suite's catalogues come from one row table, ``_TIED_FAMILY``.  The bridge
-suite's catalogues are word rows too, read through the deframization image
-table (``_image_evaluator``), which sends each tied generator to its averaged
-bridge in the framed family; ``_BRIDGE_FAMILY`` gives each target its family,
-loop policy and index generator.
+identities, framed Temperley-Lieb checks and specialization maps.  Each word
+identity of the bridges, tied and framed-TL suites is a row of ``str.format``
+templates, given with its fields by an index generator (``_BRIDGE_FAMILY``,
+``_TIED_FAMILY``, ``_tl_rows``); ``_check_rows`` reads both words of every
+row through one image evaluator, ``_image_evaluator``.
 
 Every suite returns a :class:`SuiteReport` whose entries carry one identity
 each; failures come with a reproducible witness.  Randomized suites take a
@@ -23,10 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import combinations, combinations_with_replacement, groupby, product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .diagrams import _KINDS, CapExceeded, parse_word
 from .monoids import (
+    DEFAULT_CAP,
     MonoidFamily,
     _swap,
     check_relations,
@@ -40,6 +40,7 @@ from .algebra import (
     NEGLECT,
     XY,
     AlgebraElement,
+    LaurentPoly,
     alpha_to_one,
     bridge_e,
     bridge_f,
@@ -116,12 +117,11 @@ class SuiteReport:
         return f"{self.name}: {len(self.entries) - bad}/{len(self.entries)} ok"
 
 
-def _check_catalogue(report: SuiteReport, fam: MonoidFamily,
-                     catalogue: Callable[[MonoidFamily], Iterator[tuple]]):
-    """Record every ``(identity, lhs, rhs)`` of ``catalogue(fam)``; an entry's
+def _check_catalogue(report: SuiteReport, fam: MonoidFamily, identities: Iterable[tuple]):
+    """Record every ``(identity, lhs, rhs)`` of ``identities``; an entry's
     ``ms`` covers building both sides and comparing them."""
     t0 = time.perf_counter()
-    for ident, lhs, rhs in catalogue(fam):
+    for ident, lhs, rhs in identities:
         same = equal(lhs, rhs)
         ms = (time.perf_counter() - t0) * 1000
         report.check(fam, ident, same,
@@ -129,20 +129,20 @@ def _check_catalogue(report: SuiteReport, fam: MonoidFamily,
         t0 = time.perf_counter()
 
 
-def _read_rows(indexed_rows, evaluate: Callable[[str], AlgebraElement]
-               ) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
-    """Each ``(identity, lhs, rhs)`` template of ``(rows, fields)`` pairs,
-    formatted with its fields; ``evaluate`` reads both words."""
-    for rows, fields in indexed_rows:
-        for row in rows:
-            ident, lhs, rhs = (part.format(**fields) for part in row)
-            yield ident, evaluate(lhs), evaluate(rhs)
+def _check_rows(report: SuiteReport, fam: MonoidFamily, policy: str, rows):
+    """Record the ``(identity, lhs, rhs)`` templates of the ``(rows, fields)``
+    pairs ``rows``, both words read through one image evaluator."""
+    evaluate = _image_evaluator(fam, policy)
+    _check_catalogue(report, fam, (
+        (ident, evaluate(lhs), evaluate(rhs))
+        for templates, fields in rows
+        for ident, lhs, rhs in ((part.format(**fields) for part in row) for row in templates)))
 
 
 # -- cardinalities ---------------------------------------------------------------
 
 def suite_cardinalities(grid: Optional[Sequence[MonoidFamily]] = None,
-                        cap: int = 1_000_000) -> SuiteReport:
+                        cap: int = DEFAULT_CAP) -> SuiteReport:
     report = SuiteReport("cardinalities")
     for fam in (default_grid() if grid is None else grid):
         t0 = time.perf_counter()
@@ -178,26 +178,32 @@ _BRIDGES = {
     "w": lambda sym, fam, policy: bridge_w(sym.i, sym.i, sym.i, fam, policy),
 }
 # beyond the generator grammar: Z{i}, the averaged framing, Z0{i}, the same at
-# alpha = 1, and w{i}({j},{h}), the transport bridge wbar_i(j, h)
+# alpha = 1, w{i}({j},{h}), the transport bridge wbar_i(j, h), and the loop
+# scalars x and y{k}, which act through the scalar action
 _Z_TOKEN = re.compile(r"Z(0?)([1-9][0-9]*)")
 _W_TOKEN = re.compile(r"w([0-9]+)\(([0-9]+),([0-9]+)\)")
+_SCALAR_TOKEN = re.compile(r"x|y([0-9]+)")
 
 
-def _image(token: str, fam, policy: str) -> Optional[AlgebraElement]:
-    """The image of one token; None for a generator that is its own image."""
+def _image(token: str, fam, policy: str) -> Optional[AlgebraElement | LaurentPoly]:
+    """The image of one token; None for a generator that is its own image:
+    a plain one, or any one in a tied family."""
+    if m := _SCALAR_TOKEN.fullmatch(token):
+        return x_var() if m[1] is None else y_var(int(m[1]), fam.d)
     if m := _Z_TOKEN.fullmatch(token):
         z = cap_z(int(m[2]), fam, policy)
         return specialize(z, alpha_to_one(fam.d)) if m[1] else z
     if m := _W_TOKEN.fullmatch(token):
         return bridge_w(*map(int, m.groups()), fam, policy)
     (sym,) = parse_word(token)
-    return None if _KINDS[sym.kind].unties is None else _BRIDGES[sym.kind](sym, fam, policy)
+    own = fam.tied or _KINDS[sym.kind].unties is None
+    return None if own else _BRIDGES[sym.kind](sym, fam, policy)
 
 
 def _image_evaluator(fam, policy: str) -> Callable[[str], AlgebraElement]:
-    """A word's deframization image in the algebra of ``fam``: a run of plain
-    generators is one ``from_word``, any other token its image (built once per
-    evaluator), and the factors multiply left to right."""
+    """A word's image in the algebra of ``fam``: a run of generators that are
+    their own images is one ``from_word``, any other token its image (built
+    once per evaluator), and the factors multiply left to right."""
     image = cache(partial(_image, fam=fam, policy=policy))
 
     def evaluate(word: str) -> AlgebraElement:
@@ -213,8 +219,10 @@ def _image_evaluator(fam, policy: str) -> Callable[[str], AlgebraElement]:
 
 # -- bridge identity rows ----------------------------------------------------------
 
-# A bridge row is (identity, lhs word, rhs word), ``str.format`` templates over
-# the fields of ``_at``; both words are read through the image evaluator.
+# A row is (identity, lhs word, rhs word), ``str.format`` templates over the
+# fields of ``_at``; ``_check_rows`` reads both words.  A row that two suites
+# share is declared once.
+_T_T_T = ("t_{i} t_{j} t_{i} = t_{i}", "t{i} t{j} t{i}", "t{i}")
 _PARTITION_PAIR = (
     ("ebar_{i}{j}^2 = ebar_{i}{j}", "e{i},{j} e{i},{j}", "e{i},{j}"),
     ("z_{i} ebar_{i}{j} = z_{j} ebar_{i}{j}", "o{i} e{i},{j}", "o{j} e{i},{j}"),
@@ -282,7 +290,7 @@ _JONES_ADJACENT = (  # the strand of ebar_j away from the tangle keeps its frami
     ("t_{i} ebar_{j} t_{i} = t_{i} Z_{away}", "t{i} e{j} t{i}", "t{i} Z{away}"),
     ("fbar_{i} ebar_{j} = ebar_{j} t_{i} ebar_{j}", "f{i} e{j}", "e{j} t{i} e{j}"),
     ("ebar_{j} fbar_{i} = ebar_{j} t_{i} ebar_{j}", "e{j} f{i}", "e{j} t{i} e{j}"),
-    ("t_{i} t_{j} t_{i} = t_{i}", "t{i} t{j} t{i}", "t{i}"))
+    _T_T_T)
 _JONES_CONTROL = ((EXPECT_FAIL + "fbar_1^2 = fbar_1 (needs Z)", "f1 f1", "f1"),)
 _BRAUER_I = (("fbar_{i} s_{i} = fbar_{i}", "f{i} s{i}", "f{i}"),
              ("s_{i} fbar_{i} = fbar_{i}", "s{i} f{i}", "f{i}"))
@@ -360,11 +368,6 @@ def _brauer_rows(n, d):
     yield from _around(n, _BRAUER_I, _BRAUER_FAR, _BRAUER_ADJACENT)
 
 
-def _bridge_identities(fam, policy: str, rows):
-    """The rows of ``rows(n, d)``, read through one image evaluator."""
-    return _read_rows(rows(fam.n, fam.d), _image_evaluator(fam, policy))
-
-
 # target: (framed family, loop policy, index generator); permutation products
 # close no loops, so any policy would do for symmetric
 _BRIDGE_FAMILY = {
@@ -388,39 +391,40 @@ def suite_bridges(target: str, d_values: Sequence[int] = (2, 3, 4),
     name, policy, rows = _BRIDGE_FAMILY[target]
     report = SuiteReport(f"bridges-{target}")
     for d in d_values:
-        _check_catalogue(report, family(name, n, d),
-                         partial(_bridge_identities, policy=policy, rows=rows))
+        _check_rows(report, family(name, n, d), policy, rows(n, d))
     return report
 
 
 # -- framed Temperley-Lieb ----------------------------------------------------------
 
-def _tl_relations(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
-    el = lambda w: from_word(w, fam, XY)
-    n, d = fam.n, fam.d
+# rows over tangle i; over adjacent and far (j > i + 1) tangle pairs; over
+# strand i and each strand j > i; over strand i away from tangle j
+_TL_I = (("t_{i}^2 = x t_{i}", "t{i} t{i}", "x t{i}"),)
+_TL_LOOP = (("t_{i} o_{i}^{k} t_{i} = x y_{k} t_{i}", "t{i} o{i}^{k} t{i}", "x y{k} t{i}"),)
+_TL_BEAD = (("t_{i} o_{i} = t_{i} o_{i1}", "t{i} o{i}", "t{i} o{i1}"),
+            ("o_{i} t_{i} = o_{i1} t_{i}", "o{i} t{i}", "o{i1} t{i}"))
+_TL_ADJACENT = (_T_T_T,)
+_TL_FAR = (("t_{i} t_{j} = t_{j} t_{i}", "t{i} t{j}", "t{j} t{i}"),)
+_TL_STRAND = (("o_{i}^{d} = 1", "o{i}^{d}", ""),)
+_TL_STRANDS = (("o_{i} o_{j} = o_{j} o_{i}", "o{i} o{j}", "o{j} o{i}"),)
+_TL_AWAY = (("o_{i} t_{j} = t_{j} o_{i}", "o{i} t{j}", "t{j} o{i}"),)
+
+
+def _tl_rows(n, d):
+    yield from ((_TL_I, _at(i)) for i in range(1, n))
     for i in range(1, n):
-        yield (f"t_{i}^2 = x t_{i}", el(f"t{i}") * el(f"t{i}"), x_var() * el(f"t{i}"))
-    for i in range(1, n):
-        for k in range(d):
-            scalar = x_var() * y_var(k, d)
-            yield (f"t_{i} o_{i}^{k} t_{i} = x y_{k} t_{i}",
-                   el(f"t{i} o{i}^{k} t{i}"), scalar * el(f"t{i}"))
-        yield (f"t_{i} o_{i} = t_{i} o_{i + 1}", el(f"t{i} o{i}"), el(f"t{i} o{i + 1}"))
-        yield (f"o_{i} t_{i} = o_{i + 1} t_{i}", el(f"o{i} t{i}"), el(f"o{i + 1} t{i}"))
-    for i in range(1, n):
-        for j in range(1, n):
-            if abs(i - j) > 1 and i < j:
-                yield (f"t_{i} t_{j} = t_{j} t_{i}", el(f"t{i} t{j}"), el(f"t{j} t{i}"))
-            if abs(i - j) == 1:
-                yield (f"t_{i} t_{j} t_{i} = t_{i}", el(f"t{i} t{j} t{i}"), el(f"t{i}"))
+        yield from ((_TL_LOOP, _at(i, k=k)) for k in range(d))
+        yield _TL_BEAD, _at(i)
+    for i, j in product(range(1, n), repeat=2):
+        if abs(i - j) == 1:
+            yield _TL_ADJACENT, _at(i, j)
+        elif j > i + 1:
+            yield _TL_FAR, _at(i, j)
     for i in range(1, n + 1):
-        yield (f"o_{i}^{d} = 1", el(f"o{i}^{d}"), el(""))
-        for j in range(i + 1, n + 1):
-            yield (f"o_{i} o_{j} = o_{j} o_{i}", el(f"o{i} o{j}"), el(f"o{j} o{i}"))
+        yield _TL_STRAND, _at(i, d=d)
+        yield from ((_TL_STRANDS, _at(i, j)) for j in range(i + 1, n + 1))
     for j in range(1, n):
-        for i in range(1, n + 1):
-            if i not in (j, j + 1):
-                yield (f"o_{i} t_{j} = t_{j} o_{i}", el(f"o{i} t{j}"), el(f"t{j} o{i}"))
+        yield from ((_TL_AWAY, _at(i, j)) for i in range(1, n + 1) if i not in (j, j + 1))
 
 
 def suite_framed_tl(d_values: Sequence[int] = (1, 2, 3),
@@ -429,17 +433,21 @@ def suite_framed_tl(d_values: Sequence[int] = (1, 2, 3),
                     seed: int = DEFAULT_SEED) -> SuiteReport:
     """Framed Temperley-Lieb checks: basis size, product relations,
     random associativity triples under the loop-to-x*y rule."""
+    if triples < 1:
+        raise ValueError(f"need at least one associativity triple, got {triples}")
     report = SuiteReport("framed-tl")
     rng = random.Random(seed)
     cells = [(d, n) for d in d_values for n in n_values]
-    share = max(1, -(-triples // len(cells)))
+    if not cells:
+        return report
+    share = -(-triples // len(cells))
     for d, n in cells:
         fam = family("jdn", n, d)
         basis = closure(fam)
         want = predicted_cardinality(fam)
         report.check(fam, f"basis count = d^n * catalan = {want}", len(basis) == want,
                      f"got {len(basis)}")
-        _check_catalogue(report, fam, _tl_relations)
+        _check_rows(report, fam, XY, _tl_rows(n, d))
         witness = None
         for _ in range(share):
             a, b, c = (from_diagram(rng.choice(basis), fam, XY) for _ in range(3))
@@ -451,14 +459,12 @@ def suite_framed_tl(d_values: Sequence[int] = (1, 2, 3),
 
 # -- tied specializations --------------------------------------------------------------
 
-# A row is (identity, lhs word, rhs word), each a ``str.format`` template over
-# the index i and, in a row over adjacent indices, j = i - 1 or i + 1; a row
-# that two tied algebras share is declared once.
+# The fields of a tied row are i and, in a row over adjacent indices, j = i - 1
+# or i + 1; a row that two tied algebras share is declared once.
 _T_SQUARE = ("t_{i}^2 = x t_{i} -> t_{i}", "t{i} t{i}", "t{i}")
 _E_SQUARE = ("e_{i}^2 = e_{i}", "e{i} e{i}", "e{i}")
 _T_E = ("t_{i} e_{i} = t_{i}", "t{i} e{i}", "t{i}")
 _F_E = ("f_{i} e_{i} = f_{i}", "f{i} e{i}", "f{i}")
-_T_T_T = ("t_{i} t_{j} t_{i} = t_{i}", "t{i} t{j} t{i}", "t{i}")
 _T_E_T = ("t_{i} e_{j} t_{i} = t_{i}", "t{i} e{j} t{i}", "t{i}")
 _F_E_ADJ = ("f_{i} e_{j} = e_{j} t_{i} e_{j}", "f{i} e{j}", "e{j} t{i} e{j}")
 _BRAIDS_AND_TIES = (
@@ -469,21 +475,19 @@ _BRAIDS_AND_TIES = (
 )
 
 
-def _tied_identities(kinds: Sequence[str], params: str, rows_i: Sequence[tuple],
-                     rows_j: Sequence[tuple]):
-    """The catalogue of one tied algebra at the specialization ``params``:
-    far pairs of ``kinds`` commute, then for each i come the ``rows_i`` and
+# far pairs of a tied algebra's kinds a <= b (in table order) commute
+_FAR_PAIR = (("{a}_{i} {b}_{j} = {b}_{j} {a}_{i} {params}", "{a}{i} {b}{j}", "{b}{j} {a}{i}"),)
+
+
+def _tied_rows(n, kinds, params, rows_i, rows_j):
+    """The rows of one tied algebra at the specialization ``params``: far
+    pairs of ``kinds`` commute, then for each i come the ``rows_i`` and
     the ``rows_j`` for j = i - 1 and j = i + 1 within 1..n - 1."""
-    def catalogue(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
-        n = fam.n
-        el = lambda w: from_word(w, fam, NEGLECT)
-        for a, b in combinations_with_replacement(kinds, 2):
-            for i, j in product(range(1, n), repeat=2):
-                if abs(i - j) != 1 and (a != b or j > i):
-                    yield (f"{a}_{i} {b}_{j} = {b}_{j} {a}_{i} {params}",
-                           el(f"{a}{i} {b}{j}"), el(f"{b}{j} {a}{i}"))
-        yield from _read_rows(_around(n, rows_i, (), rows_j), el)
-    return catalogue
+    for a, b in combinations_with_replacement(kinds, 2):
+        for i, j in product(range(1, n), repeat=2):
+            if abs(i - j) != 1 and (a != b or j > i):
+                yield _FAR_PAIR, dict(a=a, b=b, i=i, j=j, params=params)
+    yield from _around(n, rows_i, (), rows_j)
 
 
 # (family, kinds whose far pairs commute, specialized parameters, rows over i,
@@ -523,7 +527,7 @@ def suite_tied_specializations(n_max: int = 4) -> SuiteReport:
     report = SuiteReport("tied-specializations")
     for n in range(2, n_max + 1):
         for name, *table in _TIED_FAMILY:
-            _check_catalogue(report, family(name, n), _tied_identities(*table))
+            _check_rows(report, family(name, n), NEGLECT, _tied_rows(n, *table))
     return report
 
 
@@ -561,6 +565,8 @@ def suite_specialization_homomorphism(pairs: int = 1000, seed: int = DEFAULT_SEE
                                       ) -> SuiteReport:
     """Setting every framing and every loop scalar to one is multiplicative:
     checked on random element pairs and on bridges, in families with n >= 3."""
+    if pairs < 1:
+        raise ValueError(f"need at least one random pair, got {pairs}")
     report = SuiteReport("specialization-homomorphism")
     if fams is None:
         fams = (family("jdn", 4, 3), family("brdn", 3, 2),
@@ -579,5 +585,5 @@ def suite_specialization_homomorphism(pairs: int = 1000, seed: int = DEFAULT_SEE
                                              _full_specialize(a) * _full_specialize(b)):
                 witness = f"a={a.dump()} b={b.dump()}"
         report.check(fam, f"spec(ab) = spec(a) spec(b) x{pairs}", witness is None, witness)
-        _check_catalogue(report, fam, _hom_bridge_identities)
+        _check_catalogue(report, fam, _hom_bridge_identities(fam))
     return report

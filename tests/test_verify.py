@@ -14,6 +14,7 @@ import framoid.verify as verify
 from framoid.algebra import (
     ALPHA,
     NEGLECT,
+    XY,
     AlgebraElement,
     alpha_to_one,
     bridge_e,
@@ -23,6 +24,8 @@ from framoid.algebra import (
     cap_z,
     from_word,
     specialize,
+    x_var,
+    y_var,
 )
 from framoid.diagrams import _KINDS, parse_word
 from framoid.monoids import FAMILY_NAMES, _swap, check_relations, default_grid, family
@@ -32,9 +35,9 @@ from framoid.verify import (
     DEFAULT_SEED,
     EXPECT_FAIL,
     _TIED_FAMILY,
-    _bridge_identities,
     _image_evaluator,
-    _tied_identities,
+    _tied_rows,
+    _tl_rows,
     suite_bridges,
     suite_cardinalities,
     suite_framed_tl,
@@ -104,7 +107,8 @@ def test_presentation_coverage_spans_all_families():
 
 
 def test_report_that_checks_nothing_does_not_pass():
-    for report in (suite_tied_specializations(1), suite_bridges("jones", (2,), 1)):
+    for report in (suite_tied_specializations(1), suite_bridges("jones", (2,), 1),
+                   suite_framed_tl(d_values=()), suite_framed_tl(n_values=())):
         assert report.entries == [] and report.summary().endswith(": 0/0 ok")
         assert not report.passed
 
@@ -158,13 +162,24 @@ def test_report_lines_are_json_without_timing():
     assert all("ms" in json.loads(line) for line in timed)
 
 
-def test_specialization_homomorphism_refuses_small_n_before_any_work(monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the check of n")
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
 
-    monkeypatch.setattr(verify, "closure", no_work)
+
+def test_specialization_homomorphism_refuses_small_n_before_any_work(monkeypatch):
+    monkeypatch.setattr(verify, "closure", _no_work)
     with pytest.raises(ValueError, match=r"jdn\(d=2,n=2\)"):
         suite_specialization_homomorphism(fams=[family("jdn", 4, 3), family("jdn", 2, 2)])
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_randomized_suites_refuse_a_sample_count_below_one_before_any_work(
+        monkeypatch, count):
+    monkeypatch.setattr(verify, "closure", _no_work)
+    with pytest.raises(ValueError, match=f"random pair, got {count}"):
+        suite_specialization_homomorphism(pairs=count)
+    with pytest.raises(ValueError, match=f"associativity triple, got {count}"):
+        suite_framed_tl(triples=count)
 
 
 # sha256 of the report text of small runs, recorded at 0cfc1f2
@@ -255,6 +270,85 @@ def test_every_registry_field_is_read():
                         and isinstance(owner.value, ast.Name) and owner.value.id == "FAMILIES"):
                     read.add(node.attr)
     assert fields and [name for name in fields if name not in read] == []
+
+
+def test_every_private_module_name_is_read():
+    """Each private module-level function, class or assignment of the package
+    is read somewhere in it as a name or an attribute; an import alone is no
+    read."""
+    defined, read = [], set()
+    for path in sorted((ROOT / "src" / "framoid").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, name) for name in names if name.startswith("_")
+                        and not (name.startswith("__") and name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert defined and [(path, name) for path, name in defined if name not in read] == []
+
+
+def _read_by_check_rows(monkeypatch, fam, policy, rows):
+    """The ``(identity, lhs, rhs)`` triples that ``_check_rows`` records."""
+    read = []
+    monkeypatch.setattr(verify, "_check_catalogue",
+                        lambda report, fam, identities: read.extend(identities))
+    verify._check_rows(verify.SuiteReport("rows"), fam, policy, rows)
+    return read
+
+
+# -- differential gate: the framed-TL rows against the catalogue they replaced --
+
+# The hand-written catalogue the rows replaced, kept verbatim as the reference.
+
+def _tl_relations(fam) -> Iterator[tuple[str, AlgebraElement, AlgebraElement]]:
+    el = lambda w: from_word(w, fam, XY)
+    n, d = fam.n, fam.d
+    for i in range(1, n):
+        yield (f"t_{i}^2 = x t_{i}", el(f"t{i}") * el(f"t{i}"), x_var() * el(f"t{i}"))
+    for i in range(1, n):
+        for k in range(d):
+            scalar = x_var() * y_var(k, d)
+            yield (f"t_{i} o_{i}^{k} t_{i} = x y_{k} t_{i}",
+                   el(f"t{i} o{i}^{k} t{i}"), scalar * el(f"t{i}"))
+        yield (f"t_{i} o_{i} = t_{i} o_{i + 1}", el(f"t{i} o{i}"), el(f"t{i} o{i + 1}"))
+        yield (f"o_{i} t_{i} = o_{i + 1} t_{i}", el(f"o{i} t{i}"), el(f"o{i + 1} t{i}"))
+    for i in range(1, n):
+        for j in range(1, n):
+            if abs(i - j) > 1 and i < j:
+                yield (f"t_{i} t_{j} = t_{j} t_{i}", el(f"t{i} t{j}"), el(f"t{j} t{i}"))
+            if abs(i - j) == 1:
+                yield (f"t_{i} t_{j} t_{i} = t_{i}", el(f"t{i} t{j} t{i}"), el(f"t{i}"))
+    for i in range(1, n + 1):
+        yield (f"o_{i}^{d} = 1", el(f"o{i}^{d}"), el(""))
+        for j in range(i + 1, n + 1):
+            yield (f"o_{i} o_{j} = o_{j} o_{i}", el(f"o{i} o{j}"), el(f"o{j} o{i}"))
+    for j in range(1, n):
+        for i in range(1, n + 1):
+            if i not in (j, j + 1):
+                yield (f"o_{i} t_{j} = t_{j} o_{i}", el(f"o{i} t{j}"), el(f"t{j} o{i}"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tl_rows_match_the_reference_catalogue(monkeypatch, d, n):
+    fam = family("jdn", n, d)
+    got = _read_by_check_rows(monkeypatch, fam, XY, _tl_rows(n, d))
+    want = list(_tl_relations(fam))
+    assert [g[0] for g in got] == [w[0] for w in want]
+    for (ident, lhs, rhs), (_, ref_lhs, ref_rhs) in zip(got, want):
+        assert lhs == ref_lhs and rhs == ref_rhs, ident
+
 
 # -- differential gate: the tied row table against the catalogues it replaced --
 
@@ -379,10 +473,10 @@ TAUTOLOGY = "g_{i} - g_{i}^-1 = (q-q^-1)(e_{i}-f_{i}) -> 0 = 0"
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("name", sorted(REFERENCE_TIED))
-def test_tied_row_table_matches_the_reference_catalogues(name, n):
+def test_tied_row_table_matches_the_reference_catalogues(monkeypatch, name, n):
     fam = family(name, n)
     table = next(row[1:] for row in _TIED_FAMILY if row[0] == name)
-    got = list(_tied_identities(*table)(fam))
+    got = _read_by_check_rows(monkeypatch, fam, NEGLECT, _tied_rows(n, *table))
     want = list(REFERENCE_TIED[name](fam))
     assert [g[0] for g in got] == [w[0] for w in want]
     # the reference compares s_i - s_i with zero, the table s_i with s_i
@@ -609,11 +703,11 @@ REFERENCE_BRIDGES = {"partition": _partition_identities, "symmetric": _symmetric
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("target", BRIDGE_TARGETS)
-def test_bridge_rows_match_the_reference_catalogues(target, n):
+def test_bridge_rows_match_the_reference_catalogues(monkeypatch, target, n):
     name, policy, rows = _BRIDGE_FAMILY[target]
     for d in (2, 3, 4):
         fam = family(name, n, d)
-        got = list(_bridge_identities(fam, policy, rows))
+        got = _read_by_check_rows(monkeypatch, fam, policy, rows(n, d))
         want = list(REFERENCE_BRIDGES[target](fam))
         assert [g[0] for g in got] == [w[0] for w in want], (target, n, d)
         for (ident, lhs, rhs), (_, ref_lhs, ref_rhs) in zip(got, want):
@@ -670,5 +764,11 @@ def test_image_evaluator_multiplies_runs_and_images_left_to_right():
     assert image("o1 e1 o2 t1 f2 Z3") == want
     assert image("Z03") == specialize(cap_z(3, fam, ALPHA), alpha_to_one(2))
     assert image("") == from_word("", fam, ALPHA)
+    # the loop scalars act through the scalar action, wherever they stand
+    assert image("o1 x t1 y1") == x_var() * y_var(1, 2) * from_word("o1 t1", fam, ALPHA)
+    assert image("y0 t1") == image("t1 y2") == from_word("t1", fam, ALPHA)
     with pytest.raises(ValueError):
         image("x1")
+    # in a tied family every generator is its own image
+    tied = family("tjn", 3)
+    assert _image_evaluator(tied, NEGLECT)("e1 t2 f1") == from_word("e1 t2 f1", tied, NEGLECT)
