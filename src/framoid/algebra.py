@@ -12,6 +12,12 @@ A loop policy converts the loops removed by a diagram product into scalars:
 * ``XY``: every loop contributes x, and residue p adds y_p (y_0 = 1), the
   framed Temperley-Lieb product rule.
 
+Each distinct loop scalar is built once per ``(record, policy, d)`` and kept in a
+module dict; a product shares it, and a product by the unit returns the other
+factor itself.  That is safe because no polynomial or element is ever mutated
+after construction.  Scalars are exact: ``int``, ``Fraction`` or
+``LaurentPoly``; anything else raises ``TypeError``.
+
 Bridge elements are the 1/d-averaged sums that let beads hop between the two
 arcs of a generator's core; ``cap_z`` is the averaged scalar framing that
 appears on the right-hand side of their multiplication rules.
@@ -56,6 +62,13 @@ def _accumulate(out: dict, pairs: Iterable[tuple]) -> dict:
     return out
 
 
+def _exact(value):
+    """``value`` itself if it is an exact scalar: an ``int`` or a ``Fraction``."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"not an exact scalar (int or Fraction): {value!r}")
+
+
 def _mono(pairs: Iterable[tuple]) -> tuple:
     """Canonical monomial: sorted ``(var, exp)`` pairs, one per variable, no
     zero exponents."""
@@ -63,7 +76,10 @@ def _mono(pairs: Iterable[tuple]) -> tuple:
 
 
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
-    return _mono(m1 + m2) if m1 and m2 else m1 or m2
+    """The product of two canonical monomials."""
+    if m1 and m2:
+        return tuple(sorted(_accumulate(dict(m1), m2).items()))
+    return m1 or m2
 
 
 class LaurentPoly:
@@ -77,7 +93,7 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping] = None):
-        self.terms = _accumulate({}, ((_mono(mono), Fraction(coeff))
+        self.terms = _accumulate({}, ((_mono(mono), Fraction(_exact(coeff)))
                                       for mono, coeff in (terms or {}).items()))
 
     @classmethod
@@ -89,7 +105,8 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, value) -> "LaurentPoly":
-        return cls({(): value})
+        value = Fraction(_exact(value))
+        return cls._wrap({(): value} if value else {})
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "LaurentPoly":
@@ -134,18 +151,37 @@ class LaurentPoly:
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        if not isinstance(other, (LaurentPoly, int, Fraction)):
-            return NotImplemented
-        right = _coerce(other).terms.items()
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.const(other)
+        left, right = self.terms, other.terms
+        # a factor 1 gives the other factor itself; two monomials multiply
+        # in one step
+        if len(left) == 1 and left.get(()) == 1:
+            return other
+        if len(right) == 1:
+            if right.get(()) == 1:
+                return self
+            if len(left) == 1:
+                ((m1, c1),) = left.items()
+                ((m2, c2),) = right.items()
+                return LaurentPoly._wrap({_mono_mul(m1, m2): c1 * c2})
         return LaurentPoly._wrap(_accumulate({}, (
             (_mono_mul(m1, m2), c1 * c2)
-            for m1, c1 in self.terms.items() for m2, c2 in right)))
+            for m1, c1 in left.items() for m2, c2 in right.items())))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def substitute(self, subs: Mapping[str, int | Fraction]) -> "LaurentPoly":
-        """Replace variables by exact rationals; unbound variables survive."""
+        """Replace variables by exact rationals; unbound variables survive.
+        A polynomial with no bound variable is its own result."""
+        for value in subs.values():
+            _exact(value)
+        if not any(var in subs for mono in self.terms for var, _ in mono):
+            return self
+
         def terms():
             for mono, coeff in self.terms.items():
                 left = []
@@ -198,18 +234,26 @@ def x_var() -> LaurentPoly:
     return LaurentPoly.var("x")
 
 
+_LOOP_SCALARS: dict[tuple, LaurentPoly] = {}
+
+
 def loop_scalar(record: LoopRecord, policy: str, d: int) -> LaurentPoly:
     """Convert removed loops to a coefficient under the given policy: the one
-    monomial prod alpha_p^m (``ALPHA``) or x^total prod y_p^m (``XY``)."""
+    monomial prod alpha_p^m (``ALPHA``) or x^total prod y_p^m (``XY``), built
+    once per ``(record.counts, policy, d)``."""
     if policy not in LOOP_POLICIES:
         raise ValueError(f"unknown loop policy {policy!r}")
     if policy == NEGLECT or record.is_empty:
         return ONE
-    name = "alpha" if policy == ALPHA else "y"
-    mono = [(f"{name}{p % d}", m) for p, m in record.counts if p % d]
-    if policy == XY:
-        mono.append(("x", record.total()))
-    return LaurentPoly({tuple(mono): 1})
+    key = (record.counts, policy, d)
+    scalar = _LOOP_SCALARS.get(key)
+    if scalar is None:
+        name = "alpha" if policy == ALPHA else "y"
+        mono = [(f"{name}{p % d}", m) for p, m in record.counts if p % d]
+        if policy == XY:
+            mono.append(("x", record.total()))
+        scalar = _LOOP_SCALARS[key] = LaurentPoly({tuple(mono): 1}) if mono else ONE
+    return scalar
 
 
 class AlgebraElement:
@@ -262,11 +306,19 @@ class AlgebraElement:
                 raise ValueError(f"products in {self.fam.name} are not associative")
             d, drop, policy = self.fam.d, self.fam.drop_rook, self.policy
             right = other.terms.items()
-            products = ((compose(da, db, drop_rook=drop), ca * cb)
-                        for da, ca in self.terms.items() for db, cb in right)
-            return self._wrap(_accumulate({}, (
-                (dc, c if record.is_empty else c * loop_scalar(record, policy, d))
-                for (dc, record), c in products)))
+            products = []
+            for da, ca in self.terms.items():
+                for db, cb in right:
+                    dc, record = compose(da, db, drop_rook=drop)
+                    c = ca * cb
+                    if record.counts:
+                        scalar = loop_scalar(record, policy, d)
+                        if scalar is not ONE:
+                            c = c * scalar
+                    products.append((dc, c))
+            return self._wrap(_accumulate({}, products))
+        if not isinstance(other, (LaurentPoly, int, Fraction)):
+            return NotImplemented
         # scalar action: Q[vars^{+-1}] has no zero divisors
         coeff = _coerce(other)
         return self._wrap({dg: c * coeff for dg, c in self.terms.items()} if coeff else {})

@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import time
 
 from .diagrams import CapExceeded, parse_word, render_symbol
 from .monoids import (
@@ -209,7 +210,12 @@ def _cmd_verify(args, out) -> int:
         log.error("suite %s does not take %s", args.suite,
                   ", ".join("--" + flag for flag in ignored))
         return 2
+    log.info("verify %s: start", args.suite)
+    t0 = time.perf_counter()
     reports = run(**given)
+    log.info("verify %s: %d entries in %.0f ms", args.suite,
+             sum(len(report.entries) for report in reports),
+             (time.perf_counter() - t0) * 1000)
     if not all(report.entries for report in reports):
         log.error("suite %s checks nothing at --n %s", args.suite, given.get("n"))
         return 2

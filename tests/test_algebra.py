@@ -75,6 +75,36 @@ class TestLaurentPoly:
         assert {p: "found"}.get(value) == "found"
 
 
+class TestExactScalarsOnly:
+    """Only ``int``, ``Fraction`` and ``LaurentPoly`` are scalars: a float
+    would be a binary fraction and a string would be parsed."""
+
+    @pytest.mark.parametrize("value", [0.1, "2", 1.5])
+    def test_polynomial_constructors_refuse(self, value):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            LaurentPoly({(): value})
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            LaurentPoly.const(value)
+
+    @pytest.mark.parametrize("value", [0.5, "2"])
+    def test_substitute_refuses(self, value):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            x_var().substitute({"x": value})
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            x_var().substitute({"q": value})   # also for an unbound variable
+
+    @pytest.mark.parametrize("value", [1.5, "2", 2.0])
+    def test_scalar_action_refuses(self, value):
+        a = from_word("t1", family("jdn", 2, 2), XY)
+        with pytest.raises(TypeError):
+            a * value
+        with pytest.raises(TypeError):
+            value * a
+        assert a.__mul__(value) is NotImplemented
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            AlgebraElement(a.fam, XY, {next(iter(a.terms)): value})
+
+
 class TestLoopScalars:
     def test_neglect(self):
         assert loop_scalar(LoopRecord({1: 2}), NEGLECT, 3) == LaurentPoly.const(1)
@@ -88,8 +118,20 @@ class TestLoopScalars:
         want = x_var() * x_var() * y_var(1, 2)
         assert loop_scalar(rec, XY, 2) == want
 
-    @pytest.mark.parametrize("record", [LoopRecord(), LoopRecord({1: 2})])
+    def test_each_scalar_is_built_once(self):
+        first = loop_scalar(LoopRecord({0: 1, 1: 1}), XY, 2)
+        assert loop_scalar(LoopRecord({1: 1, 0: 1}), XY, 2) is first
+        # d is part of the key: residue 2 is alpha_0 = 1 at d = 2, alpha_2 at d = 3
+        assert loop_scalar(LoopRecord({2: 1}), ALPHA, 2) == ONE
+        assert loop_scalar(LoopRecord({2: 1}), ALPHA, 3) == alpha_var(2, 3)
+
+    # each record is first built under every real policy, so a record whose
+    # scalars are memoized is refused too: the policy is checked before the lookup
+    @pytest.mark.parametrize("record", [LoopRecord(), LoopRecord({1: 2}),
+                                        LoopRecord({0: 1, 1: 1})])
     def test_unknown_policy_rejected(self, record):
+        for policy in (NEGLECT, ALPHA, XY):
+            loop_scalar(record, policy, 2)
         with pytest.raises(ValueError, match="unknown loop policy"):
             loop_scalar(record, "bogus", 2)
 
@@ -342,6 +384,14 @@ SUBSTITUTIONS = [{"x": 2}, {"alpha1": Fraction(-1, 3), "y1": 3},
                  {"x": Fraction(1, 2), "y1": 1, "alpha1": 1}]
 
 
+def coefficient_pool(d):
+    """1, -1, 1/2, monomials with coefficients 1, -1 and -2/3, and a
+    two-term polynomial."""
+    x, y1, a1 = x_var(), y_var(1, d), alpha_var(1, d)
+    return [ONE, -ONE, ONE * Fraction(1, 2), x, -x, y1 * x, a1, a1 * y1 * Fraction(-2, 3),
+            LaurentPoly.var("x", -1) + a1]
+
+
 def _assert_same_product(a, b):
     got, want = a * b, product_reference(a, b)
     assert got.terms == want.terms
@@ -368,9 +418,7 @@ def test_product_and_substitute_match_reference_on_random_sums(name, n, d):
     fam = family(name, n, d)
     els = closure(fam)
     rng = random.Random(f"{name}{n}{d}")
-    x, y1, a1 = x_var(), y_var(1, d), alpha_var(1, d)
-    pool = [ONE, -ONE, ONE * Fraction(1, 2), x, -x, y1 * x, a1, a1 * y1 * Fraction(-2, 3),
-            LaurentPoly.var("x", -1) + a1]
+    pool = coefficient_pool(d)
 
     def element(policy):
         total = AlgebraElement(fam, policy)
@@ -385,3 +433,40 @@ def test_product_and_substitute_match_reference_on_random_sums(name, n, d):
                 for subs in SUBSTITUTIONS:
                     got, want = coeff.substitute(subs), substitute_reference(coeff, subs)
                     assert got == want and got.text() == want.text()
+
+
+# -- the unit and monomial paths of the polynomial product ---------------------
+
+def poly_product_reference(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """The generic sparse product: every term pair, each monomial made
+    canonical by the constructor, summed by repeated ``+``."""
+    out = LaurentPoly()
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            out = out + LaurentPoly({m1 + m2: c1 * c2})
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_poly_product_matches_reference_on_every_pool_pair(d):
+    pool = coefficient_pool(d) + [LaurentPoly(), LaurentPoly.var("x", -1)]
+    for p in pool:
+        for q in pool + [1, -1, 0, Fraction(1, 2)]:
+            got, want = p * q, poly_product_reference(p, _coerce(q))
+            assert got.terms == want.terms and got.text() == want.text(), (p, q)
+            assert (q * p).terms == want.terms
+
+
+def test_unit_products_share_an_operand_that_stays_unchanged():
+    p = LaurentPoly.var("x", -1) + alpha_var(1, 2) * Fraction(-2, 3)
+    before = dict(p.terms)
+    for shared in (p * ONE, ONE * p, p * 1, Fraction(1) * p):
+        assert shared == p
+        for result in (shared + p, shared - p, shared * p, shared * x_var(), -shared,
+                       shared.substitute({"x": 2}),
+                       shared.substitute({"alpha1": Fraction(1, 3)})):
+            assert result is not p and result is not ONE
+    assert p * ONE is p and ONE * p is p
+    assert p.terms == before
+    assert ONE.terms == {(): 1} and ONE * ONE is ONE
+    assert p.substitute({"q": 2}) is p    # no bound variable

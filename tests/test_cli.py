@@ -265,15 +265,31 @@ def test_debug_log_reports_memo_sizes_after_the_last_level():
     assert m and int(m.group(1)) > 0 and int(m.group(2)) > 0 and int(m.group(3)) == 5
 
 
+# ``verify --suite tied --n 2`` at info: the suite's start and end lines, then
+# the report summary
+_TIED_INFO = re.compile(
+    "INFO framoid: verify tied: start\n"
+    "INFO framoid: verify tied: 24 entries in [0-9]+ ms\n"
+    "INFO framoid: tied-specializations: 24/24 ok\n")
+
+
+def test_info_log_brackets_each_verify_suite():
+    argv = ("verify", "--suite", "tied", "--n", "2")
+    warn, info = _cli(*argv, FRAMOID_LOG="warn"), _cli(*argv, FRAMOID_LOG="info")
+    assert warn.returncode == info.returncode == 0
+    assert warn.stdout == info.stdout and warn.stdout
+    assert warn.stderr == ""
+    assert _TIED_INFO.fullmatch(info.stderr), info.stderr
+
+
 def test_log_level_is_read_case_insensitively_and_an_unknown_one_warns():
     argv = ("verify", "--suite", "tied", "--n", "2")
     quiet = _cli(*argv)
     assert quiet.returncode == 0 and quiet.stderr == ""
-    summary = "INFO framoid: tied-specializations: 24/24 ok"
     for value in ("INFO", "Info", "info"):
         loud = _cli(*argv, FRAMOID_LOG=value)
         assert (loud.returncode, loud.stdout) == (0, quiet.stdout)
-        assert loud.stderr.splitlines() == [summary], value
+        assert _TIED_INFO.fullmatch(loud.stderr), value
     unknown = _cli(*argv, FRAMOID_LOG="verbose")
     assert (unknown.returncode, unknown.stdout) == (0, quiet.stdout)
     [warning] = unknown.stderr.splitlines()
