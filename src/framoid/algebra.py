@@ -26,6 +26,7 @@ appears on the right-hand side of their multiplication rules.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Mapping, Optional
 
 from .diagrams import (
@@ -69,10 +70,18 @@ def _exact(value):
     raise TypeError(f"not an exact scalar (int or Fraction): {value!r}")
 
 
+def _exponent(value) -> int:
+    """``value`` as an ``int`` if it is an integer exponent."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"not an integer exponent: {value!r}") from None
+
+
 def _mono(pairs: Iterable[tuple]) -> tuple:
     """Canonical monomial: sorted ``(var, exp)`` pairs, one per variable, no
     zero exponents."""
-    return tuple(sorted(_accumulate({}, ((v, int(e)) for v, e in pairs)).items()))
+    return tuple(sorted(_accumulate({}, ((v, _exponent(e)) for v, e in pairs)).items()))
 
 
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:

@@ -605,6 +605,7 @@ def _enumerate(fam: MonoidFamily, cap: int) -> tuple[BeadedDiagram, ...]:
     seen = {start}
     frontier = [start]
     debug = log.isEnabledFor(logging.DEBUG)
+    log.info("closure %s: start", fam)
     began = time.perf_counter()
     level = 0
     while frontier:
@@ -624,7 +625,10 @@ def _enumerate(fam: MonoidFamily, cap: int) -> tuple[BeadedDiagram, ...]:
             memos = "" if fresh else ", memos: %d shapes, %d plans, %d ties" % memo_sizes()
             log.debug("closure %s: level %d, %d new, %d total, %.0f elements/s%s",
                       fam, level, len(fresh), len(seen), len(seen) / elapsed, memos)
-    return tuple(sorted(seen, key=BeadedDiagram.encode))
+    elems = tuple(sorted(seen, key=BeadedDiagram.encode))
+    log.info("closure %s: %d elements in %.0f ms", fam, len(elems),
+             (time.perf_counter() - began) * 1000)
+    return elems
 
 
 def predicted_cardinality(fam: MonoidFamily) -> int:

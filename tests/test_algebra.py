@@ -86,6 +86,14 @@ class TestExactScalarsOnly:
         with pytest.raises(TypeError, match="not an exact scalar"):
             LaurentPoly.const(value)
 
+    @pytest.mark.parametrize("exp", [2.9, 1.5, "3"])
+    def test_monomial_exponents_refuse(self, exp):
+        # int() would truncate 2.9 and 1.5 and parse "3"
+        with pytest.raises(TypeError, match="not an integer exponent"):
+            LaurentPoly.var("x", exp)
+        with pytest.raises(TypeError, match="not an integer exponent"):
+            LaurentPoly({(("x", exp),): 1})
+
     @pytest.mark.parametrize("value", [0.5, "2"])
     def test_substitute_refuses(self, value):
         with pytest.raises(TypeError, match="not an exact scalar"):

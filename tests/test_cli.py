@@ -1,13 +1,14 @@
 """Command line behaviour: formats, golden outputs, exit codes."""
 
 import json
+import logging
 import re
 from pathlib import Path
 
 import pytest
 
 from framoid.cli import main
-from framoid.monoids import FAMILY_NAMES, closure, family
+from framoid.monoids import _CLOSURES, FAMILY_NAMES, closure, family
 
 
 def run(capsys, *argv):
@@ -280,6 +281,31 @@ def test_info_log_brackets_each_verify_suite():
     assert warn.stdout == info.stdout and warn.stdout
     assert warn.stderr == ""
     assert _TIED_INFO.fullmatch(info.stderr), info.stderr
+
+
+# ``enumerate --family jdn --d 2 --n 3`` at info: one fresh closure
+_CLOSURE_INFO = re.compile(
+    "INFO framoid.monoids: closure jdn\\(d=2,n=3\\): start\n"
+    "INFO framoid.monoids: closure jdn\\(d=2,n=3\\): 40 elements in [0-9]+ ms\n")
+
+
+def test_info_log_brackets_each_fresh_closure():
+    argv = ("enumerate", "--family", "jdn", "--d", "2", "--n", "3")
+    warn, info = _cli(*argv, FRAMOID_LOG="warn"), _cli(*argv, FRAMOID_LOG="info")
+    assert warn.returncode == info.returncode == 0
+    assert warn.stdout == info.stdout and warn.stdout
+    assert warn.stderr == ""
+    assert _CLOSURE_INFO.fullmatch(info.stderr), info.stderr
+
+
+def test_a_cached_closure_logs_nothing(caplog):
+    fam = family("jdn", 3, 2)
+    _CLOSURES.pop(fam, None)
+    with caplog.at_level(logging.INFO, logger="framoid.monoids"):
+        closure(fam)
+        closure(fam)
+    assert [r.getMessage().split(": ", 1)[1].split(" in ")[0] for r in caplog.records] == [
+        "start", "40 elements"]
 
 
 def test_log_level_is_read_case_insensitively_and_an_unknown_one_warns():

@@ -20,7 +20,12 @@ from framoid.diagrams import (
     GenSymbol,
     LoopRecord,
     NotPlanar,
+    _JOINS,
     _KINDS,
+    _LOOPS,
+    _TEMPLATES,
+    _TIE_TEXTS,
+    _point_names,
     compose,
     erase_beads,
     erase_ties,
@@ -672,10 +677,10 @@ def compose_reference(a, b, *, drop_rook=False):
 
 
 def _clear_memos():
-    """Empty the shape and tie memos, so that the kernel is tested from cold."""
+    """Empty every kernel memo, so that the kernel is tested from cold."""
     _shape.cache_clear()
-    _PLANS.clear()
-    _TIES.clear()
+    for memo in (_PLANS, _TIES, _JOINS, _LOOPS, _TEMPLATES, _TIE_TEXTS):
+        memo.clear()
 
 
 def _assert_same_product(a, b, drop_rook):
@@ -882,6 +887,18 @@ def test_products_with_more_than_256_blocks():
         assert product == want
 
 
+@pytest.mark.parametrize("n", [64, 129, 300])
+def test_tied_products_with_more_than_256_blocks(n):
+    # so do a tie pattern, and the links of a partition of more than 256 blocks
+    ties = [[0, 1, n - 1]] + [[b] for b in range(2, n - 1)]
+    beads = [0 if b in (1, n - 1) else 1 + b % 2 for b in range(n)]
+    wide = BeadedDiagram(n, 3, beads=beads, ties=ties, lab=tuple(range(n)) * 2)
+    tie = generator(GenSymbol("e", 2, 3), n, 3)
+    for a, b in ((wide, wide), (wide, tie), (tie, wide)):
+        for drop_rook in (False, True):
+            _assert_same_product(a, b, drop_rook)
+
+
 # -- the tie memo ---------------------------------------------------------------
 
 def _reference_ties(ties, k):
@@ -970,8 +987,18 @@ def test_equal_tie_partitions_share_one_tuple():
 def test_clear_memos_empties_the_tie_memo():
     _tied_identity(2, [[0, 1]])
     assert memo_sizes()[2] > 0
+    # and every other memo, filled by the products and their encodings in a
+    # tied family and in one whose products trap loops
+    for fam in (family("pdn", 3, 2), family("jdn", 3, 2)):
+        els = closure(fam)
+        for x in els:
+            for y in els[::5]:
+                compose(x, y)[0].encode()
+    memos = (_PLANS, _TIES, _JOINS, _LOOPS, _TEMPLATES, _TIE_TEXTS)
+    assert all(memos)
     _clear_memos()
     assert memo_sizes() == (0, 0, 0)
+    assert not any(memos)
 
 
 def test_few_tie_partitions_serve_a_tied_closure():
@@ -1015,3 +1042,112 @@ def test_diagram_hashes_agree_across_processes():
     runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            check=True, env=env).stdout for _ in range(2)]
     assert runs[0] == runs[1] and len(runs[0].split()) == 2
+
+
+# -- the decoration memos -------------------------------------------------------
+
+_COLD_WARM = [family("tsn", 4), family("trn", 4), family("pdn", 4, 2),
+              family("jdn", 4, 3), family("trprimen", 3), family("rdn", 3, 2)]
+
+
+@pytest.mark.parametrize("fam", _COLD_WARM, ids=str)
+def test_closure_built_cold_equals_closure_built_warm(fam):
+    """Every memo empty, then every memo filled: the same closure, the same
+    encodings and, product by product, the same diagrams and loop records."""
+    gens = generating_set(fam)
+    _CLOSURES.pop(fam, None)
+    _clear_memos()
+    cold = closure(fam)
+    cold_products = [compose(x, g, drop_rook=fam.drop_rook) for x in cold for g in gens]
+    _CLOSURES.pop(fam)
+    warm = closure(fam)
+    assert warm == cold
+    assert [x.encode() for x in warm] == [x.encode() for x in cold]
+    warm_products = [compose(x, g, drop_rook=fam.drop_rook) for x in warm for g in gens]
+    assert warm_products == cold_products
+    assert [y.family_tag for y, _ in warm_products] == [y.family_tag for y, _ in cold_products]
+
+
+def test_tie_joins_grow_with_patterns_not_elements():
+    fam = family("tsn", 5)
+    _CLOSURES.pop(fam, None)
+    _clear_memos()
+    els = closure(fam)
+    assert len(_JOINS) == 1041 < len(els) / 4
+    # each join is the shared entry of its tie partition
+    assert all(join is _TIES[join[0]] for join in _JOINS.values())
+
+
+def test_loop_records_are_built_once_per_trapped_pattern():
+    for fam in (family("jdn", 4, 1), family("jdn", 4, 3)):
+        els = closure(fam)
+        _clear_memos()
+        records = []
+        for x in els:
+            for y in els[::len(els) // 14]:
+                record = compose(x, y)[1]
+                if not record.is_empty:
+                    assert compose(x, y)[1] is record
+                    records.append(record)
+        # every record is a memo entry: one per trapped count at d = 1, one
+        # per tuple of residues at d > 1
+        assert {id(r) for r in records} == {id(r) for r in _LOOPS.values()}
+        assert all(type(key) is (int if fam.d == 1 else tuple) for key in _LOOPS)
+        if fam.d == 1:
+            assert len(_LOOPS) == len(set(records)) > 1
+
+
+def test_products_of_equal_tags_keep_the_tag(monkeypatch):
+    calls = []
+    monkeypatch.setattr("framoid.diagrams._tag_join",
+                        lambda t1, t2: calls.append((t1, t2)) or _tag_join(t1, t2))
+    t1 = generator(GenSymbol("t", 1), 3, 1)
+    assert compose(t1, t1)[0].family_tag == PLANAR and not calls
+    s1 = generator(GenSymbol("s", 1), 3, 1)
+    assert compose(t1, s1)[0].family_tag == MATCHING and calls == [(PLANAR, PERMUTATION)]
+
+
+def encode_reference(x):
+    """encode() as it was before its templates: the text built from the
+    labels on every call."""
+    names: list[list[str]] = [[] for _ in x.beads]
+    for lab, name in zip(x.lab, _point_names(x.n)):
+        names[lab].append(name)
+    parts = ",".join(["{%s}:%d" % (",".join(pts), k)
+                      for pts, k in zip(names, x.beads)])
+    text = f"n={x.n};d={x.d};blocks=[{parts}]"
+    if x.ties is not None:
+        tie_txt = ",".join("[%s]" % ",".join(map(str, cls)) for cls in x.ties)
+        text += f";ties=[{tie_txt}]"
+    return text
+
+
+def test_encode_matches_the_reference_on_every_closure():
+    _TEMPLATES.clear()
+    _TIE_TEXTS.clear()
+    seen = 0
+    for fam in default_grid():
+        for x in closure(fam):
+            assert x.encode() == encode_reference(x)
+            seen += 1
+    assert seen > 100_000
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_encode_matches_the_reference_at_two_digit_points(n):
+    """Generators and random products where point names reach t10, b10,
+    tied and untied, for d <= 4."""
+    rng = random.Random(n)
+    for d in (1, 2, 3, 4):
+        for tied in (False, True):
+            kinds = ["t", "s", "o", "r", "p"] + (["e*", "f", "q", "w"] if tied else [])
+            syms = [sym for kind in kinds for sym in kind_symbols(kind, n)]
+            syms += [GenSymbol("o", i, 0, exp) for i in (1, n) for exp in (2, -1)]
+            gens = [generator(sym, n, d, tied=tied, tag=PARTITION) for sym in syms]
+            for x in gens:
+                assert x.encode() == encode_reference(x)
+            for _ in range(40):
+                x = rng.choice(gens)
+                for _ in range(rng.randint(1, 16)):
+                    x, _ = compose(x, rng.choice(gens), drop_rook=rng.random() < 0.3)
+                assert x.encode() == encode_reference(x)
