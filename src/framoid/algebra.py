@@ -318,7 +318,7 @@ class AlgebraElement:
             products = []
             for da, ca in self.terms.items():
                 for db, cb in right:
-                    dc, record = compose(da, db, drop_rook=drop)
+                    dc, record = compose(da, db, drop)
                     c = ca * cb
                     if record.counts:
                         scalar = loop_scalar(record, policy, d)

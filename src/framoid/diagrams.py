@@ -25,21 +25,24 @@ tuple and keeps the structural tags that ``_tag_errors``, the one statement
 of what each tag requires, finds unbroken, and ``_skeleton`` runs the
 union-find over the blocks of two factors once per pair of label tuples
 (``_PLANS``).  ``_TIES`` checks each distinct tie partition once and keeps
-its links, the pairs that tie each block to the least block of its class.
-The parts of the decoration that repeat are memoized too, each keyed on a
-pattern that omits the element: ``_JOINS`` maps a product's tie pattern (its
-block count k, the free points a drop-rook product unties, and the pairs of
-components that the links of both factors join) to the product's tie
-partition; ``_LOOPS`` holds one loop record per trapped count at d = 1 and
-one per tuple of trapped residues at d > 1; ``encode`` fills one template
-per label tuple (``_TEMPLATES``) and appends one text per tie partition
-(``_TIE_TEXTS``).  Only the beads are summed on every product.  ``compose``
-hands the constructor beads already reduced mod d and ties already
-canonical, so that the constructor's checks are cheap.  The memos grow with
-the distinct label tuples, pairs of them, tie partitions, tie patterns and
-trapped residue tuples, not with the elements; tie patterns are the largest:
-1 041 for the 6 240 elements of tsn(n=5), 90 383 for the 38 140 elements
-of trprimen(n=4).
+its links, the pairs that tie each block to the least block of its class;
+every tied diagram carries its links, so a product reads its factors' links
+without a lookup.  The parts of the decoration that repeat are memoized too,
+each keyed on a pattern that omits the element: ``_JOINS`` maps a product's
+tie pattern (its block count k, the free points a drop-rook product unties,
+and the pairs of components that the links of both factors join) to the
+product's tie partition; ``_LOOPS`` holds one loop record per trapped count
+at d = 1 and one per tuple of trapped residues at d > 1; ``encode`` fills
+one template per label tuple (``_TEMPLATES``) and appends one text per tie
+partition (``_TIE_TEXTS``).  Only the beads are summed on every product.
+``compose`` hands the constructor, in one positional call, beads already
+reduced mod d and ties already canonical, so that the constructor's checks
+are cheap: the beads are stripped against the residues of d (``_RESIDUES``,
+one bytes object per modulus) and the ties found in ``_TIES`` by one lookup.
+The memos grow with the distinct label tuples, pairs of them, tie
+partitions, tie patterns and trapped residue tuples, not with the elements;
+tie patterns are the largest: 1 041 for the 6 240 elements of tsn(n=5),
+90 383 for the 38 140 elements of trprimen(n=4).
 
 All values are immutable after construction and safe to share.
 """
@@ -256,18 +259,13 @@ _TIES: dict[tuple, tuple] = {}
 
 
 def _tie_partition(ties, k: int) -> tuple[tuple, int, bytes]:
-    """Check a tie partition of k blocks once per distinct partition.
+    """Check a tie partition of k blocks and return its ``_TIES`` entry.
 
-    A canonical tuple already checked costs one lookup, and equal partitions
-    become one shared tuple.  Only valid partitions are stored: ties that
-    fail the check raise on every call.
+    Equal partitions become one shared tuple.  Only valid partitions are
+    stored: ties that fail the check raise on every call.  The constructor
+    looks ties up in ``_TIES`` itself and calls this only on a miss, so a
+    canonical tuple already checked costs one lookup.
     """
-    try:
-        hit = _TIES.get(ties)
-    except TypeError:  # a list of lists
-        hit = None
-    if hit is not None and hit[1] == k:
-        return hit
     canon = tuple(sorted(map(tuple, map(sorted, ties))))
     members = sorted(chain.from_iterable(canon))
     if members != list(range(k)) or not all(canon):
@@ -283,6 +281,16 @@ def _tie_partition(ties, k: int) -> tuple[tuple, int, bytes]:
     return hit
 
 
+# the residues of each modulus d met so far, as bytes: _RESIDUES[d] is
+# bytes(range(min(d, 256)))
+_RESIDUES: dict[int, bytes] = {}
+
+
+def _residue_table(d: int) -> bytes:
+    table = _RESIDUES[d] = bytes(range(min(d, 256)))
+    return table
+
+
 class BeadedDiagram:
     """A set partition of the 2n boundary points with beads and optional ties.
 
@@ -291,20 +299,23 @@ class BeadedDiagram:
     ``blocks`` derives from it the tuple of blocks, each a sorted tuple of
     point numbers, blocks sorted by their minimum.  ``beads[i]`` is the
     residue in [0, d) of block i.  ``ties``, when present, is a partition of
-    the block indices (classes sorted, class members sorted).  Equality and
+    the block indices (classes sorted, class members sorted), and ``links``
+    its links as ``_TIES`` keeps them (None when untied).  Equality and
     hashing look only at ``(n, d, lab, beads, ties)``: the ``family_tag`` is a
     structural claim used for validation, not identity.
 
     Two constructor forms: ``BeadedDiagram(n, d, blocks, beads, tag, ties)``
     takes blocks in any order, with ``beads`` parallel to them (or a mapping
     from point sets to residues) and ``ties`` over their positions;
-    ``BeadedDiagram(n, d, beads=..., family_tag=..., ties=..., lab=...)``
-    takes canonical labels, with ``beads`` and ``ties`` indexed by label.
-    Both check the partition and the structural tag, through ``_shape``,
-    once per distinct label tuple, and the ties, through ``_tie_partition``,
-    once per distinct partition; beads are checked on every call.  The
-    blocks form takes integers only: a point, bead or tie member of another
-    type, or a bead key that names no block or a block twice, is refused.
+    ``BeadedDiagram(n, d, None, beads, tag, ties, lab)``, or the same with
+    ``lab=...`` and the others by keyword, takes canonical labels, with
+    ``beads`` and ``ties`` indexed by label.  Both check the partition and
+    the structural tag, through ``_shape``, once per distinct label tuple,
+    and the ties, through ``_TIES``, once per distinct partition; beads are
+    checked on every call, in the labels form against the residues of d
+    (``_RESIDUES``), and stored as exact ints.  The blocks form takes
+    integers only: a point, bead or tie member of another type, or a bead
+    key that names no block or a block twice, is refused.
 
     When ties are present and d > 1, beads are pooled per tie class (stored
     on the class's least block): a tie lets beads move freely between its
@@ -312,10 +323,10 @@ class BeadedDiagram:
     pools the beads it is given; the ``lab=`` form requires them pooled.
     """
 
-    __slots__ = ("n", "d", "lab", "beads", "family_tag", "ties", "_hash")
+    __slots__ = ("n", "d", "lab", "beads", "family_tag", "ties", "links", "_hash")
 
     def __init__(self, n, d, blocks=None, beads=None, family_tag=PARTITION, ties=None,
-                 *, lab=None):
+                 lab=None):
         if n < 1 or d < 1:
             raise ValueError("need n >= 1 and d >= 1")
         if family_tag not in _TAGS:
@@ -346,20 +357,29 @@ class BeadedDiagram:
             if beads is None:
                 beads = (0,) * k
             else:
-                beads = tuple(beads)
+                if type(beads) is not list:
+                    beads = tuple(beads)
                 try:
-                    # bytes() takes only integers in 0..255, so one call
-                    # confirms beads that are residues already
-                    reduced = max(bytes(beads)) < d
+                    # bytes() takes only integers in 0..255, and only
+                    # residues of d strip away to nothing; the bytes read
+                    # back as exact ints
+                    raw = bytes(beads)
+                    reduced = not raw.lstrip(_RESIDUES.get(d) or _residue_table(d))
                 except (TypeError, ValueError):
                     reduced = False
-                if not reduced:
-                    beads = tuple(_residues(beads, d))
+                beads = raw if reduced else _residues(beads, d)
                 if len(beads) != k:
                     raise ValueError("beads must match blocks")
 
+        links = None
         if ties is not None:
-            ties, _, links = _tie_partition(ties, k)
+            try:
+                hit = _TIES.get(ties)
+            except TypeError:  # classes given as lists
+                hit = None
+            if hit is None or hit[1] != k:
+                hit = _tie_partition(ties, k)
+            ties, _, links = hit
             if d > 1 and blocks is not None:
                 _pool_beads(beads, links, d)
             elif d > 1 and any(map(beads.__getitem__, links[1::2])):
@@ -373,6 +393,7 @@ class BeadedDiagram:
         self.beads = beads = tuple(beads)
         self.family_tag = family_tag
         self.ties = ties
+        self.links = links
         # hash(None) is an address, so an untied diagram leaves ties out of
         # its hash to hash alike in every process
         self._hash = (hash((n, d, lab, beads)) if ties is None
@@ -523,24 +544,33 @@ def kind_symbols(kind: str, n: int) -> list[GenSymbol]:
     return [sym for sym in syms if symbol_valid(sym, n)]
 
 
-@lru_cache(maxsize=None)
 def generator(sym: GenSymbol, n: int, d: int,
               tied: Optional[bool] = None, tag: Optional[str] = None) -> BeadedDiagram:
     """The diagram of a single generator on n strands with framing modulus d.
 
     A tied kind is its untied kind with the blocks at its two ends tied: t_i
-    and t_j for e_{i,j}, t_i and b_i for the others.  Memoized: diagrams are
-    immutable, so every caller shares one instance.
+    and t_j for e_{i,j}, t_i and b_i for the others.  ``tied`` defaults to
+    whether the kind is a tied one and ``tag`` to the kind's tag.  Memoized
+    once the defaults are filled in: diagrams are immutable, so every caller
+    of one generator shares one instance, whichever arguments it spells out.
     """
+    if tied is None or tag is None:
+        kind = _KINDS.get(sym.kind)
+        if kind is not None:
+            if tied is None:
+                tied = kind.unties is not None
+            if tag is None:
+                tag = kind.tag or PERMUTATION
+    return _generator(sym, n, d, tied, tag)
+
+
+@lru_cache(maxsize=None)
+def _generator(sym: GenSymbol, n: int, d: int, tied: bool, tag: str) -> BeadedDiagram:
     if not symbol_valid(sym, n):
         raise ValueError(f"generator {render_symbol(sym)} out of range for n={n}")
     kind = _KINDS[sym.kind]
-    if tied is None:
-        tied = kind.unties is not None
-    elif not tied and kind.unties is not None:
+    if not tied and kind.unties is not None:
         raise ValueError(f"generator {render_symbol(sym)} requires ties")
-    if tag is None:
-        tag = kind.tag or PERMUTATION
 
     i, untied = sym.i, kind.unties or sym.kind
     # the strands that stop being vertical, and the blocks that replace them
@@ -674,7 +704,7 @@ def memo_sizes() -> tuple[int, int, int]:
     return _shape.cache_info().currsize, sum(map(len, _PLANS.values())), len(_TIES)
 
 
-def compose(a: BeadedDiagram, b: BeadedDiagram, *,
+def compose(a: BeadedDiagram, b: BeadedDiagram,
             drop_rook: bool = False) -> tuple[BeadedDiagram, LoopRecord]:
     """Concatenation product: ``a`` stacked above ``b``.
 
@@ -685,8 +715,9 @@ def compose(a: BeadedDiagram, b: BeadedDiagram, *,
 
     The shapes of the product come from ``_skeleton``, memoized per pair of
     label tuples; its loop record comes from ``_LOOPS`` and its ties from
-    ``_JOINS``, memoized per tie pattern.  Only the beads are summed on
-    every call, and the result is built by the one constructor.
+    ``_JOINS``, memoized per tie pattern, read through the factors' own
+    ``links``.  Only the beads are summed on every call, and the result is
+    built by one positional call of the one constructor.
     """
     if a.n != b.n or a.d != b.d:
         raise ValueError("factors must share strand count and framing modulus")
@@ -727,9 +758,7 @@ def compose(a: BeadedDiagram, b: BeadedDiagram, *,
     if a.ties is not None:
         # the components that the links of each factor join: the b half is
         # read through comp past a's blocks
-        ka = len(a.beads)
-        la = (_TIES.get(a.ties) or _tie_partition(a.ties, ka))[2]
-        lb = (_TIES.get(b.ties) or _tie_partition(b.ties, len(b.beads)))[2]
+        ka, la, lb = len(a.beads), a.links, b.links
         if type(comp) is bytes:
             pattern = (bytes((k, len(free), *free)) + la.translate(comp.ljust(256, b"\0"))
                        + lb.translate(comp[ka:].ljust(256, b"\0")))
@@ -743,5 +772,4 @@ def compose(a: BeadedDiagram, b: BeadedDiagram, *,
     tag = a.family_tag
     if tag is not b.family_tag:
         tag = _tag_join(tag, b.family_tag)
-    result = BeadedDiagram(n, d, beads=beads, ties=ties, lab=lab, family_tag=tag)
-    return result, loops
+    return BeadedDiagram(n, d, None, beads, tag, ties, lab), loops

@@ -569,7 +569,7 @@ def generating_symbols(fam: MonoidFamily) -> tuple[GenSymbol, ...]:
 
 def generating_set(fam: MonoidFamily) -> tuple[BeadedDiagram, ...]:
     """The generator diagrams of the family, in declaration order."""
-    return tuple(generator(sym, fam.n, fam.d, tied=fam.tied, tag=fam.tag)
+    return tuple(generator(sym, fam.n, fam.d, fam.tied, fam.tag)
                  for sym in generating_symbols(fam))
 
 
@@ -612,7 +612,7 @@ def _enumerate(fam: MonoidFamily, cap: int) -> tuple[BeadedDiagram, ...]:
         fresh = []
         for x in frontier:
             for g in gens:
-                y, _ = compose(x, g, drop_rook=drop_rook)
+                y, _ = compose(x, g, drop_rook)
                 if y not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded(f"closure of {fam} exceeded cap {cap}")

@@ -54,8 +54,8 @@ def evaluate_word(word, fam) -> tuple[BeadedDiagram, LoopRecord]:
     diag = identity(n, d, tied=tied, tag=tag)
     record = LoopRecord()
     for sym in word:
-        step = generator(sym, n, d, tied=tied, tag=tag)
-        diag, rec = compose(diag, step, drop_rook=drop_rook)
+        step = generator(sym, n, d, tied, tag)
+        diag, rec = compose(diag, step, drop_rook)
         record = record.merged(rec)
     return diag, record
 

@@ -25,6 +25,7 @@ from framoid.diagrams import (
     _LOOPS,
     _TEMPLATES,
     _TIE_TEXTS,
+    _generator,
     _point_names,
     compose,
     erase_beads,
@@ -35,6 +36,7 @@ from framoid.diagrams import (
     memo_sizes,
     parse_word,
     _PLANS,
+    _RESIDUES,
     _TAGS,
     _TIES,
     _shape,
@@ -110,6 +112,16 @@ class TestGenerators:
             generator(GenSymbol("e", 2, 2), 3, 1)
         with pytest.raises(ValueError):
             generator(GenSymbol("o", 0), 3, 2)
+
+    def test_every_spelling_of_a_generator_is_one_instance(self):
+        t1 = GenSymbol("t", 1)
+        forms = [generator(t1, 3, 1), generator(t1, 3, 1, tied=False, tag=PLANAR),
+                 generator(t1, 3, 1, False, PLANAR), generator(t1, 3, 1, False),
+                 generator(t1, 3, 1, tag=PLANAR)]
+        assert all(x is forms[0] for x in forms)
+        e1 = GenSymbol("e", 1, 2)
+        assert generator(e1, 3, 2) is generator(e1, 3, 2, True, PERMUTATION)
+        assert generator(t1, 3, 1, True) is not forms[0]
 
 
 # one sha256 over every generator call below, one line per call, pinned when
@@ -326,6 +338,10 @@ class TestCanonical:
         (7, [300, 6], (6, 6)),
         (1000, [300, 999], (300, 999)),
         (1000, [-1, 2000], (999, 0)),
+        (3, [True, 0], (1, 0)),
+        (3, [3, 2], (0, 2)),
+        (1, [0, 1], (0, 0)),
+        (300, [255, 299], (255, 299)),
     ])
     def test_label_form_reduces_beads_as_the_block_form(self, d, beads, want):
         by_labels = BeadedDiagram(2, d, beads=beads, lab=(0, 1, 0, 1))
@@ -677,9 +693,11 @@ def compose_reference(a, b, *, drop_rook=False):
 
 
 def _clear_memos():
-    """Empty every kernel memo, so that the kernel is tested from cold."""
+    """Empty every kernel memo, so that the kernel is tested from cold; the
+    generators go too, since their labels are the _shape memo's tuples."""
     _shape.cache_clear()
-    for memo in (_PLANS, _TIES, _JOINS, _LOOPS, _TEMPLATES, _TIE_TEXTS):
+    _generator.cache_clear()
+    for memo in (_PLANS, _TIES, _JOINS, _LOOPS, _TEMPLATES, _TIE_TEXTS, _RESIDUES):
         memo.clear()
 
 
@@ -936,7 +954,7 @@ def test_tie_memo_matches_the_reference_on_every_partition():
             part = [rng.sample(c, len(c)) for c in part]
             rng.shuffle(part)
             want = _reference_ties(part, k)
-            for given in (part, tuple(map(tuple, part)), want):
+            for given in (part, tuple(part), tuple(map(tuple, part)), want):
                 assert _tie_partition(given, k)[0] == want
                 assert _tied_identity(k, given).ties == want
             seen += 1
@@ -999,6 +1017,16 @@ def test_clear_memos_empties_the_tie_memo():
     _clear_memos()
     assert memo_sizes() == (0, 0, 0)
     assert not any(memos)
+
+
+def test_tied_diagrams_carry_the_links_of_their_ties():
+    fams = [fam for fam in default_grid() if fam.tied and fam.n <= 3]
+    assert fams
+    for fam in fams:
+        for x in closure(fam) + generating_set(fam):
+            # the _TIES entry, filled again if an earlier test emptied it
+            assert x.links == _tie_partition(x.ties, len(x.beads))[2], (fam, x)
+    assert identity(3, 2).links is None
 
 
 def test_few_tie_partitions_serve_a_tied_closure():
