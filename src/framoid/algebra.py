@@ -12,11 +12,11 @@ A loop policy converts the loops removed by a diagram product into scalars:
 * ``XY``: every loop contributes x, and residue p adds y_p (y_0 = 1), the
   framed Temperley-Lieb product rule.
 
-Each distinct loop scalar is built once per ``(record, policy, d)`` and kept in a
-module dict; a product shares it, and a product by the unit returns the other
-factor itself.  That is safe because no polynomial or element is ever mutated
-after construction.  Scalars are exact: ``int``, ``Fraction`` or
-``LaurentPoly``; anything else raises ``TypeError``.
+Each distinct loop scalar is built once per ``(record, policy, d)`` and kept
+in the ``loop_scalars`` memo; a product shares it, and a product by the unit
+returns the other factor itself.  That is safe because no polynomial or
+element is ever mutated after construction.  Scalars are exact: ``int``,
+``Fraction`` or ``LaurentPoly``; anything else raises ``TypeError``.
 
 Bridge elements are the 1/d-averaged sums that let beads hop between the two
 arcs of a generator's core; ``cap_z`` is the averaged scalar framing that
@@ -33,6 +33,7 @@ from .diagrams import (
     BeadedDiagram,
     GenSymbol,
     LoopRecord,
+    _Memo,
     compose,
     erase_beads,
     erase_ties,
@@ -243,7 +244,16 @@ def x_var() -> LaurentPoly:
     return LaurentPoly.var("x")
 
 
-_LOOP_SCALARS: dict[tuple, LaurentPoly] = {}
+def _loop_scalar(key: tuple) -> LaurentPoly:
+    counts, policy, d = key
+    name = "alpha" if policy == ALPHA else "y"
+    mono = [(f"{name}{p % d}", m) for p, m in counts if p % d]
+    if policy == XY:
+        mono.append(("x", sum(m for _, m in counts)))
+    return LaurentPoly({tuple(mono): 1}) if mono else ONE
+
+
+_LOOP_SCALARS = _Memo("loop_scalars", _loop_scalar)
 
 
 def loop_scalar(record: LoopRecord, policy: str, d: int) -> LaurentPoly:
@@ -254,15 +264,7 @@ def loop_scalar(record: LoopRecord, policy: str, d: int) -> LaurentPoly:
         raise ValueError(f"unknown loop policy {policy!r}")
     if policy == NEGLECT or record.is_empty:
         return ONE
-    key = (record.counts, policy, d)
-    scalar = _LOOP_SCALARS.get(key)
-    if scalar is None:
-        name = "alpha" if policy == ALPHA else "y"
-        mono = [(f"{name}{p % d}", m) for p, m in record.counts if p % d]
-        if policy == XY:
-            mono.append(("x", record.total()))
-        scalar = _LOOP_SCALARS[key] = LaurentPoly({tuple(mono): 1}) if mono else ONE
-    return scalar
+    return _LOOP_SCALARS[record.counts, policy, d]
 
 
 class AlgebraElement:

@@ -19,30 +19,31 @@ the glued picture that still touch the outer boundary become blocks of the
 result, with beads added mod d; components trapped in the middle layer are
 removed and reported in a :class:`LoopRecord`, one count per bead residue.
 
-The work splits into a shape part and a decoration part.  The shape part
-depends only on label tuples and is memoized: ``_shape`` checks a label
-tuple and keeps the structural tags that ``_tag_errors``, the one statement
-of what each tag requires, finds unbroken, and ``_skeleton`` runs the
-union-find over the blocks of two factors once per pair of label tuples
-(``_PLANS``).  ``_TIES`` checks each distinct tie partition once and keeps
-its links, the pairs that tie each block to the least block of its class;
-every tied diagram carries its links, so a product reads its factors' links
-without a lookup.  The parts of the decoration that repeat are memoized too,
-each keyed on a pattern that omits the element: ``_JOINS`` maps a product's
-tie pattern (its block count k, the free points a drop-rook product unties,
-and the pairs of components that the links of both factors join) to the
-product's tie partition; ``_LOOPS`` holds one loop record per trapped count
-at d = 1 and one per tuple of trapped residues at d > 1; ``encode`` fills
-one template per label tuple (``_TEMPLATES``) and appends one text per tie
-partition (``_TIE_TEXTS``).  Only the beads are summed on every product.
+The work splits into a shape part and a decoration part, and each part
+that repeats is memoized, keyed on a pattern that omits the element.  Every
+memo is a ``_Memo`` registered by name: :func:`memo_sizes` gives the size of
+each and :func:`clear_memos` empties them all.  ``shapes`` checks each label
+tuple once and keeps the structural tags that ``_tag_errors``, the one
+statement of what each tag requires, finds unbroken; ``plans`` runs the
+union-find over the blocks of two factors once per pair of label tuples;
+``ties`` checks each distinct tie partition once and keeps its links, the
+pairs that tie each block to the least block of its class, which every tied
+diagram carries, so a product reads its factors' links without a lookup.
+``joins`` maps a product's tie pattern (its block count k, the free points
+a drop-rook product unties, and the pairs of components that the links of
+both factors join) to the product's tie partition; ``loops`` holds one loop
+record per trapped count at d = 1 and one per tuple of trapped residues at
+d > 1; ``encode`` fills one template per label tuple (``templates``) and
+appends one text per tie partition (``tie_texts``); ``generators`` holds
+one diagram per generator.  Only the beads are summed on every product.
 ``compose`` hands the constructor, in one positional call, beads already
 reduced mod d and ties already canonical, so that the constructor's checks
-are cheap: the beads are stripped against the residues of d (``_RESIDUES``,
-one bytes object per modulus) and the ties found in ``_TIES`` by one lookup.
-The memos grow with the distinct label tuples, pairs of them, tie
-partitions, tie patterns and trapped residue tuples, not with the elements;
-tie patterns are the largest: 1 041 for the 6 240 elements of tsn(n=5),
-90 383 for the 38 140 elements of trprimen(n=4).
+are cheap: the beads are stripped against the residues of d (``residues``,
+one bytes object per modulus) and the ties found in ``ties`` by one lookup.
+Nothing is evicted: the memos grow with the distinct label tuples, pairs of
+them, tie partitions, tie patterns and trapped residue tuples, not with the
+elements; tie patterns are the largest: 1 041 for the 6 240 elements of
+tsn(n=5), 90 383 for the 38 140 elements of trprimen(n=4).
 
 All values are immutable after construction and safe to share.
 """
@@ -50,7 +51,6 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from itertools import chain
 from operator import index
 from typing import Iterable, NamedTuple, Optional
@@ -124,6 +124,37 @@ class LoopRecord:
 _NO_LOOPS = LoopRecord()
 
 
+_MEMOS: dict[str, "_Memo"] = {}
+
+
+class _Memo(dict):
+    """A process-wide memo, registered by name in ``_MEMOS``: reading a
+    missing key stores and returns ``build(key)``, and a build that raises
+    stores nothing, so an input that fails a check raises on every call."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, name: str, build):
+        super().__init__()
+        self.build = build
+        _MEMOS[name] = self
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def memo_sizes() -> dict[str, int]:
+    """The number of entries of every memo, by name."""
+    return {name: len(memo) for name, memo in _MEMOS.items()}
+
+
+def clear_memos() -> None:
+    """Empty every memo."""
+    for memo in _MEMOS.values():
+        memo.clear()
+
+
 def _tag_join(t1: str, t2: str) -> str:
     if t1 == t2:
         return t1
@@ -156,12 +187,6 @@ def _labels_of_blocks(n: int, blocks) -> tuple[tuple[int, ...], list[tuple], lis
     label_of: dict[int, int] = {}
     lab = tuple([label_of.setdefault(idx, len(label_of)) for idx in owner])
     return lab, raw, list(label_of)
-
-
-@lru_cache(maxsize=None)
-def _point_names(n: int) -> tuple[str, ...]:
-    """The names t1..tn, b1..bn of the 2n boundary points, in point order."""
-    return tuple(f"t{p}" for p in range(1, n + 1)) + tuple(f"b{p}" for p in range(1, n + 1))
 
 
 def _residues(values, d: int) -> list[int]:
@@ -227,27 +252,28 @@ def _tag_errors(lab: tuple, n: int) -> dict[str, ValueError]:
     return errors
 
 
-# the distinct tag sets, so that equal sets returned by _shape are one object
-_TAG_SETS: dict[frozenset, frozenset] = {}
-
-
-@lru_cache(maxsize=None)
-def _shape(lab: tuple, n: int) -> tuple[tuple[int, ...], int, frozenset]:
-    """Check canonical labels once per distinct tuple.
-
-    Returns the labels (equal labels become one shared tuple), the block
-    count k and the set of structural tags the labels satisfy.  Only results
-    are memoized: labels that fail a check raise on every call.
-    """
-    if len(lab) != 2 * n:
-        raise ValueError("labels must cover the 2n boundary points")
+def _shape(lab: tuple) -> tuple[tuple[int, ...], int, frozenset]:
+    """Check canonical labels of 2n points: returns the labels, the block
+    count k and the set of structural tags the labels satisfy."""
     first = list(dict.fromkeys(lab))
     k = len(first)
     if first != list(range(k)):
         raise ValueError("labels must number the blocks 0..k-1 "
                          "in the order of their least point")
-    tags = _TAGS.difference(_tag_errors(lab, n))
-    return lab, k, _TAG_SETS.setdefault(tags, tags)
+    return lab, k, _TAGS.difference(_tag_errors(lab, len(lab) // 2))
+
+
+# the checked label tuples: equal labels become one shared tuple
+_SHAPES = _Memo("shapes", _shape)
+
+
+def _tie_entry(canon: tuple) -> tuple[tuple, int, bytes]:
+    """The ``_TIES`` entry of a checked canonical tie partition."""
+    # members equal 0..k-1, so int() only makes them exact ints
+    canon = tuple([tuple(map(int, cls)) for cls in canon])
+    links = [x for cls in canon for b in cls[1:] for x in (cls[0], b)]
+    k = sum(map(len, canon))
+    return canon, k, bytes(links) if k <= 256 else tuple(links)
 
 
 # the distinct valid tie partitions: _TIES[ties] is (ties, k, links), with
@@ -255,40 +281,24 @@ def _shape(lab: tuple, n: int) -> tuple[tuple[int, ...], int, frozenset]:
 # their least member, members ascending) and links each block that is not the
 # least of its class after that least block, the pairs flattened into bytes
 # (a tuple past 256 blocks)
-_TIES: dict[tuple, tuple] = {}
+_TIES = _Memo("ties", _tie_entry)
 
 
 def _tie_partition(ties, k: int) -> tuple[tuple, int, bytes]:
-    """Check a tie partition of k blocks and return its ``_TIES`` entry.
-
-    Equal partitions become one shared tuple.  Only valid partitions are
-    stored: ties that fail the check raise on every call.  The constructor
-    looks ties up in ``_TIES`` itself and calls this only on a miss, so a
-    canonical tuple already checked costs one lookup.
-    """
+    """Check a tie partition of k blocks and return its ``_TIES`` entry;
+    the constructor looks ties up in ``_TIES`` itself and calls this only on
+    a miss, so a canonical tuple already checked costs one lookup."""
     canon = tuple(sorted(map(tuple, map(sorted, ties))))
     members = sorted(chain.from_iterable(canon))
     if members != list(range(k)) or not all(canon):
         if len(members) == len(set(members)) and set(members) < set(range(k)):
             raise ValueError("ties must cover every block")
         raise ValueError("ties must partition the block indices")
-    hit = _TIES.get(canon)
-    if hit is None:
-        # members equal 0..k-1, so int() only makes them exact ints
-        canon = tuple([tuple(map(int, cls)) for cls in canon])
-        links = [x for cls in canon for b in cls[1:] for x in (cls[0], b)]
-        hit = _TIES[canon] = (canon, k, bytes(links) if k <= 256 else tuple(links))
-    return hit
+    return _TIES[canon]
 
 
-# the residues of each modulus d met so far, as bytes: _RESIDUES[d] is
-# bytes(range(min(d, 256)))
-_RESIDUES: dict[int, bytes] = {}
-
-
-def _residue_table(d: int) -> bytes:
-    table = _RESIDUES[d] = bytes(range(min(d, 256)))
-    return table
+# the residues of each modulus d, as bytes
+_RESIDUES = _Memo("residues", lambda d: bytes(range(min(d, 256))))
 
 
 class BeadedDiagram:
@@ -310,12 +320,13 @@ class BeadedDiagram:
     ``BeadedDiagram(n, d, None, beads, tag, ties, lab)``, or the same with
     ``lab=...`` and the others by keyword, takes canonical labels, with
     ``beads`` and ``ties`` indexed by label.  Both check the partition and
-    the structural tag, through ``_shape``, once per distinct label tuple,
+    the structural tag, through ``_SHAPES``, once per distinct label tuple,
     and the ties, through ``_TIES``, once per distinct partition; beads are
     checked on every call, in the labels form against the residues of d
     (``_RESIDUES``), and stored as exact ints.  The blocks form takes
     integers only: a point, bead or tie member of another type, or a bead
-    key that names no block or a block twice, is refused.
+    key that names no block or a block twice, is refused.  Both forms take
+    ``n`` and ``d`` as integers only and store them as exact ints.
 
     When ties are present and d > 1, beads are pooled per tie class (stored
     on the class's least block): a tie lets beads move freely between its
@@ -327,6 +338,10 @@ class BeadedDiagram:
 
     def __init__(self, n, d, blocks=None, beads=None, family_tag=PARTITION, ties=None,
                  lab=None):
+        try:
+            n, d = index(n), index(d)
+        except TypeError:
+            raise ValueError("n and d must be integers") from None
         if n < 1 or d < 1:
             raise ValueError("need n >= 1 and d >= 1")
         if family_tag not in _TAGS:
@@ -336,7 +351,7 @@ class BeadedDiagram:
 
         if lab is None:
             lab, raw, order = _labels_of_blocks(n, blocks)
-            lab, k, tags = _shape(lab, n)
+            lab, k, tags = _SHAPES[lab]
             if beads is None:
                 beads = [0] * k
             elif hasattr(beads, "items"):
@@ -353,7 +368,10 @@ class BeadedDiagram:
                 except (KeyError, TypeError):
                     raise ValueError("ties must partition the block indices") from None
         else:
-            lab, k, tags = _shape(tuple(lab), n)
+            lab = tuple(lab)
+            if len(lab) != 2 * n:
+                raise ValueError("labels must cover the 2n boundary points")
+            lab, k, tags = _SHAPES[lab]
             if beads is None:
                 beads = (0,) * k
             else:
@@ -364,7 +382,7 @@ class BeadedDiagram:
                     # residues of d strip away to nothing; the bytes read
                     # back as exact ints
                     raw = bytes(beads)
-                    reduced = not raw.lstrip(_RESIDUES.get(d) or _residue_table(d))
+                    reduced = not raw.lstrip(_RESIDUES[d])
                 except (TypeError, ValueError):
                     reduced = False
                 beads = raw if reduced else _residues(beads, d)
@@ -428,32 +446,31 @@ class BeadedDiagram:
 
     def encode(self) -> str:
         """Canonical textual encoding, stable across runs."""
-        template = _TEMPLATES.get(self.lab) or _template(self.lab)
-        text = template % (self.n, self.d, *self.beads)
+        text = _TEMPLATES[self.lab] % (self.n, self.d, *self.beads)
         if self.ties is not None:
-            text += _TIE_TEXTS.get(self.ties) or _tie_text(self.ties)
+            text += _TIE_TEXTS[self.ties]
         return text
 
 
-# encode() texts: _TEMPLATES[lab] is the %-template of a label tuple, filled
-# with n, d and the beads; _TIE_TEXTS[ties] is the suffix of a tie partition
-_TEMPLATES: dict[tuple, str] = {}
-_TIE_TEXTS: dict[tuple, str] = {}
-
-
 def _template(lab: tuple) -> str:
+    n = len(lab) // 2
     names: list[list[str]] = [[] for _ in range(max(lab) + 1)]
-    for x, name in zip(lab, _point_names(len(lab) // 2)):
-        names[x].append(name)
+    # points t1..tn, then b1..bn
+    for p, x in enumerate(lab, 1):
+        names[x].append(f"t{p}" if p <= n else f"b{p - n}")
     parts = ",".join(["{%s}:%%d" % ",".join(pts) for pts in names])
-    text = _TEMPLATES[lab] = f"n=%s;d=%s;blocks=[{parts}]"
-    return text
+    return f"n=%s;d=%s;blocks=[{parts}]"
 
 
 def _tie_text(ties: tuple) -> str:
     tie_txt = ",".join("[%s]" % ",".join(map(str, cls)) for cls in ties)
-    text = _TIE_TEXTS[ties] = f";ties=[{tie_txt}]"
-    return text
+    return f";ties=[{tie_txt}]"
+
+
+# encode() texts: _TEMPLATES[lab] is the %-template of a label tuple, filled
+# with n, d and the beads; _TIE_TEXTS[ties] is the suffix of a tie partition
+_TEMPLATES = _Memo("templates", _template)
+_TIE_TEXTS = _Memo("tie_texts", _tie_text)
 
 
 def erase_beads(x: BeadedDiagram) -> BeadedDiagram:
@@ -561,10 +578,9 @@ def generator(sym: GenSymbol, n: int, d: int,
                 tied = kind.unties is not None
             if tag is None:
                 tag = kind.tag or PERMUTATION
-    return _generator(sym, n, d, tied, tag)
+    return _GENERATORS[sym, n, d, tied, tag]
 
 
-@lru_cache(maxsize=None)
 def _generator(sym: GenSymbol, n: int, d: int, tied: bool, tag: str) -> BeadedDiagram:
     if not symbol_valid(sym, n):
         raise ValueError(f"generator {render_symbol(sym)} out of range for n={n}")
@@ -593,19 +609,18 @@ def _generator(sym: GenSymbol, n: int, d: int, tied: bool, tag: str) -> BeadedDi
     return BeadedDiagram(n, d, blocks, beads, tag, ties)
 
 
+# the generators by (sym, n, d, tied, tag), defaults filled in
+_GENERATORS = _Memo("generators", lambda key: _generator(*key))
+
+
 # -- composition -------------------------------------------------------------
-
-# shape products: _PLANS[b.lab][a.lab] is _skeleton(a.lab, b.lab), one dict
-# per right-hand shape so that no key tuple is kept per entry
-_PLANS: dict[tuple, dict[tuple, tuple]] = {}
-
 
 def _skeleton(alab: tuple, blab: tuple) -> tuple:
     """The shape part of ``compose`` for factors labelled ``alab`` and ``blab``.
 
     One union-find over the blocks of the two factors, a's blocks 0..ka-1
     and then b's.  Returns ``(lab, comp, k, trapped, free)``: the result's
-    labels (through ``_shape``), ``comp`` mapping each block of a and then of
+    labels (through ``_SHAPES``), ``comp`` mapping each block of a and then of
     b to the result label of its component or to k + j for the j-th trapped
     loop, the block count k, the number of trapped loops, and the labels of
     the result's singleton blocks.
@@ -640,7 +655,7 @@ def _skeleton(alab: tuple, blab: tuple) -> tuple:
             ident[r] = k
             k += 1
         lab.append(ident[r])
-    lab = _shape(tuple(lab), n)[0]
+    lab = _SHAPES[tuple(lab)][0]
     trapped = 0
     for x, r in enumerate(root):
         if x == r and ident[r] < 0:
@@ -655,22 +670,13 @@ def _skeleton(alab: tuple, blab: tuple) -> tuple:
     return lab, bytes(comp) if len(comp) <= 256 else tuple(comp), k, trapped, free
 
 
+# shape products: _PLANS[a.lab, b.lab] is _skeleton(a.lab, b.lab)
+_PLANS = _Memo("plans", lambda pair: _skeleton(*pair))
+
 # loop records of products: _LOOPS[trapped] at d = 1, _LOOPS[residues] (one
 # per trapped loop, in component order) at d > 1
-_LOOPS: dict = {}
-
-
-def _loop_record(key) -> LoopRecord:
-    record = _LOOPS[key] = LoopRecord(
-        {0: key} if type(key) is int else [(v, 1) for v in key])
-    return record
-
-
-# tie joins of products: _JOINS[pattern] is the _TIES entry of the product's
-# tie partition.  A pattern holds k, the number of free points that leave
-# their class, those points, then the pairs of components that the links of
-# both factors join, in bytes (a tuple past 256 components)
-_JOINS: dict = {}
+_LOOPS = _Memo("loops", lambda key: LoopRecord(
+    {0: key} if type(key) is int else [(v, 1) for v in key]))
 
 
 def _tie_join(pattern) -> tuple[tuple, int, bytes]:
@@ -695,13 +701,14 @@ def _tie_join(pattern) -> tuple[tuple, int, bytes]:
         while tie[r] != r:
             r = tie[r]
         groups.setdefault(-1 - v if v in free else r, []).append(v)
-    join = _JOINS[pattern] = _tie_partition(tuple(map(tuple, groups.values())), k)
-    return join
+    return _tie_partition(tuple(map(tuple, groups.values())), k)
 
 
-def memo_sizes() -> tuple[int, int, int]:
-    """The number of memoized label tuples, shape products and tie partitions."""
-    return _shape.cache_info().currsize, sum(map(len, _PLANS.values())), len(_TIES)
+# tie joins of products: _JOINS[pattern] is the _TIES entry of the product's
+# tie partition.  A pattern holds k, the number of free points that leave
+# their class, those points, then the pairs of components that the links of
+# both factors join, in bytes (a tuple past 256 components)
+_JOINS = _Memo("joins", _tie_join)
 
 
 def compose(a: BeadedDiagram, b: BeadedDiagram,
@@ -725,13 +732,7 @@ def compose(a: BeadedDiagram, b: BeadedDiagram,
         raise ValueError("cannot mix tied and untied diagrams")
 
     n, d = a.n, a.d
-    plans = _PLANS.get(b.lab)
-    if plans is None:
-        plans = _PLANS[b.lab] = {}
-    plan = plans.get(a.lab)
-    if plan is None:
-        plan = plans[a.lab] = _skeleton(a.lab, b.lab)
-    lab, comp, k, trapped, free = plan
+    lab, comp, k, trapped, free = _PLANS[a.lab, b.lab]
 
     beads = None
     loops = _NO_LOOPS
@@ -744,9 +745,9 @@ def compose(a: BeadedDiagram, b: BeadedDiagram,
         beads = acc[:k]
         if trapped:
             residues = tuple(acc[k:])
-            loops = _LOOPS.get(residues) or _loop_record(residues)
+            loops = _LOOPS[residues]
     elif trapped:
-        loops = _LOOPS.get(trapped) or _loop_record(trapped)
+        loops = _LOOPS[trapped]
 
     if not drop_rook:
         free = ()
@@ -765,7 +766,7 @@ def compose(a: BeadedDiagram, b: BeadedDiagram,
         else:
             pattern = (k, len(free), *free, *map(comp.__getitem__, la),
                        *map(comp[ka:].__getitem__, lb))
-        ties, _, links = _JOINS.get(pattern) or _tie_join(pattern)
+        ties, _, links = _JOINS[pattern]
         if beads is not None:
             _pool_beads(beads, links, d)
 

@@ -21,7 +21,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Optional
 
 from .diagrams import (
@@ -30,6 +30,7 @@ from .diagrams import (
     CapExceeded,
     GenSymbol,
     _KINDS,
+    _Memo,
     _tag_join,
     compose,
     generator,
@@ -55,11 +56,8 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=None)
 def bell(n: int) -> int:
-    if n == 0:
-        return 1
-    return sum(binomial(n - 1, k) * bell(k) for k in range(n))
+    return sum(stirling2(n, k) for k in range(n + 1))
 
 
 def odd_double_factorial(n: int) -> int:
@@ -76,13 +74,10 @@ def fuss_catalan_41(n: int) -> int:
     return num // (4 * n + 1)
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    """Set partitions of n points into k blocks, by inclusion-exclusion."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n
+               for j in range(k + 1)) // math.factorial(k)
 
 
 def _rook_sum(n: int, weight: Callable[[int], int]) -> int:
@@ -531,6 +526,11 @@ class MonoidFamily:
     def __post_init__(self):
         if self.name not in FAMILIES:
             raise ValueError(f"unknown family {self.name!r}")
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+            object.__setattr__(self, "d", operator.index(self.d))
+        except TypeError:
+            raise ValueError("n and d must be integers") from None
         if self.n < 1 or self.d < 1:
             raise ValueError("need n >= 1 and d >= 1")
         if not self.spec.framed and self.d != 1:
@@ -573,8 +573,9 @@ def generating_set(fam: MonoidFamily) -> tuple[BeadedDiagram, ...]:
                  for sym in generating_symbols(fam))
 
 
-# closure results, one per family; cleared by closure.cache_clear()
-_CLOSURES: dict[MonoidFamily, tuple[BeadedDiagram, ...]] = {}
+# closure results, one per family; closure stores them itself, since a fresh
+# enumeration stops at its cap, and closure.cache_clear() empties them
+_CLOSURES = _Memo("closures", None)
 
 DEFAULT_CAP = 1_000_000
 
@@ -622,7 +623,8 @@ def _enumerate(fam: MonoidFamily, cap: int) -> tuple[BeadedDiagram, ...]:
         level += 1
         if debug:
             elapsed = time.perf_counter() - began
-            memos = "" if fresh else ", memos: %d shapes, %d plans, %d ties" % memo_sizes()
+            memos = ("" if fresh else
+                     ", memos: %(shapes)d shapes, %(plans)d plans, %(ties)d ties" % memo_sizes())
             log.debug("closure %s: level %d, %d new, %d total, %.0f elements/s%s",
                       fam, level, len(fresh), len(seen), len(seen) / elapsed, memos)
     elems = tuple(sorted(seen, key=BeadedDiagram.encode))

@@ -25,8 +25,7 @@ from framoid.diagrams import (
     _LOOPS,
     _TEMPLATES,
     _TIE_TEXTS,
-    _generator,
-    _point_names,
+    clear_memos,
     compose,
     erase_beads,
     erase_ties,
@@ -36,10 +35,9 @@ from framoid.diagrams import (
     memo_sizes,
     parse_word,
     _PLANS,
-    _RESIDUES,
     _TAGS,
     _TIES,
-    _shape,
+    _SHAPES,
     _tag_join,
     _tie_partition,
     render_symbol,
@@ -348,6 +346,18 @@ class TestCanonical:
         by_blocks = BeadedDiagram(2, d, [(1, 3), (2, 4)], beads)
         assert by_labels.beads == by_blocks.beads == want
         assert all(type(v) is int for v in by_labels.beads)
+
+    @pytest.mark.parametrize("n,d", [(2, 2.0), (2.0, 1), ("2", 1), (2, None)])
+    def test_both_forms_refuse_non_integral_n_and_d(self, n, d):
+        for build in (lambda: BeadedDiagram(n, d, [(1, 3), (2, 4)], [1, 3]),
+                      lambda: BeadedDiagram(n, d, beads=[1, 3], lab=(0, 1, 0, 1))):
+            with pytest.raises(ValueError, match="n and d must be integers"):
+                build()
+
+    def test_n_and_d_are_stored_as_ints(self):
+        x = BeadedDiagram(True, True, lab=(0, 0))
+        assert (x.n, x.d) == (1, 1) and type(x.n) is type(x.d) is int
+        assert x.encode() == "n=1;d=1;blocks=[{t1,b1}:0]"
 
 
 class TestErasures:
@@ -693,12 +703,12 @@ def compose_reference(a, b, *, drop_rook=False):
 
 
 def _clear_memos():
-    """Empty every kernel memo, so that the kernel is tested from cold; the
-    generators go too, since their labels are the _shape memo's tuples."""
-    _shape.cache_clear()
-    _generator.cache_clear()
-    for memo in (_PLANS, _TIES, _JOINS, _LOOPS, _TEMPLATES, _TIE_TEXTS, _RESIDUES):
-        memo.clear()
+    """Empty every memo but the closures, so that the kernel is tested from
+    cold; the closures stay, as enumerating them again costs time and tests
+    nothing new."""
+    closures = dict(_CLOSURES)
+    clear_memos()
+    _CLOSURES.update(closures)
 
 
 def _assert_same_product(a, b, drop_rook):
@@ -847,7 +857,7 @@ def test_tag_rule_matches_the_reference_on_every_closure_and_generator():
                for n in range(1, 4) for part in _set_partitions(2 * n)}
     broken = set()
     for lab, n in shapes:
-        tags = _shape(lab, n)[2]
+        tags = _SHAPES[lab][2]
         assert tags == _reference_tags(lab, n), lab
         blocks = BeadedDiagram(n, 1, lab=lab).blocks
         for tag in sorted(_TAGS - tags):
@@ -888,11 +898,12 @@ def test_plans_grow_with_shapes_not_elements():
     _CLOSURES.pop(fam, None)
     _clear_memos()
     els = closure(fam)
-    plans = sum(map(len, _PLANS.values()))
+    plans = len(_PLANS)
     shapes = len({x.lab for x in els})
     assert 0 < plans <= shapes * len(generating_set(fam))
     assert plans < len(els)
-    assert memo_sizes() == (_shape.cache_info().currsize, plans, 0)
+    sizes = memo_sizes()
+    assert (sizes["shapes"], sizes["plans"], sizes["ties"]) == (len(_SHAPES), plans, 0)
 
 
 def test_products_with_more_than_256_blocks():
@@ -1004,7 +1015,7 @@ def test_equal_tie_partitions_share_one_tuple():
 
 def test_clear_memos_empties_the_tie_memo():
     _tied_identity(2, [[0, 1]])
-    assert memo_sizes()[2] > 0
+    assert memo_sizes()["ties"] > 0
     # and every other memo, filled by the products and their encodings in a
     # tied family and in one whose products trap loops
     for fam in (family("pdn", 3, 2), family("jdn", 3, 2)):
@@ -1015,7 +1026,8 @@ def test_clear_memos_empties_the_tie_memo():
     memos = (_PLANS, _TIES, _JOINS, _LOOPS, _TEMPLATES, _TIE_TEXTS)
     assert all(memos)
     _clear_memos()
-    assert memo_sizes() == (0, 0, 0)
+    sizes = memo_sizes()
+    assert (sizes["shapes"], sizes["plans"], sizes["ties"]) == (0, 0, 0)
     assert not any(memos)
 
 
@@ -1035,7 +1047,7 @@ def test_few_tie_partitions_serve_a_tied_closure():
     _clear_memos()
     els = closure(fam)
     assert len(els) == 6240
-    assert len({id(x.ties) for x in els}) == len(_TIES) == memo_sizes()[2] == 52
+    assert len({id(x.ties) for x in els}) == len(_TIES) == memo_sizes()["ties"] == 52
 
 
 def test_compose_builds_its_result_through_the_constructor(monkeypatch):
@@ -1139,7 +1151,8 @@ def encode_reference(x):
     """encode() as it was before its templates: the text built from the
     labels on every call."""
     names: list[list[str]] = [[] for _ in x.beads]
-    for lab, name in zip(x.lab, _point_names(x.n)):
+    points = [f"t{p}" for p in range(1, x.n + 1)] + [f"b{p}" for p in range(1, x.n + 1)]
+    for lab, name in zip(x.lab, points):
         names[lab].append(name)
     parts = ",".join(["{%s}:%d" % (",".join(pts), k)
                       for pts, k in zip(names, x.beads)])

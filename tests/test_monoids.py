@@ -315,3 +315,17 @@ def test_invalid_family_parameters():
         family("nope", 3)
     with pytest.raises(ValueError):
         family("jdn", 0, 1)
+
+
+@pytest.mark.parametrize("name,n,d", [("cdn", 2, 2.0), ("jn", 3.0, 1), ("jn", "3", 1),
+                                      ("cdn", 2, None)])
+def test_family_refuses_non_integral_parameters(name, n, d):
+    with pytest.raises(ValueError, match="n and d must be integers"):
+        family(name, n, d)
+
+
+def test_family_parameters_are_stored_as_ints():
+    fam = family("jn", True)
+    assert str(fam) == "jn(n=1)" and type(fam.n) is int
+    assert fam == family("jn", 1) and hash(fam) == hash(family("jn", 1))
+    assert family("cdn", 2, True) == family("cdn", 2, 1)

@@ -4,7 +4,8 @@ word grammar match the code."""
 import re
 from pathlib import Path
 
-from framoid.diagrams import _KINDS, parse_word
+import framoid.algebra  # noqa: F401  (registers its memo)
+from framoid.diagrams import _KINDS, memo_sizes, parse_word
 from framoid.monoids import FAMILIES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,3 +45,10 @@ def test_normal_form_families_match_registry():
     listed = re.search(r"for the families with a normal form \(([^)]*)\)", text).group(1)
     assert re.findall(r"`([^`]+)`", listed) == [
         name for name, spec in FAMILIES.items() if spec.normal_form is not None]
+
+
+def test_memo_list_matches_registry():
+    text = README.read_text(encoding="utf-8")
+    kernel = text[text.index("The diagram kernel splits"):text.index("Only the beads are summed")]
+    listed = re.findall(r"^- `(\w+)` ", kernel, re.M)
+    assert sorted(listed) == sorted(memo_sizes()) and len(set(listed)) == len(listed)

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import json
 import sys
 from collections import Counter
@@ -27,6 +28,7 @@ from framoid.algebra import (
     x_var,
     y_var,
 )
+from framoid import diagrams
 from framoid.diagrams import _KINDS, parse_word
 from framoid.monoids import FAMILY_NAMES, _swap, check_relations, default_grid, family
 from framoid.verify import (
@@ -296,6 +298,76 @@ def test_every_private_module_name_is_read():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     assert defined and [(path, name) for path, name in defined if name not in read] == []
+
+
+# the calls that write into the dict they are called on
+_DICT_WRITES = {"setdefault", "update", "pop", "clear"}
+
+
+def _is_functools_cache(node) -> bool:
+    """``lru_cache`` or ``cache``, bare, called (``lru_cache(maxsize=None)``)
+    or applied (``cache(f)``), by name or as an attribute."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "attr", getattr(node, "id", None)) in ("lru_cache", "cache")
+
+
+def test_every_memo_is_a_registered_memo():
+    """No module-level function or method is decorated with ``lru_cache`` or
+    ``functools.cache``, and no module-level name is bound to one; every
+    module-level name that a function body writes into (by a subscript store
+    or delete or a ``_DICT_WRITES`` call) holds a ``_Memo``, bar the registry
+    ``_MEMOS`` that ``_Memo.__init__`` fills; and ``memo_sizes()`` reports
+    exactly the memos that the package declares, under the names in
+    ``_MEMOS`` (this module imports every module that declares one)."""
+    cached, written, declared = [], set(), {}
+    for path in sorted((ROOT / "src" / "framoid").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = set()
+        for stmt in tree.body:
+            defs = [stmt] + (stmt.body if isinstance(stmt, ast.ClassDef) else [])
+            cached += [(path.name, node.name) for node in defs
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                       and any(map(_is_functools_cache, node.decorator_list))]
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                if stmt.value is not None and _is_functools_cache(stmt.value):
+                    cached.append((path.name, ast.unparse(stmt.value)))
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                module.update(names)
+                call = stmt.value
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "_Memo"):
+                    declared.update({(path.stem, name): call.args[0].value for name in names})
+
+        def scan(node, owner, in_function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                      ast.ClassDef)):
+                    scan(child, f"{owner}{getattr(child, 'name', '<lambda>')}.",
+                         in_function or not isinstance(child, ast.ClassDef))
+                    continue
+                if in_function:
+                    target = None
+                    if isinstance(child, ast.Subscript) and not isinstance(child.ctx, ast.Load):
+                        target = child.value
+                    elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                          and child.func.attr in _DICT_WRITES):
+                        target = child.func.value
+                    if isinstance(target, ast.Name) and target.id in module:
+                        written.add((path.stem, owner.rstrip("."), target.id))
+                scan(child, owner, in_function)
+
+        scan(tree, "", False)
+    assert cached == []
+    assert written and {(stem, name) for stem, _, name in written} - set(declared) == {
+        ("diagrams", "_MEMOS")}
+    assert {owner for _, owner, name in written if name == "_MEMOS"} == {"_Memo.__init__"}
+    assert sorted(declared.values()) == sorted(diagrams.memo_sizes()) == sorted(
+        diagrams._MEMOS)
+    for (stem, name), key in declared.items():
+        module = importlib.import_module(f"framoid.{stem}")
+        assert getattr(module, name) is diagrams._MEMOS[key], (stem, name)
 
 
 def _read_by_check_rows(monkeypatch, fam, policy, rows):
