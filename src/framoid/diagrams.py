@@ -145,7 +145,7 @@ class _Memo(dict):
 
 
 def memo_sizes() -> dict[str, int]:
-    """The number of entries of every memo, by name."""
+    """The size of every memo by name: its misses since the last clear."""
     return {name: len(memo) for name, memo in _MEMOS.items()}
 
 
