@@ -231,12 +231,12 @@ ONE = LaurentPoly.const(1)
 
 def alpha_var(k: int, d: int) -> LaurentPoly:
     """alpha_k with alpha_0 = 1; the loop scalar of the extended framed algebra."""
-    k %= d
+    k = index(k) % index(d)
     return ONE if k == 0 else LaurentPoly.var(f"alpha{k}")
 
 
 def y_var(k: int, d: int) -> LaurentPoly:
-    k %= d
+    k = index(k) % index(d)
     return ONE if k == 0 else LaurentPoly.var(f"y{k}")
 
 
@@ -264,7 +264,7 @@ def loop_scalar(record: LoopRecord, policy: str, d: int) -> LaurentPoly:
         raise ValueError(f"unknown loop policy {policy!r}")
     if policy == NEGLECT or record.is_empty:
         return ONE
-    return _LOOP_SCALARS[record.counts, policy, d]
+    return _LOOP_SCALARS[record.counts, policy, index(d)]
 
 
 class AlgebraElement:

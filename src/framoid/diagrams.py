@@ -29,13 +29,14 @@ union-find over the blocks of two factors once per pair of label tuples;
 ``ties`` checks each distinct tie partition once and keeps its links, the
 pairs that tie each block to the least block of its class, which every tied
 diagram carries, so a product reads its factors' links without a lookup.
-``joins`` maps a product's tie pattern (its block count k, the free points
-a drop-rook product unties, and the pairs of components that the links of
-both factors join) to the product's tie partition; ``loops`` holds one loop
-record per trapped count at d = 1 and one per tuple of trapped residues at
-d > 1; ``encode`` fills one template per label tuple (``templates``) and
-appends one text per tie partition (``tie_texts``); ``generators`` holds
-one diagram per generator.  Only the beads are summed on every product.
+``joins`` maps a product's tie pattern (its block count k, the free points a
+drop-rook product unties, and the pairs of components that the links of both
+factors join) to the product's tie partition, canonical as the union-find of
+``plans`` (``_roots``) yields it, so left unchecked; ``loops`` holds one
+loop record per trapped count at d = 1 and one per tuple of trapped residues
+at d > 1; ``encode`` fills one template per label tuple (``templates``) and
+appends one text per tie partition (``tie_texts``); ``generators`` holds one
+diagram per generator.  Only the beads are summed on every product.
 ``compose`` hands the constructor, in one positional call, beads already
 reduced mod d and ties already canonical, so that the constructor's checks
 are cheap: the beads are stripped against the residues of d (``residues``,
@@ -218,14 +219,23 @@ def _pool_beads(beads: list[int], links, d: int) -> None:
             beads[other] = 0
 
 
+def _blocks(lab: tuple) -> tuple[tuple[int, ...], ...]:
+    """The blocks of canonical labels, each the ascending tuple of its
+    points, in label order."""
+    out: list[list[int]] = [[] for _ in range(max(lab) + 1)]
+    for p, x in enumerate(lab, 1):
+        out[x].append(p)
+    return tuple(map(tuple, out))
+
+
 def _tag_errors(lab: tuple, n: int) -> dict[str, ValueError]:
     """What each structural tag requires of canonical labels: for each tag
     the labels break, the error that a diagram claiming it raises.  A
     matching has no block of more than two points; a permutation pairs each
     top point with one bottom point; a planar matching pairs all 2n points
     by arcs that do not cross; every set partition is a partition."""
-    k = max(lab) + 1
-    if max(map(lab.count, range(k))) > 2:
+    blocks = _blocks(lab)
+    if max(map(len, blocks)) > 2:
         return {tag: ValueError(f"{tag} diagrams admit only blocks of size <= 2")
                 for tag in (MATCHING, PLANAR, PERMUTATION)}
     errors: dict[str, ValueError] = {}
@@ -233,7 +243,7 @@ def _tag_errors(lab: tuple, n: int) -> dict[str, ValueError]:
     # blocks once each
     if lab[:n] != tuple(range(n)) or sorted(lab[n:]) != list(range(n)):
         errors[PERMUTATION] = ValueError("permutation diagrams pair one top with one bottom point")
-    if k > n:
+    if len(blocks) > n:
         errors[PLANAR] = NotPlanar("planar matchings have no free points")
         return errors
     # in the boundary order t1..tn, bn..b1 every point opens an arc or closes
@@ -243,9 +253,8 @@ def _tag_errors(lab: tuple, n: int) -> dict[str, ValueError]:
         if stack and stack[-1] == x:
             stack.pop()
         elif x in stack:
-            a, b = [tuple(p for p, y in enumerate(lab, 1) if y == v)
-                    for v in sorted((x, stack[-1]))]
-            errors[PLANAR] = NotPlanar(f"arcs cross: {a} and {b}")
+            a, b = sorted((x, stack[-1]))
+            errors[PLANAR] = NotPlanar(f"arcs cross: {blocks[a]} and {blocks[b]}")
             break
         else:
             stack.append(x)
@@ -326,7 +335,8 @@ class BeadedDiagram:
     (``_RESIDUES``), and stored as exact ints.  The blocks form takes
     integers only: a point, bead or tie member of another type, or a bead
     key that names no block or a block twice, is refused.  Both forms take
-    ``n`` and ``d`` as integers only and store them as exact ints.
+    ``n`` and ``d``, and the labels form any labels but a tuple ``_SHAPES``
+    stored, as integers only and store them as exact ints.
 
     When ties are present and d > 1, beads are pooled per tie class (stored
     on the class's least block): a tie lets beads move freely between its
@@ -371,7 +381,15 @@ class BeadedDiagram:
             lab = tuple(lab)
             if len(lab) != 2 * n:
                 raise ValueError("labels must cover the 2n boundary points")
-            lab, k, tags = _SHAPES[lab]
+            # a tuple _SHAPES did not store may hold floats or bools: read as ints
+            shape = _SHAPES.get(lab)
+            if shape is None or shape[0] is not lab:
+                try:
+                    lab = tuple(map(index, lab))
+                except TypeError:
+                    raise ValueError("labels must be integers") from None
+                shape = _SHAPES[lab]
+            lab, k, tags = shape
             if beads is None:
                 beads = (0,) * k
             else:
@@ -435,10 +453,7 @@ class BeadedDiagram:
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The blocks, each a sorted tuple of points, sorted by their minimum."""
-        out: list[list[int]] = [[] for _ in self.beads]
-        for p, x in enumerate(self.lab, 1):
-            out[x].append(p)
-        return tuple(map(tuple, out))
+        return _blocks(self.lab)
 
     @property
     def tied(self) -> bool:
@@ -454,11 +469,9 @@ class BeadedDiagram:
 
 def _template(lab: tuple) -> str:
     n = len(lab) // 2
-    names: list[list[str]] = [[] for _ in range(max(lab) + 1)]
     # points t1..tn, then b1..bn
-    for p, x in enumerate(lab, 1):
-        names[x].append(f"t{p}" if p <= n else f"b{p - n}")
-    parts = ",".join(["{%s}:%%d" % ",".join(pts) for pts in names])
+    parts = ",".join(["{%s}:%%d" % ",".join([f"t{p}" if p <= n else f"b{p - n}" for p in blk])
+                      for blk in _blocks(lab)])
     return f"n=%s;d=%s;blocks=[{parts}]"
 
 
@@ -486,7 +499,8 @@ def erase_ties(x: BeadedDiagram) -> BeadedDiagram:
 def identity(n: int, d: int, tied: bool = False, tag: str = PERMUTATION) -> BeadedDiagram:
     """The diagram of n vertical strands, no beads, all-singleton ties if tied."""
     ties = [[i] for i in range(n)] if tied else None
-    return BeadedDiagram(n, d, family_tag=tag, ties=ties, lab=tuple(range(n)) * 2)
+    lab = tuple(range(n)) * 2  # passed as the tuple _SHAPES stored, once it holds one
+    return BeadedDiagram(n, d, family_tag=tag, ties=ties, lab=_SHAPES.get(lab, (lab,))[0])
 
 
 # -- generator symbols ------------------------------------------------------
@@ -578,7 +592,11 @@ def generator(sym: GenSymbol, n: int, d: int,
                 tied = kind.unties is not None
             if tag is None:
                 tag = kind.tag or PERMUTATION
-    return _GENERATORS[sym, n, d, tied, tag]
+    try:
+        key = sym, index(n), index(d), tied, tag
+    except TypeError:
+        raise ValueError("n and d must be integers") from None
+    return _GENERATORS[key]
 
 
 def _generator(sym: GenSymbol, n: int, d: int, tied: bool, tag: str) -> BeadedDiagram:
@@ -615,6 +633,22 @@ _GENERATORS = _Memo("generators", lambda key: _generator(*key))
 
 # -- composition -------------------------------------------------------------
 
+def _roots(size: int, pairs) -> list[int]:
+    """The root of each of 0..size-1 once each pair (x, y) is joined: a
+    union-find with path halving that hangs the root of y under that of x."""
+    parent = list(range(size))
+    for x, y in pairs:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        parent[y] = x
+    for x in range(size):
+        while parent[x] != parent[parent[x]]:
+            parent[x] = parent[parent[x]]
+    return parent
+
+
 def _skeleton(alab: tuple, blab: tuple) -> tuple:
     """The shape part of ``compose`` for factors labelled ``alab`` and ``blab``.
 
@@ -627,47 +661,27 @@ def _skeleton(alab: tuple, blab: tuple) -> tuple:
     """
     n = len(alab) // 2
     ka = max(alab) + 1
-    parent = list(range(ka + max(blab) + 1))
     # each middle strand joins the block of a's bottom point with that of
     # b's top point
-    for x, y in zip(alab[n:], blab[:n]):
-        y += ka
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x != y:
-            parent[y] = x
-    root = []
-    for x in range(len(parent)):
-        while parent[x] != x:
-            x = parent[x]
-        root.append(x)
+    root = _roots(ka + max(blab) + 1, zip(alab[n:], map(ka.__add__, blab[:n])))
 
-    # result labels in the order of the least outer point of each component;
-    # components that reach no outer point are loops, numbered after them
-    ident = [-1] * len(parent)
-    lab = []
-    k = 0
-    for x in chain(alab[:n], [y + ka for y in blab[n:]]):
-        r = root[x]
-        if ident[r] < 0:
-            ident[r] = k
-            k += 1
-        lab.append(ident[r])
+    # blocks numbered by their least outer point, then the loops (components
+    # that reach no outer point) by their roots
+    number: dict[int, int] = {}
+    lab = [number.setdefault(root[x], len(number)) for x in alab[:n]]
+    lab += [number.setdefault(root[ka + y], len(number)) for y in blab[n:]]
     lab = _SHAPES[tuple(lab)][0]
-    trapped = 0
+    k = len(number)
     for x, r in enumerate(root):
-        if x == r and ident[r] < 0:
-            ident[r] = k + trapped
-            trapped += 1
-    comp = [ident[r] for r in root]
+        if x == r:
+            number.setdefault(r, len(number))
+    comp = list(map(number.__getitem__, root))
 
     size = [0] * k
     for v in lab:
         size[v] += 1
     free = tuple(v for v in range(k) if size[v] == 1)
-    return lab, bytes(comp) if len(comp) <= 256 else tuple(comp), k, trapped, free
+    return lab, bytes(comp) if len(comp) <= 256 else tuple(comp), k, len(number) - k, free
 
 
 # shape products: _PLANS[a.lab, b.lab] is _skeleton(a.lab, b.lab)
@@ -680,28 +694,17 @@ _LOOPS = _Memo("loops", lambda key: LoopRecord(
 
 
 def _tie_join(pattern) -> tuple[tuple, int, bytes]:
-    """The tie classes of a product, from its pattern."""
+    """The ``_TIES`` entry of a product's tie classes, from its pattern."""
     k, nfree = pattern[0], pattern[1]
-    free = pattern[2:2 + nfree]
-    links = pattern[2 + nfree:]
+    free, links = pattern[2:2 + nfree], pattern[2 + nfree:]
     # tie classes join components, trapped ones included
-    tie = list(range(max([k, *links]) + 1))
-    for x, y in zip(links[::2], links[1::2]):
-        while tie[x] != x:
-            x = tie[x]
-        while tie[y] != y:
-            y = tie[y]
-        if x != y:
-            tie[y] = x
-    # classes in the order of their least block, members ascending: the
-    # canonical form; a free point leaves its class for one of its own
+    root = _roots(max([k, *links]) + 1, zip(links[::2], links[1::2]))
+    # classes by least block, members ascending, each block once: canonical,
+    # so unchecked; a free point leaves its class for one of its own
     groups: dict[int, list[int]] = {}
     for v in range(k):
-        r = v
-        while tie[r] != r:
-            r = tie[r]
-        groups.setdefault(-1 - v if v in free else r, []).append(v)
-    return _tie_partition(tuple(map(tuple, groups.values())), k)
+        groups.setdefault(-1 - v if v in free else root[v], []).append(v)
+    return _TIES[tuple(map(tuple, groups.values()))]
 
 
 # tie joins of products: _JOINS[pattern] is the _TIES entry of the product's

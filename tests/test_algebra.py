@@ -29,7 +29,7 @@ from framoid.algebra import (
     x_var,
     y_var,
 )
-from framoid.diagrams import BeadedDiagram, LoopRecord, compose, identity
+from framoid.diagrams import BeadedDiagram, LoopRecord, clear_memos, compose, identity
 from framoid.monoids import closure, family
 
 
@@ -142,6 +142,23 @@ class TestLoopScalars:
             loop_scalar(record, policy, 2)
         with pytest.raises(ValueError, match="unknown loop policy"):
             loop_scalar(record, "bogus", 2)
+
+    # each refusal is met once with the memo empty and once with the scalar of
+    # d = 2 in it; alpha_var and y_var read d alike, though they have no memo
+    @pytest.mark.parametrize("call", [
+        lambda: loop_scalar(LoopRecord({1: 1}), ALPHA, 2.0),
+        lambda: loop_scalar(LoopRecord({1: 1}), XY, 2.0),
+        lambda: alpha_var(1, 2.0),
+        lambda: y_var(1, 2.0),
+    ], ids=["alpha", "xy", "alpha_var", "y_var"])
+    def test_non_integral_d_is_refused_cold_and_warm(self, call):
+        clear_memos()
+        with pytest.raises(TypeError):
+            call()
+        for policy in (ALPHA, XY):
+            loop_scalar(LoopRecord({1: 1}), policy, 2)
+        with pytest.raises(TypeError):
+            call()
 
 
 class TestProducts:
@@ -478,3 +495,16 @@ def test_unit_products_share_an_operand_that_stays_unchanged():
     assert p.terms == before
     assert ONE.terms == {(): 1} and ONE * ONE is ONE
     assert p.substitute({"q": 2}) is p    # no bound variable
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: AlgebraElement(family("jdn", 2, 2), "beta"), "unknown loop policy 'beta'"),
+    (lambda: bridge_q(0, family("rdn", 2, 2)), "rook index 0 out of range"),
+    (lambda: bridge_q(3, family("rdn", 2, 2)), "rook index 3 out of range"),
+    (lambda: cap_z(0, family("cdn", 2, 2)), "strand index 0 out of range"),
+    (lambda: cap_z(3, family("cdn", 2, 2)), "strand index 3 out of range"),
+], ids=["policy", "bridge_q-0", "bridge_q-n+1", "cap_z-0", "cap_z-n+1"])
+def test_ill_posed_algebra_input_is_refused_with_todays_message(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

@@ -45,6 +45,24 @@ def test_eval_word(capsys):
     assert row["diagram"] == "n=2;d=2;blocks=[{t1,t2}:0,{b1,b2}:0]"
 
 
+@pytest.mark.parametrize("argv,want", [
+    (("enumerate", "--family", "jdn", "--d", "2", "--n", "2..3"),
+     "jdn(d=2,n=2): count=8 predicted=8 match=true\n"
+     "jdn(d=2,n=3): count=40 predicted=40 match=true\n"),
+    (("cardinality-table", "--family", "rdn", "--d", "2", "--n", "1..3"),
+     "rdn(d=2,n=1): count=3 predicted=3 match=true\n"
+     "rdn(d=2,n=2): count=17 predicted=17 match=true\n"
+     "rdn(d=2,n=3): count=139 predicted=139 match=true\n"),
+    (("eval-word", "--family", "jdn", "--d", "2", "--n", "2", "--word", "t1 o1 t1"),
+     "diagram: n=2;d=2;blocks=[{t1,t2}:0,{b1,b2}:0]\n"
+     "loops: {'1': 1}\n"),
+], ids=["enumerate", "cardinality-table", "eval-word"])
+def test_text_format_golden_output(capsys, argv, want):
+    code, out = run(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert out == want
+
+
 def test_normal_form_round_trips_worked_examples(capsys):
     code, out = run(capsys, "normal-form", "--family", "brdn", "--d", "4",
                     "--n", "5", "--word", "o2 o5^2 s3 s2 t1 t3 s4 s3 s2 s1 o4")

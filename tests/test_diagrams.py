@@ -38,7 +38,9 @@ from framoid.diagrams import (
     _TAGS,
     _TIES,
     _SHAPES,
+    _skeleton,
     _tag_join,
+    _tie_join,
     _tie_partition,
     render_symbol,
     render_word,
@@ -928,6 +930,148 @@ def test_tied_products_with_more_than_256_blocks(n):
             _assert_same_product(a, b, drop_rook)
 
 
+# -- differential gate: the union-find of plans and tie joins ------------------
+#
+# skeleton_reference and tie_join_reference are _skeleton and _tie_join as
+# they were before the two shared one union-find, _roots, kept verbatim but
+# for their names: each had its own union-find, and a tie join checked the
+# classes it built through _tie_partition.
+
+def skeleton_reference(alab: tuple, blab: tuple) -> tuple:
+    """The shape part of ``compose`` for factors labelled ``alab`` and ``blab``.
+
+    One union-find over the blocks of the two factors, a's blocks 0..ka-1
+    and then b's.  Returns ``(lab, comp, k, trapped, free)``: the result's
+    labels (through ``_SHAPES``), ``comp`` mapping each block of a and then of
+    b to the result label of its component or to k + j for the j-th trapped
+    loop, the block count k, the number of trapped loops, and the labels of
+    the result's singleton blocks.
+    """
+    n = len(alab) // 2
+    ka = max(alab) + 1
+    parent = list(range(ka + max(blab) + 1))
+    # each middle strand joins the block of a's bottom point with that of
+    # b's top point
+    for x, y in zip(alab[n:], blab[:n]):
+        y += ka
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            parent[y] = x
+    root = []
+    for x in range(len(parent)):
+        while parent[x] != x:
+            x = parent[x]
+        root.append(x)
+
+    # result labels in the order of the least outer point of each component;
+    # components that reach no outer point are loops, numbered after them
+    ident = [-1] * len(parent)
+    lab = []
+    k = 0
+    for x in chain(alab[:n], [y + ka for y in blab[n:]]):
+        r = root[x]
+        if ident[r] < 0:
+            ident[r] = k
+            k += 1
+        lab.append(ident[r])
+    lab = _SHAPES[tuple(lab)][0]
+    trapped = 0
+    for x, r in enumerate(root):
+        if x == r and ident[r] < 0:
+            ident[r] = k + trapped
+            trapped += 1
+    comp = [ident[r] for r in root]
+
+    size = [0] * k
+    for v in lab:
+        size[v] += 1
+    free = tuple(v for v in range(k) if size[v] == 1)
+    return lab, bytes(comp) if len(comp) <= 256 else tuple(comp), k, trapped, free
+
+
+def tie_join_reference(pattern) -> tuple[tuple, int, bytes]:
+    """The tie classes of a product, from its pattern."""
+    k, nfree = pattern[0], pattern[1]
+    free = pattern[2:2 + nfree]
+    links = pattern[2 + nfree:]
+    # tie classes join components, trapped ones included
+    tie = list(range(max([k, *links]) + 1))
+    for x, y in zip(links[::2], links[1::2]):
+        while tie[x] != x:
+            x = tie[x]
+        while tie[y] != y:
+            y = tie[y]
+        if x != y:
+            tie[y] = x
+    # classes in the order of their least block, members ascending: the
+    # canonical form; a free point leaves its class for one of its own
+    groups: dict[int, list[int]] = {}
+    for v in range(k):
+        r = v
+        while tie[r] != r:
+            r = tie[r]
+        groups.setdefault(-1 - v if v in free else r, []).append(v)
+    return _tie_partition(tuple(map(tuple, groups.values())), k)
+
+
+def _assert_plans_and_joins_match_the_references():
+    """Every plan and tie join that the memos hold: the same 5-tuple, and
+    the same _TIES entry."""
+    assert _PLANS and _JOINS
+    for alab, blab in list(_PLANS):
+        assert _skeleton(alab, blab) == skeleton_reference(alab, blab), (alab, blab)
+    for pattern in list(_JOINS):
+        assert _tie_join(pattern) is tie_join_reference(pattern), pattern
+
+
+def test_plans_and_tie_joins_match_the_references_on_every_closure_step():
+    """The plans and tie joins of every (element, generator) product of each
+    default_grid family with at most 2000 elements."""
+    _clear_memos()
+    for fam in default_grid():
+        if fam.spec.count(fam.d, fam.n) > 2000:
+            continue
+        gens = generating_set(fam)
+        for x in closure(fam):
+            for g in gens:
+                compose(x, g, drop_rook=fam.drop_rook)
+    _assert_plans_and_joins_match_the_references()
+
+
+def test_plans_and_tie_joins_match_the_references_on_random_products():
+    """Seeded random pairs of every default_grid family, the products of
+    more than 256 blocks, and a product whose loops are numbered in the
+    order of their roots, not of their least blocks: a's arcs {b1,b2},
+    {b3,b4}, {b5,b6} are its blocks 3, 4, 5, and the loop through blocks 3
+    and 5 has root 5, as block 5 joins it last."""
+    _clear_memos()
+    rng = random.Random(0x1AB)
+    for fam in default_grid():
+        els = closure(fam)
+        for _ in range(200):
+            compose(rng.choice(els), rng.choice(els), drop_rook=fam.drop_rook)
+    for n in (64, 129):
+        wide = BeadedDiagram(n, 3, beads=[1] * n, lab=tuple(range(n)) * 2)
+        compose(wide, wide)
+    for n in (64, 129, 300):
+        ties = [[0, 1, n - 1]] + [[b] for b in range(2, n - 1)]
+        wide = BeadedDiagram(n, 3, ties=ties, lab=tuple(range(n)) * 2)
+        tie = generator(GenSymbol("e", 2, 3), n, 3)
+        for a, b in ((wide, wide), (wide, tie), (tie, wide)):
+            for drop_rook in (False, True):
+                compose(a, b, drop_rook=drop_rook)
+    outer = [(7, 8), (9, 10), (11, 12)]
+    a = BeadedDiagram(6, 2, [(1, 2), (3, 4), (5, 6)] + outer, [0, 0, 0, 1, 0, 0])
+    b = BeadedDiagram(6, 2, [(1, 6), (2, 5), (3, 4)] + outer)
+    plan = _skeleton(a.lab, b.lab)
+    assert plan[2:4] == (6, 2) and plan[1][:6] == bytes([0, 1, 2, 7, 6, 7])
+    assert _assert_same_product(a, b, False) == LoopRecord({0: 1, 1: 1})
+    _assert_plans_and_joins_match_the_references()
+
+
 # -- the tie memo ---------------------------------------------------------------
 
 def _reference_ties(ties, k):
@@ -1192,3 +1336,71 @@ def test_encode_matches_the_reference_at_two_digit_points(n):
                 for _ in range(rng.randint(1, 16)):
                     x, _ = compose(x, rng.choice(gens), drop_rook=rng.random() < 0.3)
                 assert x.encode() == encode_reference(x)
+
+
+# -- integers read before the memos ----------------------------------------------
+
+def _outcome(call):
+    """What a call gives: its value, or the type and message of its error."""
+    try:
+        return call()
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("call,warm_up,refusal", [
+    (lambda: generator(GenSymbol("t", 1), 3, 2.0),
+     lambda: generator(GenSymbol("t", 1), 3, 2),
+     (ValueError, "n and d must be integers")),
+    (lambda: generator(GenSymbol("t", 1), 3.0, 2),
+     lambda: generator(GenSymbol("t", 1), 3, 2),
+     (ValueError, "n and d must be integers")),
+    (lambda: BeadedDiagram(2, 1, lab=(0.0, 1.0, 0.0, 1.0)),
+     lambda: BeadedDiagram(2, 1, lab=(0, 1, 0, 1)),
+     (ValueError, "labels must be integers")),
+], ids=["generator-d", "generator-n", "labels"])
+def test_non_integers_are_refused_cold_and_warm(call, warm_up, refusal):
+    """A float equal to an integer is refused alike whether or not the memos
+    hold the answer for that integer."""
+    _clear_memos()
+    cold = _outcome(call)
+    warm_up()
+    assert cold == _outcome(call) == refusal
+
+
+def test_bool_labels_are_stored_as_ints_cold_and_warm():
+    for warm in (False, True):
+        _clear_memos()
+        if warm:
+            BeadedDiagram(2, 1, lab=(0, 1, 0, 1))
+        x = BeadedDiagram(2, 1, lab=(0, True, 0, True))
+        y = BeadedDiagram(2, 1, [(1, 3), (2, 4)])
+        assert x.lab == y.lab == (0, 1, 0, 1)
+        assert [type(v) for v in x.lab + y.lab] == [int] * 8, warm
+
+
+# -- refusals ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: BeadedDiagram(2, 1, [(1, 2), (), (3, 4)]),
+     "blocks must partition the 2n boundary points"),
+    (lambda: BeadedDiagram(2, 1, [(1, 2), (2, 3), (4,)]),
+     "blocks must partition the 2n boundary points"),
+    (lambda: BeadedDiagram(2, 1, [(1, 2), (3, 5)]),
+     "blocks must partition the 2n boundary points"),
+    (lambda: BeadedDiagram(2, 1, [(0, 1), (2, 3, 4)]),
+     "blocks must partition the 2n boundary points"),
+    (lambda: BeadedDiagram(2, 1, [(1, 2), (3,)]), "blocks must cover every boundary point"),
+    (lambda: BeadedDiagram(0, 1, [(1,)]), "need n >= 1 and d >= 1"),
+    (lambda: BeadedDiagram(2, 0, [(1, 2, 3, 4)]), "need n >= 1 and d >= 1"),
+    (lambda: BeadedDiagram(2, 1, [(1, 2, 3, 4)], None, "braid"), "unknown family tag 'braid'"),
+    (lambda: BeadedDiagram(2, 2, [(1, 2), (3, 4)], [1]), "beads must match blocks"),
+    (lambda: BeadedDiagram(2, 2, None, [1], lab=(0, 0, 1, 1)), "beads must match blocks"),
+    (lambda: LoopRecord({1: -1}), "loop multiplicities must be non-negative"),
+], ids=["empty-block", "repeated-point", "point-past-2n", "point-0", "uncovered-point",
+        "n-0", "d-0", "unknown-tag", "beads-blocks-form", "beads-labels-form",
+        "negative-loops"])
+def test_malformed_input_is_refused_with_todays_message(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

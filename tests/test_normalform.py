@@ -333,3 +333,9 @@ def test_every_normal_form_is_pinned():
     assert len(lines) == 85176
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == NF_PIN
+
+
+def test_unknown_rook_variant_is_refused():
+    with pytest.raises(ValueError) as err:
+        rook_nf(identity(2, 1), "second")
+    assert str(err.value) == "unknown rook variant 'second'"

@@ -844,3 +844,10 @@ def test_image_evaluator_multiplies_runs_and_images_left_to_right():
     # in a tied family every generator is its own image
     tied = family("tjn", 3)
     assert _image_evaluator(tied, NEGLECT)("e1 t2 f1") == from_word("e1 t2 f1", tied, NEGLECT)
+
+
+def test_unknown_bridge_target_is_refused():
+    with pytest.raises(ValueError) as err:
+        suite_bridges("braid")
+    assert str(err.value) == ("unknown bridge target 'braid'; choose from ('partition', "
+                              "'symmetric', 'rookR', 'rookRprime', 'jones', 'brauer')")
