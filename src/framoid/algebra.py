@@ -16,7 +16,9 @@ Each distinct loop scalar is built once per ``(record, policy, d)`` and kept
 in the ``loop_scalars`` memo; a product shares it, and a product by the unit
 returns the other factor itself.  That is safe because no polynomial or
 element is ever mutated after construction.  Scalars are exact: ``int``,
-``Fraction`` or ``LaurentPoly``; anything else raises ``TypeError``.
+``Fraction`` or ``LaurentPoly``; anything else raises ``TypeError``.  A
+coefficient keeps the exact type it was given (a ``bool`` becomes an
+``int``); ``2`` and ``Fraction(2)`` are equal, hash alike and print alike.
 
 Bridge elements are the 1/d-averaged sums that let beads hop between the two
 arcs of a generator's core; ``cap_z`` is the averaged scalar framing that
@@ -65,9 +67,12 @@ def _accumulate(out: dict, pairs: Iterable[tuple]) -> dict:
 
 
 def _exact(value):
-    """``value`` itself if it is an exact scalar: an ``int`` or a ``Fraction``."""
-    if isinstance(value, (int, Fraction)):
+    """``value`` itself if it is an exact scalar: an ``int`` or a ``Fraction``;
+    a ``bool`` or another subclass becomes a plain ``int`` or ``Fraction``."""
+    if type(value) is int or type(value) is Fraction:
         return value
+    if isinstance(value, (int, Fraction)):
+        return int(value) if isinstance(value, int) else Fraction(value)
     raise TypeError(f"not an exact scalar (int or Fraction): {value!r}")
 
 
@@ -95,15 +100,18 @@ def _mono_mul(m1: tuple, m2: tuple) -> tuple:
 class LaurentPoly:
     """Multivariate Laurent polynomial with exact rational coefficients.
 
-    Stored canonically as ``{monomial: Fraction}`` with monomials as sorted
+    Stored canonically as ``{monomial: coefficient}`` with monomials as sorted
     ``((var, exp), ...)`` tuples (a repeated variable merges, a zero exponent
-    drops), zero terms dropped; equality is syntactic.
+    drops), zero terms dropped; equality is syntactic.  A coefficient keeps
+    the exact type it was given, ``int`` or ``Fraction`` (a ``bool`` becomes
+    an ``int``); ``2`` and ``Fraction(2)`` are equal, hash alike and print
+    alike.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping] = None):
-        self.terms = _accumulate({}, ((_mono(mono), Fraction(_exact(coeff)))
+        self.terms = _accumulate({}, ((_mono(mono), _exact(coeff))
                                       for mono, coeff in (terms or {}).items()))
 
     @classmethod
@@ -115,7 +123,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, value) -> "LaurentPoly":
-        value = Fraction(_exact(value))
+        value = _exact(value)
         return cls._wrap({(): value} if value else {})
 
     @classmethod
@@ -165,9 +173,13 @@ class LaurentPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = LaurentPoly.const(other)
-        left, right = self.terms, other.terms
         # a factor 1 gives the other factor itself; two monomials multiply
         # in one step
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
+        left, right = self.terms, other.terms
         if len(left) == 1 and left.get(()) == 1:
             return other
         if len(right) == 1:
@@ -189,6 +201,10 @@ class LaurentPoly:
         A polynomial with no bound variable is its own result."""
         for value in subs.values():
             _exact(value)
+        return self._substitute(subs)
+
+    def _substitute(self, subs: Mapping) -> "LaurentPoly":
+        """``substitute`` with ``subs`` already checked."""
         if not any(var in subs for mono in self.terms for var, _ in mono):
             return self
 
@@ -256,15 +272,21 @@ def _loop_scalar(key: tuple) -> LaurentPoly:
 _LOOP_SCALARS = _Memo("loop_scalars", _loop_scalar)
 
 
+def _policy(policy: str) -> str:
+    """``policy`` itself if it is a loop policy."""
+    if policy not in LOOP_POLICIES:
+        raise ValueError(f"unknown loop policy {policy!r}")
+    return policy
+
+
 def loop_scalar(record: LoopRecord, policy: str, d: int) -> LaurentPoly:
     """Convert removed loops to a coefficient under the given policy: the one
     monomial prod alpha_p^m (``ALPHA``) or x^total prod y_p^m (``XY``), built
     once per ``(record.counts, policy, d)``."""
-    if policy not in LOOP_POLICIES:
-        raise ValueError(f"unknown loop policy {policy!r}")
-    if policy == NEGLECT or record.is_empty:
+    d = index(d)
+    if _policy(policy) == NEGLECT or record.is_empty:
         return ONE
-    return _LOOP_SCALARS[record.counts, policy, index(d)]
+    return _LOOP_SCALARS[record.counts, policy, d]
 
 
 class AlgebraElement:
@@ -273,25 +295,17 @@ class AlgebraElement:
     __slots__ = ("fam", "policy", "terms")
 
     def __init__(self, fam, policy: str, terms: Optional[Mapping] = None):
-        if policy not in LOOP_POLICIES:
-            raise ValueError(f"unknown loop policy {policy!r}")
         self.fam = fam
-        self.policy = policy
+        self.policy = _policy(policy)
         self.terms = _accumulate({}, ((diag, _coerce(coeff))
                                       for diag, coeff in (terms or {}).items()))
-
-    def _wrap(self, terms: dict) -> "AlgebraElement":
-        """The element of this algebra with already-canonical ``terms``."""
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.fam, res.policy, res.terms = self.fam, self.policy, terms
-        return res
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def _check_compatible(self, other: "AlgebraElement"):
-        if self.fam != other.fam or self.policy != other.policy:
+        if not (self.fam is other.fam or self.fam == other.fam) or self.policy != other.policy:
             raise ValueError("elements live in different algebras")
 
     def __eq__(self, other):
@@ -301,38 +315,44 @@ class AlgebraElement:
     def __add__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_compatible(other)
-            return self._wrap(_accumulate(dict(self.terms), other.terms.items()))
+            return _element(self.fam, self.policy,
+                            _accumulate(dict(self.terms), other.terms.items()))
         return NotImplemented
 
     def __neg__(self):
-        return self._wrap({dg: -c for dg, c in self.terms.items()})
+        return _element(self.fam, self.policy, {dg: -c for dg, c in self.terms.items()})
 
     def __sub__(self, other):
         return self.__add__(-other)
 
     def __mul__(self, other):
+        fam, policy = self.fam, self.policy
         if isinstance(other, AlgebraElement):
             self._check_compatible(other)
-            if not self.fam.spec.associative:
-                raise ValueError(f"products in {self.fam.name} are not associative")
-            d, drop, policy = self.fam.d, self.fam.drop_rook, self.policy
+            spec = fam.spec
+            if not spec.associative:
+                raise ValueError(f"products in {fam.name} are not associative")
+            d, drop = fam.d, spec.drop_rook
             right = other.terms.items()
             products = []
             for da, ca in self.terms.items():
                 for db, cb in right:
                     dc, record = compose(da, db, drop)
-                    c = ca * cb
+                    c = cb if ca is ONE else ca if cb is ONE else ca * cb
                     if record.counts:
                         scalar = loop_scalar(record, policy, d)
                         if scalar is not ONE:
-                            c = c * scalar
+                            c = scalar if c is ONE else c * scalar
                     products.append((dc, c))
-            return self._wrap(_accumulate({}, products))
+            # Q[vars^{+-1}] has no zero divisors: one product is nonzero
+            return _element(fam, policy, dict(products) if len(products) < 2
+                            else _accumulate({}, products))
         if not isinstance(other, (LaurentPoly, int, Fraction)):
             return NotImplemented
         # scalar action: Q[vars^{+-1}] has no zero divisors
         coeff = _coerce(other)
-        return self._wrap({dg: c * coeff for dg, c in self.terms.items()} if coeff else {})
+        return _element(fam, policy,
+                        {dg: c * coeff for dg, c in self.terms.items()} if coeff else {})
 
     def __rmul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -352,19 +372,26 @@ class AlgebraElement:
         return f"AlgebraElement({self.dump()})"
 
 
+def _element(fam, policy: str, terms: dict) -> AlgebraElement:
+    """The element of canonical ``terms`` (no zero coefficient), ``policy`` checked."""
+    res = AlgebraElement.__new__(AlgebraElement)
+    res.fam, res.policy, res.terms = fam, policy, terms
+    return res
+
+
 def equal(a: AlgebraElement, b: AlgebraElement) -> bool:
     """Exact equality of canonical coefficient maps."""
     return a == b
 
 
 def from_diagram(diag: BeadedDiagram, fam, policy: str) -> AlgebraElement:
-    return AlgebraElement(fam, policy, {diag: ONE})
+    return _element(fam, _policy(policy), {diag: ONE})
 
 
 def from_word(word, fam, policy: str) -> AlgebraElement:
     """Evaluate a generator word; removed loops feed the policy's scalar."""
     diag, record = evaluate_word(word, fam)
-    return AlgebraElement(fam, policy, {diag: loop_scalar(record, policy, fam.d)})
+    return _element(fam, policy, {diag: loop_scalar(record, policy, fam.d)})
 
 
 def one(fam, policy: str) -> AlgebraElement:
@@ -381,7 +408,7 @@ def _averaged(fam, policy: str, summand) -> AlgebraElement:
             if not record.is_empty:
                 raise ValueError("bridge summands must not close loops")
             yield diag, coeff * share
-    return AlgebraElement(fam, policy, _accumulate({}, terms()))
+    return _element(fam, _policy(policy), _accumulate({}, terms()))
 
 
 def _conjugated(fam, policy: str, top: int, core: tuple, bottom: int) -> AlgebraElement:
@@ -439,14 +466,18 @@ def specialize(elem: AlgebraElement, subs: Optional[Mapping[str, int | Fraction]
     resulting element (e.g. the plain monoid algebra after a full
     specialization).
     """
+    policy = _policy(policy or elem.policy)
+    for value in (subs or {}).values():
+        _exact(value)
+
     def terms():
         for diag, coeff in elem.terms.items():
             if beads_to_one:
                 diag = erase_beads(diag)
             if ties_off:
                 diag = erase_ties(diag)
-            yield diag, coeff.substitute(subs) if subs else coeff
-    return AlgebraElement(elem.fam, policy or elem.policy, _accumulate({}, terms()))
+            yield diag, coeff._substitute(subs) if subs else coeff
+    return _element(elem.fam, policy, _accumulate({}, terms()))
 
 
 def alpha_to_one(d: int) -> dict[str, int]:

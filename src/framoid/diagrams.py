@@ -498,7 +498,7 @@ def erase_ties(x: BeadedDiagram) -> BeadedDiagram:
 
 def identity(n: int, d: int, tied: bool = False, tag: str = PERMUTATION) -> BeadedDiagram:
     """The diagram of n vertical strands, no beads, all-singleton ties if tied."""
-    ties = [[i] for i in range(n)] if tied else None
+    ties = tuple((i,) for i in range(n)) if tied else None  # canonical: one _TIES lookup
     lab = tuple(range(n)) * 2  # passed as the tuple _SHAPES stored, once it holds one
     return BeadedDiagram(n, d, family_tag=tag, ties=ties, lab=_SHAPES.get(lab, (lab,))[0])
 

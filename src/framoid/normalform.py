@@ -29,6 +29,7 @@ from typing import Sequence
 
 from .diagrams import (
     PLANAR,
+    _NO_LOOPS,
     BeadedDiagram,
     GenSymbol,
     LoopRecord,
@@ -46,13 +47,14 @@ def evaluate_word(word, fam) -> tuple[BeadedDiagram, LoopRecord]:
 
     ``word`` may be a string in the token grammar or a sequence of
     :class:`GenSymbol`.  Returns the product diagram and the merged record of
-    all loops removed along the way.
+    all loops removed along the way; a word that removes no loop returns the
+    shared empty record.
     """
     if isinstance(word, str):
         word = parse_word(word)
     n, d, tied, tag, drop_rook = fam.n, fam.d, fam.tied, fam.tag, fam.drop_rook
     diag = identity(n, d, tied=tied, tag=tag)
-    record = LoopRecord()
+    record = _NO_LOOPS
     for sym in word:
         step = generator(sym, n, d, tied, tag)
         diag, rec = compose(diag, step, drop_rook)

@@ -19,7 +19,6 @@ import random
 import re
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import combinations, combinations_with_replacement, groupby, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -538,7 +537,7 @@ def _random_element(rng, basis, fam, policy):
     terms = {}
     for _ in range(count):
         diag = rng.choice(basis)
-        terms[diag] = terms.get(diag, 0) + Fraction(rng.randint(1, 3))
+        terms[diag] = terms.get(diag, 0) + rng.randint(1, 3)
     return AlgebraElement(fam, policy, terms)
 
 

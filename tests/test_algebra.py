@@ -1,6 +1,7 @@
 """Exact coefficients, loop policies, bridges, specialization."""
 
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,14 @@ from framoid.algebra import (
     x_var,
     y_var,
 )
-from framoid.diagrams import BeadedDiagram, LoopRecord, clear_memos, compose, identity
+from framoid.diagrams import (
+    BeadedDiagram,
+    LoopRecord,
+    clear_memos,
+    compose,
+    erase_beads,
+    identity,
+)
 from framoid.monoids import closure, family
 
 
@@ -506,5 +514,109 @@ def test_unit_products_share_an_operand_that_stays_unchanged():
 ], ids=["policy", "bridge_q-0", "bridge_q-n+1", "cap_z-0", "cap_z-n+1"])
 def test_ill_posed_algebra_input_is_refused_with_todays_message(build, message):
     with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+# -- the lean product path: exact coefficients as given, one element builder --
+
+def _specialize_reference(elem, subs, policy=None):
+    """Substitute each coefficient by ``substitute_reference`` after erasing
+    beads, summed by repeated ``+`` and re-cleaned by the constructor."""
+    out = {}
+    for diag, coeff in elem.terms.items():
+        diag = erase_beads(diag)
+        out[diag] = out.get(diag, ZERO) + substitute_reference(coeff, subs)
+    return AlgebraElement(elem.fam, policy or elem.policy, out)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name, n, d", [("jdn", 2, 2), ("rprimedn", 2, 2)])
+def test_product_and_specialize_match_reference_on_every_closure_pair(name, n, d, policy):
+    fam = family(name, n, d)
+    els = closure(fam)
+    pool = coefficient_pool(d) + [2, -3, Fraction(4, 2)]
+    rng = random.Random(f"{name}{n}{d}{policy}")
+    for x in els:
+        for y in els:
+            a = AlgebraElement(fam, policy, {x: rng.choice(pool)})
+            b = from_diagram(y, fam, policy) * rng.choice(pool)
+            for left, right in ((a, b), (a + b, b * rng.choice(pool) + a)):
+                got = _assert_same_product(left, right)
+                subs = rng.choice(SUBSTITUTIONS)
+                special = specialize(got, subs, beads_to_one=True, policy=NEGLECT)
+                want = _specialize_reference(got, subs, NEGLECT)
+                assert special == want and special.dump() == want.dump()
+
+
+class _Two(IntEnum):
+    TWO = 2
+
+
+class _Half(Fraction):
+    pass
+
+
+def test_coefficients_keep_the_exact_type_they_were_given():
+    assert LaurentPoly.const(True).text() == "1"
+    assert LaurentPoly({(): True}).text() == "1"
+    for value, kind in ((True, int), (_Two.TWO, int), (_Half(1, 2), Fraction),
+                        (2, int), (Fraction(2), Fraction), (Fraction(4, 2), Fraction)):
+        for poly in (LaurentPoly.const(value), LaurentPoly({(("x", 1),): value})):
+            (coeff,) = poly.terms.values()
+            assert type(coeff) is kind and coeff == value
+    two, frac_two = LaurentPoly.const(2), LaurentPoly.const(Fraction(2))
+    assert two == frac_two and hash(two) == hash(frac_two) == hash(2)
+    assert two.text() == frac_two.text() == "2"
+    fam = family("jdn", 2, 2)
+    x = identity(2, 2)
+    product = AlgebraElement(fam, NEGLECT, {x: 2}) * AlgebraElement(fam, NEGLECT, {x: 3})
+    assert type(product.terms[x].terms[()]) is int and product.dump() == (
+        "6 * [n=2;d=2;blocks=[{t1,b1}:0,{t2,b2}:0]]")
+    assert product == AlgebraElement(fam, NEGLECT, {x: Fraction(6)})
+
+
+def test_loop_scalar_refuses_a_float_d_on_every_path():
+    for record, policy in ((LoopRecord(), ALPHA), (LoopRecord({1: 1}), NEGLECT),
+                           (LoopRecord({1: 1}), ALPHA)):
+        with pytest.raises(TypeError):
+            loop_scalar(record, policy, 2.0)
+
+
+def test_specialize_checks_the_substitution_before_the_terms():
+    fam = family("jdn", 2, 2)
+    for elem in (AlgebraElement(fam, ALPHA, {}), from_word("t1", fam, ALPHA)):
+        with pytest.raises(TypeError) as err:
+            specialize(elem, {"x": 0.5})
+        assert str(err.value) == "not an exact scalar (int or Fraction): 0.5"
+
+
+def _two_algebras():
+    return from_word("t1", family("jdn", 2, 2), ALPHA), from_word("t1", family("jdn", 2, 3), ALPHA)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: from_diagram(identity(2, 2), family("jdn", 2, 2), "bogus"),
+     ValueError, "unknown loop policy 'bogus'"),
+    (lambda: specialize(from_word("t1", family("jdn", 2, 2), ALPHA), {"x": 2},
+                        policy="bogus"), ValueError, "unknown loop policy 'bogus'"),
+    (lambda: from_word("t1", family("jdn", 2, 2), "bogus"),
+     ValueError, "unknown loop policy 'bogus'"),
+    (lambda: bridge_e(1, 2, family("cdn", 2, 2), "bogus"),
+     ValueError, "unknown loop policy 'bogus'"),
+    (lambda: _two_algebras()[0] * _two_algebras()[1],
+     ValueError, "elements live in different algebras"),
+    (lambda: _two_algebras()[0] + _two_algebras()[1],
+     ValueError, "elements live in different algebras"),
+    (lambda: from_word("t1", family("jdn", 2, 2), ALPHA) * from_word("t1", family("jdn", 2, 2), XY),
+     ValueError, "elements live in different algebras"),
+    (lambda: one(family("trn", 2), NEGLECT) * one(family("trn", 2), NEGLECT),
+     ValueError, "products in trn are not associative"),
+    (lambda: one(family("jdn", 2, 2), NEGLECT) * 2.5,
+     TypeError, "unsupported operand type(s) for *: 'AlgebraElement' and 'float'"),
+], ids=["from_diagram", "specialize", "from_word", "bridge", "mul-families", "add-families",
+        "mul-policies", "trn-product", "float-scalar"])
+def test_builder_path_refusals_keep_their_message(build, error, message):
+    with pytest.raises(error) as err:
         build()
     assert str(err.value) == message

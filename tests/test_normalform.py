@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from framoid.diagrams import (
+    _NO_LOOPS,
     MATCHING,
     PLANAR,
     BeadedDiagram,
@@ -70,6 +71,14 @@ class TestEvaluateWord:
         diag, rec = evaluate_word("", family("jdn", 3, 2))
         assert diag == identity(3, 2, tag=PLANAR)
         assert rec.is_empty
+
+    def test_loop_free_words_share_the_empty_record(self):
+        for word, fam in (("", family("jdn", 3, 2)), ("t2 t1", family("jn", 3)),
+                          ("e1,2 s1", family("tsn", 3))):
+            diag, rec = evaluate_word(word, fam)
+            assert rec is _NO_LOOPS and rec == LoopRecord()
+        tied = identity(3, 1, tied=True)
+        assert tied.ties == ((0,), (1,), (2,)) and tied is not identity(3, 1, tied=True)
 
     def test_loop_record_merging(self):
         diag, rec = evaluate_word("t1 o1 t1", family("jdn", 2, 2))
