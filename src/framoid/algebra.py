@@ -279,6 +279,14 @@ def _policy(policy: str) -> str:
     return policy
 
 
+def _term(diag, fam) -> BeadedDiagram:
+    """``diag`` itself if it is a diagram of the family ``fam``."""
+    if not (isinstance(diag, BeadedDiagram) and diag.n == fam.n and diag.d == fam.d
+            and (diag.ties is not None) == fam.tied):
+        raise ValueError(f"term {diag!r} is not a diagram of {fam}")
+    return diag
+
+
 def loop_scalar(record: LoopRecord, policy: str, d: int) -> LaurentPoly:
     """Convert removed loops to a coefficient under the given policy: the one
     monomial prod alpha_p^m (``ALPHA``) or x^total prod y_p^m (``XY``), built
@@ -297,7 +305,7 @@ class AlgebraElement:
     def __init__(self, fam, policy: str, terms: Optional[Mapping] = None):
         self.fam = fam
         self.policy = _policy(policy)
-        self.terms = _accumulate({}, ((diag, _coerce(coeff))
+        self.terms = _accumulate({}, ((_term(diag, fam), _coerce(coeff))
                                       for diag, coeff in (terms or {}).items()))
 
     @property
@@ -385,7 +393,7 @@ def equal(a: AlgebraElement, b: AlgebraElement) -> bool:
 
 
 def from_diagram(diag: BeadedDiagram, fam, policy: str) -> AlgebraElement:
-    return _element(fam, _policy(policy), {diag: ONE})
+    return _element(fam, _policy(policy), {_term(diag, fam): ONE})
 
 
 def from_word(word, fam, policy: str) -> AlgebraElement:

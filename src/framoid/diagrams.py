@@ -23,10 +23,10 @@ The work splits into a shape part and a decoration part, and each part
 that repeats is memoized, keyed on a pattern that omits the element.  Every
 memo is a ``_Memo`` registered by name: :func:`memo_sizes` gives the size of
 each and :func:`clear_memos` empties them all.  ``shapes`` checks each label
-tuple once and keeps the structural tags that ``_tag_errors``, the one
-statement of what each tag requires, finds unbroken; ``plans`` runs the
-union-find over the blocks of two factors once per pair of label tuples;
-``ties`` checks each distinct tie partition once and keeps its links, the
+tuple once and keeps its blocks, its zero beads and the structural tags that
+``_tag_errors``, the one statement of what each tag requires, finds
+unbroken; ``plans`` runs the union-find over the blocks of two factors
+once per pair of label tuples; ``ties`` checks each distinct tie partition once and keeps its links, the
 pairs that tie each block to the least block of its class, which every tied
 diagram carries, so a product reads its factors' links without a lookup.
 ``joins`` maps a product's tie pattern (its block count k, the free points a
@@ -39,8 +39,8 @@ appends one text per tie partition (``tie_texts``); ``generators`` holds one
 diagram per generator.  Only the beads are summed on every product.
 ``compose`` hands the constructor, in one positional call, beads already
 reduced mod d and ties already canonical, so that the constructor's checks
-are cheap: the beads are stripped against the residues of d (``residues``,
-one bytes object per modulus) and the ties found in ``ties`` by one lookup.
+are cheap: the beads are stripped against the first d bytes of one
+constant table (``_BYTES``) and the ties found in ``ties`` by one lookup.
 Nothing is evicted: the memos grow with the distinct label tuples, pairs of
 them, tie partitions, tie patterns and trapped residue tuples, not with the
 elements; tie patterns are the largest: 1 041 for the 6 240 elements of
@@ -228,13 +228,13 @@ def _blocks(lab: tuple) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, out))
 
 
-def _tag_errors(lab: tuple, n: int) -> dict[str, ValueError]:
-    """What each structural tag requires of canonical labels: for each tag
-    the labels break, the error that a diagram claiming it raises.  A
-    matching has no block of more than two points; a permutation pairs each
-    top point with one bottom point; a planar matching pairs all 2n points
-    by arcs that do not cross; every set partition is a partition."""
-    blocks = _blocks(lab)
+def _tag_errors(lab: tuple, blocks: tuple) -> dict[str, ValueError]:
+    """What each structural tag requires of canonical labels and their
+    blocks: for each tag they break, the error that a diagram claiming it
+    raises.  A matching has no block of more than two points; a permutation
+    pairs each top point with one bottom point; a planar matching pairs all
+    2n points by arcs that do not cross; every set partition is a partition."""
+    n = len(lab) // 2
     if max(map(len, blocks)) > 2:
         return {tag: ValueError(f"{tag} diagrams admit only blocks of size <= 2")
                 for tag in (MATCHING, PLANAR, PERMUTATION)}
@@ -261,18 +261,20 @@ def _tag_errors(lab: tuple, n: int) -> dict[str, ValueError]:
     return errors
 
 
-def _shape(lab: tuple) -> tuple[tuple[int, ...], int, frozenset]:
+def _shape(lab: tuple) -> tuple[tuple[int, ...], int, frozenset, tuple, tuple]:
     """Check canonical labels of 2n points: returns the labels, the block
-    count k and the set of structural tags the labels satisfy."""
+    count k, the set of structural tags the labels satisfy, the blocks and
+    the k zero beads."""
     first = list(dict.fromkeys(lab))
     k = len(first)
     if first != list(range(k)):
         raise ValueError("labels must number the blocks 0..k-1 "
                          "in the order of their least point")
-    return lab, k, _TAGS.difference(_tag_errors(lab, len(lab) // 2))
+    blocks = _blocks(lab)
+    return lab, k, _TAGS.difference(_tag_errors(lab, blocks)), blocks, (0,) * k
 
 
-# the checked label tuples: equal labels become one shared tuple
+# the checked label tuples: equal labels share one entry, and its tuples
 _SHAPES = _Memo("shapes", _shape)
 
 
@@ -306,8 +308,8 @@ def _tie_partition(ties, k: int) -> tuple[tuple, int, bytes]:
     return _TIES[canon]
 
 
-# the residues of each modulus d, as bytes
-_RESIDUES = _Memo("residues", lambda d: bytes(range(min(d, 256))))
+# the residues 0..255; _BYTES[:d] are those of d
+_BYTES = bytes(range(256))
 
 
 class BeadedDiagram:
@@ -331,12 +333,13 @@ class BeadedDiagram:
     ``beads`` and ``ties`` indexed by label.  Both check the partition and
     the structural tag, through ``_SHAPES``, once per distinct label tuple,
     and the ties, through ``_TIES``, once per distinct partition; beads are
-    checked on every call, in the labels form against the residues of d
-    (``_RESIDUES``), and stored as exact ints.  The blocks form takes
-    integers only: a point, bead or tie member of another type, or a bead
-    key that names no block or a block twice, is refused.  Both forms take
-    ``n`` and ``d``, and the labels form any labels but a tuple ``_SHAPES``
-    stored, as integers only and store them as exact ints.
+    checked on every call, in the labels form against ``_BYTES[:d]``, and
+    stored as exact ints; beadless diagrams share the zeros of their shape.
+    The blocks form takes integers only: a point, bead or tie member of
+    another type, or a bead key that names no block or a block twice, is
+    refused.  Both forms take ``n`` and ``d``, and the labels form any labels
+    but a tuple ``_SHAPES`` stored, as integers only and store them as exact
+    ints.
 
     When ties are present and d > 1, beads are pooled per tie class (stored
     on the class's least block): a tie lets beads move freely between its
@@ -361,9 +364,9 @@ class BeadedDiagram:
 
         if lab is None:
             lab, raw, order = _labels_of_blocks(n, blocks)
-            lab, k, tags = _SHAPES[lab]
+            lab, k, tags, _, zeros = shape = _SHAPES[lab]
             if beads is None:
-                beads = [0] * k
+                beads = zeros
             elif hasattr(beads, "items"):
                 beads = _residues(_bead_map(beads, raw, order), d)
             else:
@@ -389,9 +392,9 @@ class BeadedDiagram:
                 except TypeError:
                     raise ValueError("labels must be integers") from None
                 shape = _SHAPES[lab]
-            lab, k, tags = shape
+            lab, k, tags, _, zeros = shape
             if beads is None:
-                beads = (0,) * k
+                beads = zeros
             else:
                 if type(beads) is not list:
                     beads = tuple(beads)
@@ -400,7 +403,7 @@ class BeadedDiagram:
                     # residues of d strip away to nothing; the bytes read
                     # back as exact ints
                     raw = bytes(beads)
-                    reduced = not raw.lstrip(_RESIDUES[d])
+                    reduced = not raw.lstrip(_BYTES[:d])
                 except (TypeError, ValueError):
                     reduced = False
                 beads = raw if reduced else _residues(beads, d)
@@ -422,7 +425,7 @@ class BeadedDiagram:
                 raise ValueError("the beads of a tie class must sit on its least block")
 
         if family_tag not in tags:
-            raise _tag_errors(lab, n)[family_tag]
+            raise _tag_errors(lab, shape[3])[family_tag]
         self.n = n
         self.d = d
         self.lab = lab
@@ -453,7 +456,7 @@ class BeadedDiagram:
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The blocks, each a sorted tuple of points, sorted by their minimum."""
-        return _blocks(self.lab)
+        return _SHAPES[self.lab][3]
 
     @property
     def tied(self) -> bool:
@@ -471,7 +474,7 @@ def _template(lab: tuple) -> str:
     n = len(lab) // 2
     # points t1..tn, then b1..bn
     parts = ",".join(["{%s}:%%d" % ",".join([f"t{p}" if p <= n else f"b{p - n}" for p in blk])
-                      for blk in _blocks(lab)])
+                      for blk in _SHAPES[lab][3]])
     return f"n=%s;d=%s;blocks=[{parts}]"
 
 
@@ -596,6 +599,10 @@ def generator(sym: GenSymbol, n: int, d: int,
         key = sym, index(n), index(d), tied, tag
     except TypeError:
         raise ValueError("n and d must be integers") from None
+    try:  # a float index equals an int one, so read all before the lookup
+        index(sym.i), index(sym.j), index(sym.exp)
+    except TypeError:
+        raise ValueError("generator indices and exponents must be integers") from None
     return _GENERATORS[key]
 
 
@@ -670,17 +677,12 @@ def _skeleton(alab: tuple, blab: tuple) -> tuple:
     number: dict[int, int] = {}
     lab = [number.setdefault(root[x], len(number)) for x in alab[:n]]
     lab += [number.setdefault(root[ka + y], len(number)) for y in blab[n:]]
-    lab = _SHAPES[tuple(lab)][0]
-    k = len(number)
+    lab, k, _, blocks, _ = _SHAPES[tuple(lab)]
     for x, r in enumerate(root):
         if x == r:
             number.setdefault(r, len(number))
     comp = list(map(number.__getitem__, root))
-
-    size = [0] * k
-    for v in lab:
-        size[v] += 1
-    free = tuple(v for v in range(k) if size[v] == 1)
+    free = tuple(v for v, blk in enumerate(blocks) if len(blk) == 1)
     return lab, bytes(comp) if len(comp) <= 256 else tuple(comp), k, len(number) - k, free
 
 

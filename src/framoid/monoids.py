@@ -559,7 +559,7 @@ class MonoidFamily:
 
 
 def family(name: str, n: int, d: int = 1) -> MonoidFamily:
-    return MonoidFamily(name.lower(), n, d)
+    return MonoidFamily(name.lower() if isinstance(name, str) else name, n, d)
 
 
 def generating_symbols(fam: MonoidFamily) -> tuple[GenSymbol, ...]:

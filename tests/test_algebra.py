@@ -620,3 +620,26 @@ def test_builder_path_refusals_keep_their_message(build, error, message):
     with pytest.raises(error) as err:
         build()
     assert str(err.value) == message
+
+
+_JDN = "jdn(d=2,n=3)"
+_ID3 = "{t1,b1}:0,{t2,b2}:0,{t3,b3}:0"
+
+
+@pytest.mark.parametrize("term,message", [
+    ("foo", f"term 'foo' is not a diagram of {_JDN}"),
+    (identity(4, 2), "term BeadedDiagram('n=4;d=2;blocks=[%s,{t4,b4}:0]') "
+                     "is not a diagram of %s" % (_ID3, _JDN)),
+    (identity(3, 3), f"term BeadedDiagram('n=3;d=3;blocks=[{_ID3}]') is not a diagram of {_JDN}"),
+    (identity(3, 2, tied=True), f"term BeadedDiagram('n=3;d=2;blocks=[{_ID3}];ties=[[0],[1],[2]]')"
+                                f" is not a diagram of {_JDN}"),
+], ids=["not-a-diagram", "other-n", "other-d", "tied"])
+def test_a_term_of_another_algebra_is_refused(term, message):
+    fam = family("jdn", 3, 2)
+    for build in (lambda: AlgebraElement(fam, ALPHA, {term: 1}),
+                  lambda: from_diagram(term, fam, ALPHA)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+    # a term of the family itself is taken
+    assert from_diagram(identity(3, 2), fam, ALPHA) == AlgebraElement(fam, ALPHA, {identity(3, 2): 1})

@@ -342,6 +342,18 @@ class TestCanonical:
         (3, [3, 2], (0, 2)),
         (1, [0, 1], (0, 0)),
         (300, [255, 299], (255, 299)),
+        # both sides of the strip against the first d bytes of the table
+        (1, [True, 255], (0, 0)),
+        (1, [256, -1], (0, 0)),
+        (255, [254, 255], (254, 0)),
+        (255, [256, -1], (1, 254)),
+        (255, [True, 0], (1, 0)),
+        (256, [255, 256], (255, 0)),
+        (256, [-1, True], (255, 1)),
+        (257, [256, 255], (256, 255)),
+        (257, [-1, True], (256, 1)),
+        (300, [299, 256], (299, 256)),
+        (300, [-1, True], (299, 1)),
     ])
     def test_label_form_reduces_beads_as_the_block_form(self, d, beads, want):
         by_labels = BeadedDiagram(2, d, beads=beads, lab=(0, 1, 0, 1))
@@ -930,6 +942,47 @@ def test_tied_products_with_more_than_256_blocks(n):
             _assert_same_product(a, b, drop_rook)
 
 
+def _blocks_reference(lab):
+    """The blocks of canonical labels, read by grouping the points label by
+    label."""
+    groups = {}
+    for p, x in enumerate(lab, 1):
+        groups.setdefault(x, []).append(p)
+    return tuple(tuple(groups[x]) for x in sorted(groups))
+
+
+def test_blocks_match_the_reference_before_and_after_clearing():
+    """``blocks`` is read off the ``shapes`` entry, which also gives
+    ``encode()`` its template and a product its free points: every element
+    of the grid closures with n <= 4, every generator with n <= 5, and wide
+    diagrams of 64 to 300 strands with their products, from warm memos and
+    from cleared ones."""
+    xs = [x for fam in default_grid() if fam.n <= 4 for x in closure(fam)]
+    xs += [generator(sym, n, 1) for n in range(1, 6)
+           for kind in [*_KINDS, "e*"] for sym in kind_symbols(kind, n)]
+    for n in (64, 129, 300):
+        wide = BeadedDiagram(n, 3, beads=[1] * n, lab=tuple(range(n)) * 2)
+        ties = [[0, 1, n - 1]] + [[b] for b in range(2, n - 1)]
+        tied = BeadedDiagram(n, 3, ties=ties, lab=tuple(range(n)) * 2)
+        xs += [wide, tied, compose(wide, generator(GenSymbol("r", 2), n, 3))[0],
+               compose(tied, generator(GenSymbol("q", 2), n, 3), True)[0]]
+    for _ in range(2):
+        for x in xs:
+            assert x.blocks == _blocks_reference(x.lab), x
+            assert x.blocks is _SHAPES[x.lab][3]
+        _clear_memos()
+
+
+def test_beadless_diagrams_share_one_zero_tuple():
+    for n, d in ((1, 1), (3, 2), (5, 3), (300, 3)):
+        e = identity(n, d)
+        assert e.beads == (0,) * n and e.beads is identity(n, d).beads
+        assert identity(n, 1).beads is identity(n, d, tied=True).beads is e.beads
+        by_labels = BeadedDiagram(n, d, beads=None, lab=list(range(n)) * 2)
+        by_blocks = BeadedDiagram(n, d, [(m, n + m) for m in range(1, n + 1)])
+        assert by_labels.beads is by_blocks.beads is e.beads
+
+
 # -- differential gate: the union-find of plans and tie joins ------------------
 #
 # skeleton_reference and tie_join_reference are _skeleton and _tie_join as
@@ -1358,7 +1411,16 @@ def _outcome(call):
     (lambda: BeadedDiagram(2, 1, lab=(0.0, 1.0, 0.0, 1.0)),
      lambda: BeadedDiagram(2, 1, lab=(0, 1, 0, 1)),
      (ValueError, "labels must be integers")),
-], ids=["generator-d", "generator-n", "labels"])
+    (lambda: generator(GenSymbol("t", 1.0), 3, 1),
+     lambda: generator(GenSymbol("t", 1), 3, 1),
+     (ValueError, "generator indices and exponents must be integers")),
+    (lambda: generator(GenSymbol("o", 1, 0, 1.5), 3, 2),
+     lambda: generator(GenSymbol("o", 1, 0, 1), 3, 2),
+     (ValueError, "generator indices and exponents must be integers")),
+    (lambda: generator(GenSymbol("e", 1, 2.0), 3, 1),
+     lambda: generator(GenSymbol("e", 1, 2), 3, 1),
+     (ValueError, "generator indices and exponents must be integers")),
+], ids=["generator-d", "generator-n", "labels", "generator-i", "generator-exp", "generator-j"])
 def test_non_integers_are_refused_cold_and_warm(call, warm_up, refusal):
     """A float equal to an integer is refused alike whether or not the memos
     hold the answer for that integer."""

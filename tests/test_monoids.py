@@ -19,6 +19,7 @@ from framoid.monoids import (
     _CLOSURES,
     FAMILIES,
     FAMILY_NAMES,
+    MonoidFamily,
     RelationSchema,
     bell,
     binomial,
@@ -322,6 +323,16 @@ def test_invalid_family_parameters():
 def test_family_refuses_non_integral_parameters(name, n, d):
     with pytest.raises(ValueError, match="n and d must be integers"):
         family(name, n, d)
+
+
+@pytest.mark.parametrize("name", [3, None, ("jn",)])
+def test_family_refuses_a_name_that_is_not_a_string(name):
+    messages = []
+    for build in (family, MonoidFamily):
+        with pytest.raises(ValueError) as err:
+            build(name, 3, 2)
+        messages.append(str(err.value))
+    assert messages == [f"unknown family {name!r}"] * 2
 
 
 def test_family_parameters_are_stored_as_ints():
