@@ -58,6 +58,14 @@ _cap = _at_least(0, "a non-negative integer")
 _count = _at_least(1, "a positive integer")
 
 
+def _seed(text: str) -> int:
+    """What ``int`` reads (``010`` is ten), or a prefixed integer (``0xF4A317``)."""
+    try:
+        return int(text)
+    except ValueError:
+        return int(text, 0)
+
+
 def _n_range(text: str) -> list[int]:
     """The strand counts of an ``--n`` value: ``n`` or a range ``a..b``."""
     lo, sep, hi = text.partition("..")
@@ -128,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="bridge target (default: all)")
     pv.add_argument("--d", type=_count, default=argparse.SUPPRESS)
     pv.add_argument("--n", type=_count, default=argparse.SUPPRESS)
-    pv.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    pv.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
                     help=f"default 0x{DEFAULT_SEED:X}")
     pv.add_argument("--cap", type=_cap, default=argparse.SUPPRESS)
     return parser

@@ -20,9 +20,8 @@ import logging
 import math
 import operator
 import time
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from typing import Callable, Iterable, Optional
+from functools import reduce
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .diagrams import (
     PERMUTATION,
@@ -93,8 +92,7 @@ Word = tuple[GenSymbol, ...]
 Instance = tuple[Word, ...]  # two or more words asserted pairwise equal
 
 
-@dataclass(frozen=True)
-class RelationSchema:
+class RelationSchema(NamedTuple):
     """One relation template; ``instances(d, n)`` yields tuples of equal words."""
 
     name: str
@@ -403,9 +401,43 @@ _TIED_ROOK_PRIME = (
 
 # -- family registry ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """The registry entry of one family, for every (d, n)."""
+class _Frozen:
+    """A frozen slots record: equal to its own class only, hashed, shown and
+    pickled by its ``_fields``; ``__init__`` fills the slots through ``_puts``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = property(operator.attrgetter(*cls._fields))
+        cls._puts = tuple(getattr(cls, slot).__set__ for slot in cls.__slots__)
+
+    def __eq__(self, other):
+        return (other is self or self._values == other._values
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values)))
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class FamilySpec(_Frozen):
+    """The registry entry of one family, for every (d, n), and the three facts
+    its generator kinds give: ``tied``, ``tag`` and ``framed``."""
+
+    __slots__ = ("drop_rook", "generators", "count", "schemas", "normal_form",
+                 "associative", "tied", "tag", "framed")
+    _fields = __slots__[:6]
 
     drop_rook: bool                           # broken arcs shed beads and ties
     generators: tuple[str, ...]               # generator kinds, see kind_symbols
@@ -413,24 +445,16 @@ class FamilySpec:
     schemas: tuple[RelationSchema, ...]       # the presentation, in report order
     # entries call their normal form through this module's global name, so a
     # rebinding of that name (as perfbench's tracer does) takes effect
-    normal_form: Optional[Callable[[BeadedDiagram], NormalFormWord]] = None
-    associative: bool = True
+    normal_form: Optional[Callable[[BeadedDiagram], NormalFormWord]]
+    associative: bool
 
-    @cached_property
-    def tied(self) -> bool:
-        """Whether the elements carry ties: some generator kind ties."""
-        return any(_KINDS[kind[0]].unties is not None for kind in self.generators)
-
-    @cached_property
-    def tag(self) -> str:
-        """The join of the generator kinds' structural tags."""
-        tags = {_KINDS[kind[0]].tag for kind in self.generators} - {None}
-        return reduce(_tag_join, tags or {PERMUTATION})
-
-    @cached_property
-    def framed(self) -> bool:
-        """Whether the family admits d > 1: it has bead generators."""
-        return "o" in self.generators
+    def __init__(self, drop_rook, generators, count, schemas, normal_form=None, associative=True):
+        kinds = [_KINDS[kind[0]] for kind in generators]
+        tied = any(kind.unties is not None for kind in kinds)
+        tag = reduce(_tag_join, {kind.tag for kind in kinds} - {None} or {PERMUTATION})
+        for put, value in zip(self._puts, (drop_rook, generators, count, schemas, normal_form,
+                                           associative, tied, tag, "o" in generators)):
+            put(self, value)
 
 
 FAMILIES: dict[str, FamilySpec] = {
@@ -515,42 +539,32 @@ FAMILIES: dict[str, FamilySpec] = {
 FAMILY_NAMES = tuple(FAMILIES)
 
 
-@dataclass(frozen=True)
-class MonoidFamily:
-    """A named diagram monoid at fixed parameters (d, n)."""
+class MonoidFamily(_Frozen):
+    """A named diagram monoid at fixed parameters (d, n), and its ``spec``'s facts."""
 
-    name: str
-    n: int
-    d: int = 1
+    __slots__ = ("name", "n", "d", "spec", "tied", "tag", "drop_rook")
+    _fields = __slots__[:3]
 
-    def __post_init__(self):
-        if self.name not in FAMILIES:
-            raise ValueError(f"unknown family {self.name!r}")
+    def __init__(self, name: str, n: int, d: int = 1):
+        spec = FAMILIES.get(name)
+        if spec is None:
+            raise ValueError(f"unknown family {name!r}")
         try:
-            object.__setattr__(self, "n", operator.index(self.n))
-            object.__setattr__(self, "d", operator.index(self.d))
+            n, d = operator.index(n), operator.index(d)
         except TypeError:
             raise ValueError("n and d must be integers") from None
-        if self.n < 1 or self.d < 1:
+        if n < 1 or d < 1:
             raise ValueError("need n >= 1 and d >= 1")
-        if not self.spec.framed and self.d != 1:
-            raise ValueError(f"family {self.name} has no framing parameter")
-
-    @property
-    def spec(self) -> FamilySpec:
-        return FAMILIES[self.name]
-
-    @property
-    def tied(self) -> bool:
-        return self.spec.tied
-
-    @property
-    def tag(self) -> str:
-        return self.spec.tag
-
-    @property
-    def drop_rook(self) -> bool:
-        return self.spec.drop_rook
+        if not spec.framed and d != 1:
+            raise ValueError(f"family {name} has no framing parameter")
+        put = self._puts   # one call a slot: a loop over zip makes family() a third slower
+        put[0](self, name)
+        put[1](self, n)
+        put[2](self, d)
+        put[3](self, spec)
+        put[4](self, spec.tied)
+        put[5](self, spec.tag)
+        put[6](self, spec.drop_rook)
 
     def __str__(self):
         if self.spec.framed:
@@ -640,17 +654,23 @@ def predicted_cardinality(fam: MonoidFamily) -> int:
 
 # -- relation checks --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SchemaResult:
+class SchemaResult(NamedTuple):
     name: str
     display: str
     checked: int
     failures: tuple[str, ...]
-    ms: float = field(default=0.0, compare=False)   # time to check every instance
+    ms: float = 0.0   # time to check every instance; not compared or hashed
+
+    def __eq__(self, other):   # never equal to a plain tuple
+        return other.__class__ is self.__class__ and self[:4] == other[:4]
+
+    __ne__ = object.__ne__   # tuple's own would compare ms
+
+    def __hash__(self):
+        return hash(self[:4])
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     family: MonoidFamily
     entries: tuple[SchemaResult, ...]
 

@@ -24,8 +24,7 @@ beads on free points in its ``"first"`` variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .diagrams import (
     PLANAR,
@@ -120,13 +119,12 @@ def _beads(pairs) -> list[GenSymbol]:
     return [GenSymbol("o", a, 0, k) for a, k in pairs if k]
 
 
-class _Word:
-    def text(self) -> str:
-        return render_word(self.tokens())
+def _text(word) -> str:
+    """The ``text`` of every normal form word: its tokens as one string."""
+    return render_word(word.tokens())
 
 
-@dataclass(frozen=True)
-class JonesWord(_Word):
+class JonesWord(NamedTuple):
     """Bead exponents around the unique staircase tangle word."""
 
     n: int
@@ -142,9 +140,10 @@ class JonesWord(_Word):
             syms += [GenSymbol("t", m) for m in range(i, j - 1, -1)]
         return tuple(syms + _beads(self.bottom_beads))
 
+    text = _text
 
-@dataclass(frozen=True)
-class BrauerWord(_Word):
+
+class BrauerWord(NamedTuple):
     n: int
     d: int
     top_beads: tuple[tuple[int, int], ...]
@@ -160,9 +159,10 @@ class BrauerWord(_Word):
                      + [GenSymbol("s", i) for i in self.right_word]
                      + _beads(self.bottom_beads))
 
+    text = _text
 
-@dataclass(frozen=True)
-class RookWord(_Word):
+
+class RookWord(NamedTuple):
     n: int
     d: int
     variant: str                 # "first" or "prime"
@@ -176,6 +176,8 @@ class RookWord(_Word):
                      + [GenSymbol("r", i) for i in self.broken]
                      + [GenSymbol("s", i) for i in self.perm_word]
                      + _beads(self.bottom_beads))
+
+    text = _text
 
 
 NormalFormWord = JonesWord | BrauerWord | RookWord

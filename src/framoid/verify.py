@@ -18,10 +18,9 @@ import operator
 import random
 import re
 import time
-from dataclasses import dataclass, field
 from functools import cache, partial, reduce
 from itertools import combinations, combinations_with_replacement, groupby, product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .diagrams import _KINDS, CapExceeded, parse_word
 from .monoids import (
@@ -60,8 +59,7 @@ DEFAULT_SEED = 0xF4A317
 EXPECT_FAIL = "expect-fail:"
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
+class SuiteEntry(NamedTuple):
     suite: str
     family: str
     d: int
@@ -77,10 +75,18 @@ class SuiteEntry:
         return self.status == wanted
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    entries: list[SuiteEntry] = field(default_factory=list)
+    """The entries of one suite, in order: mutable, so unhashable."""
+
+    def __init__(self, name: str, entries: Optional[list[SuiteEntry]] = None):
+        self.name, self.entries = name, [] if entries is None else entries
+
+    def __eq__(self, other):
+        return ((self.name, self.entries) == (other.name, other.entries)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __repr__(self):
+        return f"SuiteReport(name={self.name!r}, entries={self.entries!r})"
 
     @property
     def passed(self) -> bool:

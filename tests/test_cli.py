@@ -9,6 +9,7 @@ import pytest
 
 from framoid.cli import main
 from framoid.monoids import _CLOSURES, FAMILY_NAMES, closure, family
+from framoid.verify import DEFAULT_SEED
 
 
 def run(capsys, *argv):
@@ -231,6 +232,35 @@ def test_negative_cap_names_the_flag(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --cap" in captured.err
+
+
+@pytest.mark.parametrize("text, seed", [
+    ("0xF4A317", 0xF4A317), ("16032535", 0xF4A317), ("010", 10), ("0o17", 15),
+    ("0b101", 5), ("+0x10", 16), ("-5", -5), ("1_000", 1000), (" 7 ", 7),
+])
+def test_seed_takes_what_int_reads_and_prefixed_integers(text, seed):
+    from framoid.cli import _build_parser
+
+    args = _build_parser().parse_args(["verify", "--suite", "hom", "--seed", text])
+    assert args.seed == seed
+
+
+def test_seed_help_names_a_value_the_flag_takes(capsys):
+    from framoid.cli import _build_parser
+
+    assert main(["verify", "--help"]) == 0
+    default = re.search(r"--seed SEED\s+default (\S+)", capsys.readouterr().out)[1]
+    assert default == "0xF4A317"
+    args = _build_parser().parse_args(["verify", "--suite", "hom", "--seed", default])
+    assert args.seed == DEFAULT_SEED
+
+
+@pytest.mark.parametrize("value", ["0x", "12x", "", "0x1.8", "010x"])
+def test_malformed_seed_names_the_flag(capsys, value):
+    assert main(["verify", "--suite", "hom", "--seed", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed" in captured.err
 
 
 @pytest.mark.parametrize("command", ["eval-word", "normal-form"])

@@ -26,6 +26,7 @@ from framoid.monoids import (
     catalan,
     check_relations,
     closure,
+    default_grid,
     family,
     fuss_catalan_41,
     generating_set,
@@ -340,3 +341,19 @@ def test_family_parameters_are_stored_as_ints():
     assert str(fam) == "jn(n=1)" and type(fam.n) is int
     assert fam == family("jn", 1) and hash(fam) == hash(family("jn", 1))
     assert family("cdn", 2, True) == family("cdn", 2, 1)
+
+
+def test_a_family_stores_its_registry_entry_and_its_facts():
+    for fam in default_grid():
+        spec = FAMILIES[fam.name]
+        assert fam.spec is spec
+        assert (fam.tied, fam.tag, fam.drop_rook) == (spec.tied, spec.tag, spec.drop_rook)
+    assert [name for name, spec in FAMILIES.items() if spec.tied] == [
+        "pn", "pdn", "tsn", "tjn", "tbrn", "trn", "trprimen"]
+    assert [name for name, spec in FAMILIES.items() if spec.framed] == [
+        "cdn", "sdn", "pdn", "jdn", "brdn", "rdn", "rprimedn"]
+    assert {name: spec.tag for name, spec in FAMILIES.items()} == {
+        **dict.fromkeys(("cdn", "sdn", "pn", "pdn", "tsn"), PERMUTATION),
+        **dict.fromkeys(("jn", "jdn", "tjn"), PLANAR),
+        **dict.fromkeys(("brn", "brdn", "rn", "rdn", "rprimedn", "tbrn", "trn", "trprimen"),
+                        MATCHING)}
