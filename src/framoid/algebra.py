@@ -337,10 +337,9 @@ class AlgebraElement:
         fam, policy = self.fam, self.policy
         if isinstance(other, AlgebraElement):
             self._check_compatible(other)
-            spec = fam.spec
-            if not spec.associative:
+            if not fam.spec.associative:
                 raise ValueError(f"products in {fam.name} are not associative")
-            d, drop = fam.d, spec.drop_rook
+            d, drop = fam.d, fam.drop_rook
             right = other.terms.items()
             products = []
             for da, ca in self.terms.items():

@@ -137,7 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--d", type=_count, default=argparse.SUPPRESS)
     pv.add_argument("--n", type=_count, default=argparse.SUPPRESS)
     pv.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
-                    help=f"default 0x{DEFAULT_SEED:X}")
+                    help=f"default 0x{DEFAULT_SEED:X} (write a negative prefixed seed as "
+                    "--seed=-0x10; a negative seed draws as its absolute value)")
     pv.add_argument("--cap", type=_cap, default=argparse.SUPPRESS)
     return parser
 

@@ -4,9 +4,11 @@ Each of the sixteen families of beaded/tied diagram monoids is one
 :class:`FamilySpec` entry in ``FAMILIES``: whether broken arcs shed beads and
 ties on composition (the rook-style singleton policy), its generator kinds,
 its count formula, the relation schemas of its presentation, its normal form
-and whether it associates.  Its structural tag, ties and framing follow from
-its generator kinds, and the relation schemas are built over the generators
-that ``kind_symbols`` lists.
+and whether it associates.  Its structural tag, ties and framing are three
+properties read off its generator kinds, and the relation schemas are built
+over the generators that ``kind_symbols`` lists.  ``FamilySpec`` is a
+``NamedTuple`` like the module's other records; :class:`MonoidFamily`, a
+family at fixed (d, n), is the one frozen class written out.
 ``closure`` enumerates a family breadth-first from its generators;
 ``predicted_cardinality`` gives the exact count by formula;
 ``check_relations`` instantiates every defining relation of the family's
@@ -401,60 +403,34 @@ _TIED_ROOK_PRIME = (
 
 # -- family registry ------------------------------------------------------------
 
-class _Frozen:
-    """A frozen slots record: equal to its own class only, hashed, shown and
-    pickled by its ``_fields``; ``__init__`` fills the slots through ``_puts``."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls._values = property(operator.attrgetter(*cls._fields))
-        cls._puts = tuple(getattr(cls, slot).__set__ for slot in cls.__slots__)
-
-    def __eq__(self, other):
-        return (other is self or self._values == other._values
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self):
-        return hash(self._values)
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(
-            f"{name}={value!r}" for name, value in zip(self._fields, self._values)))
-
-    def __reduce__(self):
-        return type(self), self._values
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-
-class FamilySpec(_Frozen):
+class FamilySpec(NamedTuple):
     """The registry entry of one family, for every (d, n), and the three facts
     its generator kinds give: ``tied``, ``tag`` and ``framed``."""
 
-    __slots__ = ("drop_rook", "generators", "count", "schemas", "normal_form",
-                 "associative", "tied", "tag", "framed")
-    _fields = __slots__[:6]
-
     drop_rook: bool                           # broken arcs shed beads and ties
     generators: tuple[str, ...]               # generator kinds, see kind_symbols
-    count: Callable[[int, int], int]          # (d, n) -> element count
+    count: Callable[[int, int], int]          # (d, n) -> element count; shadows tuple.count
     schemas: tuple[RelationSchema, ...]       # the presentation, in report order
     # entries call their normal form through this module's global name, so a
     # rebinding of that name (as perfbench's tracer does) takes effect
-    normal_form: Optional[Callable[[BeadedDiagram], NormalFormWord]]
-    associative: bool
+    normal_form: Optional[Callable[[BeadedDiagram], NormalFormWord]] = None
+    associative: bool = True
 
-    def __init__(self, drop_rook, generators, count, schemas, normal_form=None, associative=True):
-        kinds = [_KINDS[kind[0]] for kind in generators]
-        tied = any(kind.unties is not None for kind in kinds)
-        tag = reduce(_tag_join, {kind.tag for kind in kinds} - {None} or {PERMUTATION})
-        for put, value in zip(self._puts, (drop_rook, generators, count, schemas, normal_form,
-                                           associative, tied, tag, "o" in generators)):
-            put(self, value)
+    @property
+    def tied(self) -> bool:
+        """Some generator kind ties points."""
+        return any(_KINDS[kind[0]].unties is not None for kind in self.generators)
+
+    @property
+    def tag(self) -> str:
+        """The join of the generator kinds' tags; permutation for beads and ties alone."""
+        tags = {_KINDS[kind[0]].tag for kind in self.generators} - {None}
+        return reduce(_tag_join, tags or {PERMUTATION})
+
+    @property
+    def framed(self) -> bool:
+        """The family has the bead kind ``o``, so a framing parameter d."""
+        return "o" in self.generators
 
 
 FAMILIES: dict[str, FamilySpec] = {
@@ -539,11 +515,12 @@ FAMILIES: dict[str, FamilySpec] = {
 FAMILY_NAMES = tuple(FAMILIES)
 
 
-class MonoidFamily(_Frozen):
-    """A named diagram monoid at fixed parameters (d, n), and its ``spec``'s facts."""
+class MonoidFamily:
+    """A named diagram monoid at fixed parameters (d, n): frozen, equal to its own
+    class only, and hashed, shown and pickled by ``(name, n, d)``.  It stores its
+    ``spec`` and the facts every product reads: ``tied``, ``tag`` and ``drop_rook``."""
 
     __slots__ = ("name", "n", "d", "spec", "tied", "tag", "drop_rook")
-    _fields = __slots__[:3]
 
     def __init__(self, name: str, n: int, d: int = 1):
         spec = FAMILIES.get(name)
@@ -557,14 +534,29 @@ class MonoidFamily(_Frozen):
             raise ValueError("need n >= 1 and d >= 1")
         if not spec.framed and d != 1:
             raise ValueError(f"family {name} has no framing parameter")
-        put = self._puts   # one call a slot: a loop over zip makes family() a third slower
-        put[0](self, name)
-        put[1](self, n)
-        put[2](self, d)
-        put[3](self, spec)
-        put[4](self, spec.tied)
-        put[5](self, spec.tag)
-        put[6](self, spec.drop_rook)
+        for slot, value in zip(self.__slots__, (name, n, d, spec, spec.tied, spec.tag,
+                                                spec.drop_rook)):
+            object.__setattr__(self, slot, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or (self.name, self.n, self.d) == (other.name, other.n, other.d)
+
+    def __hash__(self):
+        return hash((self.name, self.n, self.d))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(name={self.name!r}, n={self.n!r}, d={self.d!r})"
+
+    def __reduce__(self):
+        return type(self), (self.name, self.n, self.d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __str__(self):
         if self.spec.framed:

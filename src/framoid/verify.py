@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 from .diagrams import _KINDS, CapExceeded, parse_word
 from .monoids import (
     DEFAULT_CAP,
+    FAMILIES,
     MonoidFamily,
     _swap,
     check_relations,
@@ -495,16 +496,16 @@ def _tied_rows(n, kinds, params, rows_i, rows_j):
     yield from _around(n, rows_i, (), rows_j)
 
 
-# (family, kinds whose far pairs commute, specialized parameters, rows over i,
-# rows over adjacent j); braids specialize to crossings at a = q = 1, and
-# their inverses are the crossings
+# (family; its generator kinds, read from the registry, whose far pairs
+# commute; specialized parameters; rows over i; rows over adjacent j); braids
+# specialize to crossings at a = q = 1, and their inverses are the crossings
 _TIED_FAMILY = (
-    ("tjn", ("t", "e", "f"), "(x=y=1)",
+    ("tjn", FAMILIES["tjn"].generators, "(x=y=1)",
      (_T_SQUARE, _E_SQUARE, ("f_{i}^2 = y f_{i} -> f_{i}", "f{i} f{i}", "f{i}"),
       _T_E, _F_E, ("f_{i} t_{i} = y t_{i} -> t_{i}", "f{i} t{i}", "t{i}")),
      (("e_{i} e_{j} = e_{j} e_{i}", "e{i} e{j}", "e{j} e{i}"), _T_T_T, _T_E_T,
       ("f_{i} e_{j} = e_{j} f_{i}", "f{i} e{j}", "e{j} f{i}"), _F_E_ADJ)),
-    ("tbrn", ("s", "t", "e", "f"), "(a=q=x=1)",
+    ("tbrn", FAMILIES["tbrn"].generators, "(a=q=x=1)",
      (_T_SQUARE, _T_E, _F_E,
       ("g_{i} t_{i} = a^-1 t_{i} -> s_{i} t_{i} = t_{i}", "s{i} t{i}", "t{i}"),
       ("f_{i} g_{i} = a^-1 f_{i} -> f_{i} s_{i} = f_{i}", "f{i} s{i}", "f{i}"),
@@ -519,7 +520,7 @@ _TIED_FAMILY = (
       ("g_{i} f_{j} g_{i} = g_{j}^-1 f_{i} g_{j}^-1", "s{i} f{j} s{i}", "s{j} f{i} s{j}"),
       ("g_{i} t_{j} t_{i} = g_{j}^-1 t_{i}", "s{i} t{j} t{i}", "s{j} t{i}"),
       ("t_{i} t_{j} g_{i} = t_{i} g_{j}^-1", "t{i} t{j} s{i}", "t{i} s{j}"))),
-    ("tsn", ("s", "e"), "(v=1)",
+    ("tsn", FAMILIES["tsn"].generators, "(v=1)",
      (_E_SQUARE, ("g_{i}^2 = 1 + (v-v^-1) e_{i} g_{i} -> s_{i}^2 = 1", "s{i} s{i}", "")),
      _BRAIDS_AND_TIES),
 )

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import random
 import re
 from pathlib import Path
 
@@ -253,6 +254,19 @@ def test_seed_help_names_a_value_the_flag_takes(capsys):
     assert default == "0xF4A317"
     args = _build_parser().parse_args(["verify", "--suite", "hom", "--seed", default])
     assert args.seed == DEFAULT_SEED
+
+
+def test_a_negative_prefixed_seed_is_written_with_an_equals_sign(capsys):
+    from framoid.cli import _build_parser
+
+    args = _build_parser().parse_args(["verify", "--suite", "hom", "--seed=-0x10"])
+    assert args.seed == -16
+    # random.Random seeds from abs(seed), as the --seed help says
+    assert random.Random(-16).random() == random.Random(16).random()
+    assert main(["verify", "--suite", "hom", "--seed", "-0x10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed" in captured.err
 
 
 @pytest.mark.parametrize("value", ["0x", "12x", "", "0x1.8", "010x"])

@@ -79,6 +79,8 @@ def test_record_repr_equality_hash_and_immutability(cls, names, values, other, t
     for name in names:
         with pytest.raises(AttributeError):
             setattr(x, name, getattr(x, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
     assert repr(x) == text
 
 
@@ -89,6 +91,15 @@ def test_normal_forms_give_the_pinned_words():
     assert (jones, brauer, rook) == (JonesWord(*_JONES), BrauerWord(*_BRAUER), RookWord(*_ROOK))
     assert (jones.text(), brauer.text(), rook.text()) == (
         "o1 t2 t1 t3 o3^2", "o3^2 t1", "o2 r1 s2 o1")
+
+
+def test_a_family_refuses_assignment_and_deletion_by_name():
+    fam = family("jdn", 3, 2)
+    with pytest.raises(AttributeError, match="cannot assign to field 'name'"):
+        fam.name = "brdn"
+    with pytest.raises(AttributeError, match="cannot delete field 'name'"):
+        del fam.name
+    assert fam.name == "jdn"
 
 
 def test_a_family_is_not_a_tuple():
@@ -148,11 +159,14 @@ def test_family_spec_is_a_record_that_does_not_pickle():
     values = (spec.drop_rook, spec.generators, spec.count, spec.schemas, spec.normal_form,
               spec.associative)
     assert FamilySpec(*values) == spec and hash(spec) == hash(values)
+    assert tuple(spec) == values
     assert re.fullmatch(r"FamilySpec\(drop_rook=False, generators=\('t', 'o'\), "
                         r"count=<function .*>, normal_form=<function .*>, associative=True\)",
                         re.sub(r"schemas=\(.*\), (?=normal_form)", "", repr(spec)))
     with pytest.raises(AttributeError):
         spec.count = None
+    with pytest.raises(AttributeError):
+        del spec.count
     assert copy.copy(spec) == spec
     with pytest.raises((pickle.PicklingError, AttributeError)):  # its count is a lambda
         pickle.dumps(spec)
