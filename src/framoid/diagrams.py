@@ -23,12 +23,14 @@ The work splits into a shape part and a decoration part, and each part
 that repeats is memoized, keyed on a pattern that omits the element.  Every
 memo is a ``_Memo`` registered by name: :func:`memo_sizes` gives the size of
 each and :func:`clear_memos` empties them all.  ``shapes`` checks each label
-tuple once and keeps its blocks, its zero beads and the structural tags that
+tuple once, in one scan that also collects its blocks, and keeps them, its
+zero beads, the labels of its singleton blocks and the structural tags that
 ``_tag_errors``, the one statement of what each tag requires, finds
 unbroken; ``plans`` runs the union-find over the blocks of two factors
-once per pair of label tuples; ``ties`` checks each distinct tie partition once and keeps its links, the
-pairs that tie each block to the least block of its class, which every tied
-diagram carries, so a product reads its factors' links without a lookup.
+once per pair of label tuples and reads the result's free points from
+``shapes``; ``ties`` checks each distinct tie partition once and keeps its
+links, the pairs that tie each block to the least block of its class, which
+every tied diagram carries, so a product reads them without a lookup.
 ``joins`` maps a product's tie pattern (its block count k, the free points a
 drop-rook product unties, and the pairs of components that the links of both
 factors join) to the product's tie partition, canonical as the union-find of
@@ -219,32 +221,23 @@ def _pool_beads(beads: list[int], links, d: int) -> None:
             beads[other] = 0
 
 
-def _blocks(lab: tuple) -> tuple[tuple[int, ...], ...]:
-    """The blocks of canonical labels, each the ascending tuple of its
-    points, in label order."""
-    out: list[list[int]] = [[] for _ in range(max(lab) + 1)]
-    for p, x in enumerate(lab, 1):
-        out[x].append(p)
-    return tuple(map(tuple, out))
-
-
-def _tag_errors(lab: tuple, blocks: tuple) -> dict[str, ValueError]:
+def _tag_errors(lab: tuple, blocks: tuple) -> dict[str, tuple[type, str]]:
     """What each structural tag requires of canonical labels and their
-    blocks: for each tag they break, the error that a diagram claiming it
-    raises.  A matching has no block of more than two points; a permutation
-    pairs each top point with one bottom point; a planar matching pairs all
-    2n points by arcs that do not cross; every set partition is a partition."""
+    blocks: for each tag they break, the error class and message that a
+    diagram claiming it raises.  A matching has no block of more than two
+    points; a permutation pairs each top point with one bottom point; a planar
+    matching pairs all 2n points by uncrossed arcs; every partition is one."""
     n = len(lab) // 2
     if max(map(len, blocks)) > 2:
-        return {tag: ValueError(f"{tag} diagrams admit only blocks of size <= 2")
+        return {tag: (ValueError, f"{tag} diagrams admit only blocks of size <= 2")
                 for tag in (MATCHING, PLANAR, PERMUTATION)}
-    errors: dict[str, ValueError] = {}
-    # each top point opens its own block and the bottom points meet those
-    # blocks once each
-    if lab[:n] != tuple(range(n)) or sorted(lab[n:]) != list(range(n)):
-        errors[PERMUTATION] = ValueError("permutation diagrams pair one top with one bottom point")
+    errors: dict[str, tuple[type, str]] = {}
+    # each top point opens its own block, so the last one has label n - 1,
+    # and n blocks of at most two points then meet one bottom point each
+    if lab[n - 1] != n - 1 or len(blocks) != n:
+        errors[PERMUTATION] = ValueError, "permutation diagrams pair one top with one bottom point"
     if len(blocks) > n:
-        errors[PLANAR] = NotPlanar("planar matchings have no free points")
+        errors[PLANAR] = NotPlanar, "planar matchings have no free points"
         return errors
     # in the boundary order t1..tn, bn..b1 every point opens an arc or closes
     # the arc opened last; one that closes an earlier arc crosses the last
@@ -254,24 +247,31 @@ def _tag_errors(lab: tuple, blocks: tuple) -> dict[str, ValueError]:
             stack.pop()
         elif x in stack:
             a, b = sorted((x, stack[-1]))
-            errors[PLANAR] = NotPlanar(f"arcs cross: {blocks[a]} and {blocks[b]}")
+            errors[PLANAR] = NotPlanar, f"arcs cross: {blocks[a]} and {blocks[b]}"
             break
         else:
             stack.append(x)
     return errors
 
 
-def _shape(lab: tuple) -> tuple[tuple[int, ...], int, frozenset, tuple, tuple]:
+def _shape(lab: tuple) -> tuple[tuple[int, ...], int, frozenset, tuple, tuple, tuple]:
     """Check canonical labels of 2n points: returns the labels, the block
-    count k, the set of structural tags the labels satisfy, the blocks and
-    the k zero beads."""
-    first = list(dict.fromkeys(lab))
-    k = len(first)
-    if first != list(range(k)):
-        raise ValueError("labels must number the blocks 0..k-1 "
-                         "in the order of their least point")
-    blocks = _blocks(lab)
-    return lab, k, _TAGS.difference(_tag_errors(lab, blocks)), blocks, (0,) * k
+    count k, the structural tags they satisfy, the blocks (the ascending tuple
+    of points of each label), the k zero beads and the singleton labels."""
+    # one scan: each point opens the next block or joins one already open
+    blocks: list[list[int]] = []
+    for p, x in enumerate(lab, 1):
+        if x == len(blocks):
+            blocks.append([p])
+        elif 0 <= x < len(blocks):
+            blocks[x].append(p)
+        else:
+            raise ValueError("labels must number the blocks 0..k-1 "
+                             "in the order of their least point")
+    blocks = tuple(map(tuple, blocks))
+    k = len(blocks)
+    free = tuple([v for v, blk in enumerate(blocks) if len(blk) == 1])
+    return lab, k, _TAGS.difference(_tag_errors(lab, blocks)), blocks, (0,) * k, free
 
 
 # the checked label tuples: equal labels share one entry, and its tuples
@@ -279,9 +279,7 @@ _SHAPES = _Memo("shapes", _shape)
 
 
 def _tie_entry(canon: tuple) -> tuple[tuple, int, bytes]:
-    """The ``_TIES`` entry of a checked canonical tie partition."""
-    # members equal 0..k-1, so int() only makes them exact ints
-    canon = tuple([tuple(map(int, cls)) for cls in canon])
+    """The ``_TIES`` entry of a checked canonical tie partition of ints."""
     links = [x for cls in canon for b in cls[1:] for x in (cls[0], b)]
     k = sum(map(len, canon))
     return canon, k, bytes(links) if k <= 256 else tuple(links)
@@ -305,7 +303,8 @@ def _tie_partition(ties, k: int) -> tuple[tuple, int, bytes]:
         if len(members) == len(set(members)) and set(members) < set(range(k)):
             raise ValueError("ties must cover every block")
         raise ValueError("ties must partition the block indices")
-    return _TIES[canon]
+    # members equal 0..k-1, so int() only makes them exact ints
+    return _TIES[tuple([tuple(map(int, cls)) for cls in canon])]
 
 
 # the residues 0..255; _BYTES[:d] are those of d
@@ -364,7 +363,7 @@ class BeadedDiagram:
 
         if lab is None:
             lab, raw, order = _labels_of_blocks(n, blocks)
-            lab, k, tags, _, zeros = shape = _SHAPES[lab]
+            lab, k, tags, _, zeros, _ = shape = _SHAPES[lab]
             if beads is None:
                 beads = zeros
             elif hasattr(beads, "items"):
@@ -392,7 +391,7 @@ class BeadedDiagram:
                 except TypeError:
                     raise ValueError("labels must be integers") from None
                 shape = _SHAPES[lab]
-            lab, k, tags, _, zeros = shape
+            lab, k, tags, _, zeros, _ = shape
             if beads is None:
                 beads = zeros
             else:
@@ -425,7 +424,8 @@ class BeadedDiagram:
                 raise ValueError("the beads of a tie class must sit on its least block")
 
         if family_tag not in tags:
-            raise _tag_errors(lab, shape[3])[family_tag]
+            error, message = _tag_errors(lab, shape[3])[family_tag]
+            raise error(message)
         self.n = n
         self.d = d
         self.lab = lab
@@ -640,19 +640,21 @@ _GENERATORS = _Memo("generators", lambda key: _generator(*key))
 
 # -- composition -------------------------------------------------------------
 
-def _roots(size: int, pairs) -> list[int]:
-    """The root of each of 0..size-1 once each pair (x, y) is joined: a
-    union-find with path halving that hangs the root of y under that of x."""
+def _roots(size: int, xs, ys, shift: int) -> list[int]:
+    """The root of each of 0..size-1 once each x of ``xs`` is joined with
+    ``shift`` plus its y of ``ys``: a union-find with path halving that hangs
+    the root of y under that of x, then points each longer chain at its root."""
     parent = list(range(size))
-    for x, y in pairs:
+    for x, y in zip(xs, ys):
+        y += shift
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         while parent[y] != y:
             parent[y] = y = parent[parent[y]]
         parent[y] = x
-    for x in range(size):
-        while parent[x] != parent[parent[x]]:
-            parent[x] = parent[parent[x]]
+    for x, r in enumerate(parent):
+        while parent[r] != r:
+            parent[x] = r = parent[r]
     return parent
 
 
@@ -667,23 +669,24 @@ def _skeleton(alab: tuple, blab: tuple) -> tuple:
     the result's singleton blocks.
     """
     n = len(alab) // 2
-    ka = max(alab) + 1
+    ka = _SHAPES[alab][1]
+    size = ka + _SHAPES[blab][1]
     # each middle strand joins the block of a's bottom point with that of
     # b's top point
-    root = _roots(ka + max(blab) + 1, zip(alab[n:], map(ka.__add__, blab[:n])))
+    root = _roots(size, alab[n:], blab[:n], ka)
 
     # blocks numbered by their least outer point, then the loops (components
     # that reach no outer point) by their roots
-    number: dict[int, int] = {}
-    lab = [number.setdefault(root[x], len(number)) for x in alab[:n]]
-    lab += [number.setdefault(root[ka + y], len(number)) for y in blab[n:]]
-    lab, k, _, blocks, _ = _SHAPES[tuple(lab)]
-    for x, r in enumerate(root):
-        if x == r:
-            number.setdefault(r, len(number))
-    comp = list(map(number.__getitem__, root))
-    free = tuple(v for v, blk in enumerate(blocks) if len(blk) == 1)
-    return lab, bytes(comp) if len(comp) <= 256 else tuple(comp), k, len(number) - k, free
+    number = [-1] * size
+    lab = [*map(root.__getitem__, alab[:n]), *map(root[ka:].__getitem__, blab[n:])]
+    v = 0
+    for x in chain(lab, range(size)):
+        if number[x] < 0 and root[x] == x:
+            number[x] = v
+            v += 1
+    lab, k, _, _, _, free = _SHAPES[tuple(map(number.__getitem__, lab))]
+    comp = (bytes if size <= 256 else tuple)(map(number.__getitem__, root))
+    return lab, comp, k, v - k, free
 
 
 # shape products: _PLANS[a.lab, b.lab] is _skeleton(a.lab, b.lab)
@@ -700,7 +703,7 @@ def _tie_join(pattern) -> tuple[tuple, int, bytes]:
     k, nfree = pattern[0], pattern[1]
     free, links = pattern[2:2 + nfree], pattern[2 + nfree:]
     # tie classes join components, trapped ones included
-    root = _roots(max([k, *links]) + 1, zip(links[::2], links[1::2]))
+    root = _roots(max([k, *links]) + 1, links[::2], links[1::2], 0)
     # classes by least block, members ascending, each block once: canonical,
     # so unchecked; a free point leaves its class for one of its own
     groups: dict[int, list[int]] = {}

@@ -22,7 +22,6 @@ import logging
 import math
 import operator
 import time
-from functools import reduce
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .diagrams import (
@@ -424,8 +423,12 @@ class FamilySpec(NamedTuple):
     @property
     def tag(self) -> str:
         """The join of the generator kinds' tags; permutation for beads and ties alone."""
-        tags = {_KINDS[kind[0]].tag for kind in self.generators} - {None}
-        return reduce(_tag_join, tags or {PERMUTATION})
+        tag = None
+        for kind in self.generators:
+            kind_tag = _KINDS[kind[0]].tag
+            if kind_tag is not None and kind_tag != tag:
+                tag = kind_tag if tag is None else _tag_join(tag, kind_tag)
+        return tag or PERMUTATION
 
     @property
     def framed(self) -> bool:

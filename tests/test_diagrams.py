@@ -38,6 +38,7 @@ from framoid.diagrams import (
     _TAGS,
     _TIES,
     _SHAPES,
+    _roots,
     _skeleton,
     _tag_join,
     _tie_join,
@@ -48,6 +49,7 @@ from framoid.diagrams import (
 )
 from framoid.monoids import (
     _CLOSURES,
+    FAMILIES,
     FAMILY_NAMES,
     closure,
     default_grid,
@@ -481,6 +483,45 @@ def test_tie_shedding_composition_is_not_associative():
     assert left != right                          # one tie differs
     assert left.ties == ((0, 3), (1,), (2,), (4,))
     assert right.ties == ((0, 1, 3), (2,), (4,))
+
+
+def _light_failures(fam):
+    """Light's associativity test on a closure: the triples (x, a, y), with
+    x and y in the closure and a a generator, in closure x generators x
+    closure order, for which (x.a).y and x.(a.y) differ in the diagram or in
+    the merged loop records; x.a and a.y are composed once per pair."""
+    els, gens, drop = closure(fam), generating_set(fam), fam.drop_rook
+    left_of = [[compose(a, y, drop) for y in els] for a in gens]
+    failing = []
+    for x in els:
+        for a, products in zip(gens, left_of):
+            xa, r1 = compose(x, a, drop)
+            for y, (ay, r3) in zip(els, products):
+                left, r2 = compose(xa, y, drop)
+                right, r4 = compose(x, ay, drop)
+                if left != right or r1.merged(r2) != r3.merged(r4):
+                    failing.append((x, a, y))
+    return failing
+
+
+def test_lights_associativity_test_on_every_small_family():
+    """Every default_grid family with at most 80 elements: those declared
+    associative have no failing triple, which at these sizes proves the
+    product and the loop records associative, and trn(n=3) keeps its 288
+    failing triples with its first witness pinned."""
+    failing = {}
+    for fam in default_grid():
+        if fam.spec.count(fam.d, fam.n) <= 80:
+            failing[fam] = _light_failures(fam)
+    assert len(failing) == 88
+    assert {fam for fam, bad in failing.items() if bad} == {family("trn", 3)}
+    assert not FAMILIES["trn"].associative
+    bad = failing[family("trn", 3)]
+    assert len(bad) == 288
+    assert [z.encode() for z in bad[0]] == [
+        "n=3;d=1;blocks=[{t1,b1}:0,{t2,b2}:0,{t3,b3}:0];ties=[[0,1],[2]]",
+        "n=3;d=1;blocks=[{t1,b1}:0,{t2,b2}:0,{t3,b3}:0];ties=[[0],[1,2]]",
+        "n=3;d=1;blocks=[{t1,b1}:0,{t2}:0,{t3,b2}:0,{b3}:0];ties=[[0],[1],[2],[3]]"]
 
 
 @pytest.mark.parametrize("name,d,n", [("jdn", 3, 4), ("brdn", 2, 3)])
@@ -971,6 +1012,69 @@ def test_blocks_match_the_reference_before_and_after_clearing():
             assert x.blocks == _blocks_reference(x.lab), x
             assert x.blocks is _SHAPES[x.lab][3]
         _clear_memos()
+
+
+def _grid_labels():
+    """Every label tuple of the default_grid() closures, of every generator
+    with n <= 5 and of every set partition with n <= 3."""
+    labs = {x.lab for fam in default_grid() for x in closure(fam)}
+    labs |= {generator(sym, n, 1).lab for n in range(1, 6)
+             for kind in [*_KINDS, "e*"] for sym in kind_symbols(kind, n)}
+    labs |= {BeadedDiagram(n, 1, [[p + 1 for p in cls] for cls in part]).lab
+             for n in range(1, 4) for part in _set_partitions(2 * n)}
+    return sorted(labs)
+
+
+def test_shape_entry_matches_the_reference_on_every_closure_and_generator():
+    """The ``shapes`` entry that one scan of the labels builds: its block
+    count, blocks, zero beads and singleton labels (``free``) are those of
+    the reference blocks, from cold memos and from warm ones."""
+    labs = _grid_labels()
+    _clear_memos()
+    for _ in range(2):
+        for lab in labs:
+            want = _blocks_reference(lab)
+            entry = _SHAPES[lab]
+            assert entry[:2] == (lab, len(want)) and entry[3:5] == (want, (0,) * len(want))
+            assert entry[5] == tuple(v for v, blk in enumerate(want) if len(blk) == 1), lab
+
+
+@pytest.mark.parametrize("lab", [
+    (0, 2, 1, 0),       # a skipped number
+    (0, 1, -1, 0),      # a negative label
+    (-1, 0, -1, 0),     # a negative label first
+    (1, 0, 1, 0),       # labels starting at 1
+    (1, 1, 2, 2),       # labels starting at 1, in order
+])
+def test_non_canonical_labels_raise_cold_and_warm(lab):
+    """The message of the parent's check, with nothing stored, before and
+    after the memos hold the canonical labels of a diagram of two strands."""
+    _clear_memos()
+    for _ in range(2):
+        for build in (lambda: BeadedDiagram(2, 1, lab=lab), lambda: _SHAPES[lab]):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == ("labels must number the blocks 0..k-1 "
+                                      "in the order of their least point")
+        assert lab not in _SHAPES
+        compose(identity(2, 1), generator(GenSymbol("r", 1), 2, 1))
+
+
+def test_memo_sizes_of_a_closure_are_pinned():
+    """Cheaper misses, not fewer: the entries one closure leaves."""
+    fam = family("rprimedn", 4, 2)
+    _clear_memos()
+    _CLOSURES.pop(fam, None)
+    closure(fam)
+    sizes = memo_sizes()
+    assert (sizes["plans"], sizes["shapes"]) == (1672, 209)
+
+
+def test_roots_shift_the_second_index_and_flatten_every_chain():
+    # 2 hangs under 1, then 1 under 0: the chain 2 -> 1 -> 0 is flattened
+    assert _roots(3, [1, 0], [2, 1], 0) == [0, 0, 0]
+    assert _roots(4, [0, 1], [1, 0], 2) == [0, 1, 1, 0]
+    assert _roots(5, b"\x00\x01", b"\x01\x02", 2) == [0, 1, 2, 0, 1]
 
 
 def test_beadless_diagrams_share_one_zero_tuple():
