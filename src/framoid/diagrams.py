@@ -31,22 +31,15 @@ once per pair of label tuples and reads the result's free points from
 ``shapes``; ``ties`` checks each distinct tie partition once and keeps its
 links, the pairs that tie each block to the least block of its class, which
 every tied diagram carries, so a product reads them without a lookup.
-``joins`` maps a product's tie pattern (its block count k, the free points a
-drop-rook product unties, and the pairs of components that the links of both
-factors join) to the product's tie partition, canonical as the union-find of
-``plans`` (``_roots``) yields it, so left unchecked; ``loops`` holds one
-loop record per trapped count at d = 1 and one per tuple of trapped residues
-at d > 1; ``encode`` fills one template per label tuple (``templates``) and
-appends one text per tie partition (``tie_texts``); ``generators`` holds one
-diagram per generator.  Only the beads are summed on every product.
-``compose`` hands the constructor, in one positional call, beads already
-reduced mod d and ties already canonical, so that the constructor's checks
-are cheap: the beads are stripped against the first d bytes of one
-constant table (``_BYTES``) and the ties found in ``ties`` by one lookup.
-Nothing is evicted: the memos grow with the distinct label tuples, pairs of
-them, tie partitions, tie patterns and trapped residue tuples, not with the
-elements; tie patterns are the largest: 1 041 for the 6 240 elements of
-tsn(n=5), 90 383 for the 38 140 elements of trprimen(n=4).
+``joins`` maps a product's tie pattern to its tie partition, canonical as
+the union-find of ``plans`` (``_roots``) yields it, so left unchecked;
+``loops`` holds one loop record per trapped count at d = 1 and one per tuple
+of trapped residues at d > 1; ``encode`` fills one template per label tuple
+(``templates``) and appends one text per tie partition (``tie_texts``);
+``generators`` holds one diagram per generator, built as canonical labels
+from its kind's wiring.  Nothing is evicted: the memos grow with the
+distinct patterns they key on, not with the elements; tie patterns are the
+largest, 90 383 for the 38 140 elements of trprimen(n=4).
 
 All values are immutable after construction and safe to share.
 """
@@ -56,7 +49,7 @@ from __future__ import annotations
 import re
 from itertools import chain
 from operator import index
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 PARTITION = "partition"
 MATCHING = "matching"
@@ -221,17 +214,18 @@ def _pool_beads(beads: list[int], links, d: int) -> None:
             beads[other] = 0
 
 
-def _tag_errors(lab: tuple, blocks: tuple) -> dict[str, tuple[type, str]]:
-    """What each structural tag requires of canonical labels and their
-    blocks: for each tag they break, the error class and message that a
-    diagram claiming it raises.  A matching has no block of more than two
-    points; a permutation pairs each top point with one bottom point; a planar
-    matching pairs all 2n points by uncrossed arcs; every partition is one."""
+def _tag_errors(lab: tuple, blocks: tuple) -> dict[str, tuple]:
+    """What each structural tag requires of canonical labels and their blocks:
+    for each tag they break, the error class a diagram claiming it raises and
+    its message, a template then its parts, formatted only on that refusal.  A
+    matching has no block of more than two points; a permutation pairs each
+    top point with one bottom point; a planar matching pairs all 2n points by
+    uncrossed arcs; every partition is one."""
     n = len(lab) // 2
     if max(map(len, blocks)) > 2:
-        return {tag: (ValueError, f"{tag} diagrams admit only blocks of size <= 2")
+        return {tag: (ValueError, "%s diagrams admit only blocks of size <= 2", tag)
                 for tag in (MATCHING, PLANAR, PERMUTATION)}
-    errors: dict[str, tuple[type, str]] = {}
+    errors: dict[str, tuple] = {}
     # each top point opens its own block, so the last one has label n - 1,
     # and n blocks of at most two points then meet one bottom point each
     if lab[n - 1] != n - 1 or len(blocks) != n:
@@ -247,7 +241,7 @@ def _tag_errors(lab: tuple, blocks: tuple) -> dict[str, tuple[type, str]]:
             stack.pop()
         elif x in stack:
             a, b = sorted((x, stack[-1]))
-            errors[PLANAR] = NotPlanar, f"arcs cross: {blocks[a]} and {blocks[b]}"
+            errors[PLANAR] = NotPlanar, "arcs cross: %s and %s", blocks[a], blocks[b]
             break
         else:
             stack.append(x)
@@ -424,8 +418,8 @@ class BeadedDiagram:
                 raise ValueError("the beads of a tie class must sit on its least block")
 
         if family_tag not in tags:
-            error, message = _tag_errors(lab, shape[3])[family_tag]
-            raise error(message)
+            error, template, *parts = _tag_errors(lab, shape[3])[family_tag]
+            raise error(template % tuple(parts))
         self.n = n
         self.d = d
         self.lab = lab
@@ -522,13 +516,18 @@ class GenSymbol(NamedTuple):
 class _Kind(NamedTuple):
     reach: int                    # the index i runs over 1..n - reach
     tag: Optional[str]            # its structural tag; None if all strands stay vertical
-    unties: Optional[str] = None  # a tied kind: the kind whose two ends it ties
+    unties: Optional[str] = None  # a tied kind: the kind whose two ends it ties, wired alike
+    # {point: name} for the points that leave their strand's block on n strands:
+    # points m and n + m start on name m, and a negative name opens a new block
+    wires: Callable[[int, int], dict] = lambda i, n: {}
 
 
 # every fact about a generator kind; "1" is the identity, which e_{i,j} ties
 _KINDS = {
-    "t": _Kind(1, PLANAR), "s": _Kind(1, PERMUTATION), "o": _Kind(0, None),
-    "r": _Kind(0, MATCHING), "p": _Kind(0, MATCHING),
+    "t": _Kind(1, PLANAR, wires=lambda i, n: {i + 1: i, n + i: -i, n + i + 1: -i}),
+    "s": _Kind(1, PERMUTATION, wires=lambda i, n: {n + i: i + 1, n + i + 1: i}),
+    "o": _Kind(0, None), "r": _Kind(0, MATCHING, wires=lambda i, n: {n + i: -i}),
+    "p": _Kind(0, MATCHING, wires=lambda i, n: {n + m: -m for m in range(1, i + 1)}),
     "e": _Kind(1, None, "1"), "f": _Kind(1, PLANAR, "t"),
     "q": _Kind(0, MATCHING, "r"), "w": _Kind(0, MATCHING, "p"),
 }
@@ -582,19 +581,18 @@ def generator(sym: GenSymbol, n: int, d: int,
               tied: Optional[bool] = None, tag: Optional[str] = None) -> BeadedDiagram:
     """The diagram of a single generator on n strands with framing modulus d.
 
-    A tied kind is its untied kind with the blocks at its two ends tied: t_i
-    and t_j for e_{i,j}, t_i and b_i for the others.  ``tied`` defaults to
-    whether the kind is a tied one and ``tag`` to the kind's tag.  Memoized
-    once the defaults are filled in: diagrams are immutable, so every caller
-    of one generator shares one instance, whichever arguments it spells out.
+    ``tied`` defaults to whether the kind is a tied one and ``tag`` to the
+    kind's tag.  Memoized once the defaults are filled in: diagrams are
+    immutable, so every caller of one generator shares one instance,
+    whichever arguments it spells out.
     """
-    if tied is None or tag is None:
-        kind = _KINDS.get(sym.kind)
-        if kind is not None:
-            if tied is None:
-                tied = kind.unties is not None
-            if tag is None:
-                tag = kind.tag or PERMUTATION
+    kind = _KINDS.get(sym.kind)
+    if kind is None:
+        raise ValueError(f"unknown generator kind {sym.kind!r}")
+    if tied is None:
+        tied = kind.unties is not None
+    if tag is None:
+        tag = kind.tag or PERMUTATION
     try:
         key = sym, index(n), index(d), tied, tag
     except TypeError:
@@ -607,31 +605,32 @@ def generator(sym: GenSymbol, n: int, d: int,
 
 
 def _generator(sym: GenSymbol, n: int, d: int, tied: bool, tag: str) -> BeadedDiagram:
+    """A generator built as canonical labels, names numbered in order of first
+    appearance, from its kind's wiring (a tied kind's is that of the kind it
+    ties), with the exponent of o_i on t_i's block and, for a tied kind, t_i's
+    block tied to the later one of t_j (e_{i,j}) or of b_i."""
     if not symbol_valid(sym, n):
         raise ValueError(f"generator {render_symbol(sym)} out of range for n={n}")
     kind = _KINDS[sym.kind]
     if not tied and kind.unties is not None:
         raise ValueError(f"generator {render_symbol(sym)} requires ties")
 
-    i, untied = sym.i, kind.unties or sym.kind
-    # the strands that stop being vertical, and the blocks that replace them
-    cut, extra = (), []
-    if untied == "t":
-        cut, extra = (i, i + 1), [(i, i + 1), (n + i, n + i + 1)]
-    elif untied == "s":
-        cut, extra = (i, i + 1), [(i, n + i + 1), (i + 1, n + i)]
-    elif untied in ("r", "p"):
-        cut = (i,) if untied == "r" else range(1, i + 1)
-        extra = [(m,) for m in cut] + [(n + m,) for m in cut]
-    blocks = [(m, n + m) for m in range(1, n + 1) if m not in cut] + extra
-    beads = {(i, n + i): sym.exp} if untied == "o" else None
+    wired = _KINDS.get(kind.unties, kind).wires(sym.i, n)
+    names = [wired.get(p, p - n if p > n else p) for p in range(1, 2 * n + 1)]
+    number: dict[int, int] = {}
+    lab, k, _, _, zeros, _ = _SHAPES[tuple([number.setdefault(x, len(number)) for x in names])]
 
-    ties = [[b] for b in range(len(blocks))] if tied else None
-    if kind.unties is not None:
-        far = sym.j if sym.kind == "e" else n + i
-        ends = [b for b, blk in enumerate(blocks) if i in blk or far in blk]
-        ties = [ends] + [[b] for b in range(len(blocks)) if b not in ends]
-    return BeadedDiagram(n, d, blocks, beads, tag, ties)
+    beads = None
+    if sym.kind == "o":
+        beads = list(zeros)
+        beads[lab[sym.i - 1]] = sym.exp % d
+    ties = None
+    if tied:
+        ties = [(v,) for v in range(k)]
+        if kind.unties is not None:
+            ties[lab[sym.i - 1]] += ties.pop(lab[(sym.j if sym.kind == "e" else n + sym.i) - 1])
+        ties = tuple(ties)
+    return BeadedDiagram(n, d, None, beads, tag, ties, lab)
 
 
 # the generators by (sym, n, d, tied, tag), defaults filled in

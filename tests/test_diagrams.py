@@ -159,6 +159,62 @@ def test_every_generator_diagram_is_pinned():
     assert digest == GENERATOR_PIN
 
 
+def test_no_kernel_path_builds_through_the_blocks_form(monkeypatch):
+    """Generators, closures and the tied suite build every diagram from
+    canonical labels: nothing calls the relabelling of the blocks form."""
+    from framoid import diagrams
+    from framoid.verify import suite_tied_specializations
+
+    calls = []
+    relabel = diagrams._labels_of_blocks
+    monkeypatch.setattr(diagrams, "_labels_of_blocks",
+                        lambda *args: calls.append(args) or relabel(*args))
+    clear_memos()
+    for n in range(1, 7):
+        for kind in [*_KINDS, "e*"]:
+            for sym in kind_symbols(kind, n):
+                for d in (1, 3):
+                    generator(sym, n, d)
+                    generator(sym, n, d, True)
+    for name, spec in FAMILIES.items():
+        closure(family(name, 3, 2 if spec.framed else 1))
+    assert suite_tied_specializations(3).passed
+    assert calls == []
+
+
+@pytest.mark.parametrize("sym,n,d", [
+    *[(GenSymbol("o", 2, 0, exp), 3, 300) for exp in (-1, 0, 255, 256, 299, 301)],
+    (GenSymbol("o", 2, 0, 256), 3, 256),
+    (GenSymbol("e", 2, 299), 300, 1),
+    (GenSymbol("e", 1, 300), 300, 300),
+    (GenSymbol("f", 299), 300, 1),
+])
+def test_generators_past_256_match_the_blocks_form(sym, n, d):
+    """Beads past 255 and tie links past 256 blocks: the generator carries
+    the stored label tuple, and the beads and links of the same diagram built
+    through the blocks form."""
+    x = generator(sym, n, d)
+    assert x.lab is _SHAPES[x.lab][0]
+    blocks = [(m, n + m) for m in range(1, n + 1)]
+    if sym.kind == "o":
+        y = BeadedDiagram(n, d, blocks, {(sym.i, n + sym.i): sym.exp}, PERMUTATION)
+        assert x.beads == y.beads == tuple(sym.exp % d if m == sym.i - 1 else 0
+                                           for m in range(n))
+    elif sym.kind == "e":
+        ends = [sym.i - 1, sym.j - 1]
+        y = BeadedDiagram(n, d, blocks, None, PERMUTATION,
+                          [ends] + [[b] for b in range(n) if b not in ends])
+    else:
+        i = sym.i
+        blocks = [blk for blk in blocks if blk[0] not in (i, i + 1)]
+        blocks += [(i, i + 1), (n + i, n + i + 1)]
+        y = BeadedDiagram(n, d, blocks, None, PLANAR,
+                          [[n - 2, n - 1]] + [[b] for b in range(n - 2)])
+    assert x.links == y.links and x == y and x.encode() == y.encode()
+    if x.ties is not None:
+        assert type(x.links) is tuple  # past 256 blocks
+
+
 class TestCompose:
     def test_loop_with_bead(self):
         t1 = generator(GenSymbol("t", 1), 2, 2, tag=PLANAR)
@@ -1524,14 +1580,26 @@ def _outcome(call):
     (lambda: generator(GenSymbol("e", 1, 2.0), 3, 1),
      lambda: generator(GenSymbol("e", 1, 2), 3, 1),
      (ValueError, "generator indices and exponents must be integers")),
-], ids=["generator-d", "generator-n", "labels", "generator-i", "generator-exp", "generator-j"])
+    (lambda: generator(GenSymbol("x", 1), 2, 1),
+     lambda: generator(GenSymbol("t", 1), 2, 1),
+     (ValueError, "unknown generator kind 'x'")),
+    (lambda: generator(GenSymbol("x", 1), 2, 1, False, PARTITION),
+     lambda: generator(GenSymbol("t", 1), 2, 1, False, PARTITION),
+     (ValueError, "unknown generator kind 'x'")),
+], ids=["generator-d", "generator-n", "labels", "generator-i", "generator-exp", "generator-j",
+        "generator-kind", "generator-kind-spelled-out"])
 def test_non_integers_are_refused_cold_and_warm(call, warm_up, refusal):
-    """A float equal to an integer is refused alike whether or not the memos
-    hold the answer for that integer."""
+    """A float equal to an integer, and a kind that is not one, is refused
+    alike whether or not the memos hold the answer for that integer or for
+    another kind, and the refusal stores nothing."""
     _clear_memos()
+    cleared = memo_sizes()
     cold = _outcome(call)
+    assert memo_sizes() == cleared
     warm_up()
+    warm = memo_sizes()
     assert cold == _outcome(call) == refusal
+    assert memo_sizes() == warm
 
 
 def test_bool_labels_are_stored_as_ints_cold_and_warm():

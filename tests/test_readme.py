@@ -1,10 +1,15 @@
 """The README's documented examples run as written, and its family table and
 word grammar match the code."""
 
+import json
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import framoid.algebra  # noqa: F401  (registers its memo)
+from framoid.cli import main
 from framoid.diagrams import _KINDS, memo_sizes, parse_word
 from framoid.monoids import FAMILIES
 
@@ -21,6 +26,35 @@ def test_library_tour_runs():
     tour = text[text.index("## Library tour"):]
     block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
     exec(compile(block, f"{README}:Library tour", "exec"), {})
+
+
+def _cli_examples():
+    """The ``framoid`` commands of the command-line block, each as its
+    arguments and the output lines shown under it, up to a ``...``."""
+    block = re.search(r"```\n(.*?)```", _section("## Command line"), re.S).group(1)
+    for example in block.strip().split("\n\n"):
+        command, shown = "", []
+        for line in example.splitlines():
+            if line.startswith("  ") and not command.endswith("\\"):
+                shown.append(line[2:])
+            else:
+                command = command.removesuffix("\\") + line
+        yield shlex.split(command), shown[:shown.index("...")] if "..." in shown else shown
+
+
+_CLI_EXAMPLES = list(_cli_examples())
+
+
+@pytest.mark.parametrize("argv,shown", _CLI_EXAMPLES, ids=[argv[1] for argv, _ in _CLI_EXAMPLES])
+def test_command_line_examples_run_as_shown(argv, shown, capsys):
+    assert argv[0] == "framoid"
+    assert main(argv[1:]) == 0
+    out = capsys.readouterr().out.splitlines()
+    if argv[1] == "verify":
+        # the documented output is prose: every line is a JSON object
+        assert out and all(isinstance(json.loads(line), dict) for line in out)
+    else:
+        assert out[:len(shown)] == shown
 
 
 def test_families_table_matches_registry():
