@@ -38,7 +38,6 @@ from .diagrams import (
     _Memo,
     compose,
     erase_beads,
-    erase_ties,
 )
 from .normalform import evaluate_word
 
@@ -463,15 +462,14 @@ def cap_z(i: int, fam, policy: str = ALPHA) -> AlgebraElement:
 
 
 def specialize(elem: AlgebraElement, subs: Optional[Mapping[str, int | Fraction]] = None,
-               *, beads_to_one: bool = False, ties_off: bool = False,
+               *, beads_to_one: bool = False,
                policy: Optional[str] = None) -> AlgebraElement:
-    """Substitute variables and optionally erase beads and/or ties.
+    """Substitute variables and optionally erase beads.
 
     ``beads_to_one`` sends every framing to 1: each basis diagram is mapped
-    through ``erase_beads`` and coefficients merge.  ``ties_off`` does the
-    same with the tie partition.  ``policy`` retargets the loop policy of the
-    resulting element (e.g. the plain monoid algebra after a full
-    specialization).
+    through ``erase_beads`` and coefficients merge.  ``policy`` retargets the
+    loop policy of the resulting element (e.g. the plain monoid algebra after
+    a full specialization).
     """
     policy = _policy(policy or elem.policy)
     for value in (subs or {}).values():
@@ -481,8 +479,6 @@ def specialize(elem: AlgebraElement, subs: Optional[Mapping[str, int | Fraction]
         for diag, coeff in elem.terms.items():
             if beads_to_one:
                 diag = erase_beads(diag)
-            if ties_off:
-                diag = erase_ties(diag)
             yield diag, coeff._substitute(subs) if subs else coeff
     return _element(elem.fam, policy, _accumulate({}, terms()))
 

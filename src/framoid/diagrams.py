@@ -24,9 +24,9 @@ that repeats is memoized, keyed on a pattern that omits the element.  Every
 memo is a ``_Memo`` registered by name: :func:`memo_sizes` gives the size of
 each and :func:`clear_memos` empties them all.  ``shapes`` checks each label
 tuple once, in one scan that also collects its blocks, and keeps them, its
-zero beads, the labels of its singleton blocks and the structural tags that
-``_tag_errors``, the one statement of what each tag requires, finds
-unbroken; ``plans`` runs the union-find over the blocks of two factors
+zero beads, the labels of its singleton blocks and the structural tags,
+each a set of properties (``_TAG_PROPERTIES``), that its properties admit;
+``plans`` runs the union-find over the blocks of two factors
 once per pair of label tuples and reads the result's free points from
 ``shapes``; ``ties`` checks each distinct tie partition once and keeps its
 links, the pairs that tie each block to the least block of its class, which
@@ -47,7 +47,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, compress, product
 from operator import index
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -56,8 +56,6 @@ MATCHING = "matching"
 PLANAR = "planar-matching"
 PERMUTATION = "permutation"
 
-_TAGS = frozenset((PARTITION, MATCHING, PLANAR, PERMUTATION))
-
 
 class CapExceeded(RuntimeError):
     """Raised when an enumeration grows past its element cap."""
@@ -65,6 +63,31 @@ class CapExceeded(RuntimeError):
 
 class NotPlanar(ValueError):
     """Raised when a planar matching was required but points are free or arcs cross."""
+
+
+# atomic properties of label tuples, in refusal order: small (no block of more
+# than two points), transversal (each block one top and one bottom point),
+# perfect (no free point), noncrossing (no two blocks cross in the order t1..tn,
+# bn..b1); a claimed tag raises the error of the first it needs and labels lack
+_PROPERTIES = {
+    "small": lambda tag, lab, blocks: ValueError(f"{tag} diagrams admit only blocks of size <= 2"),
+    "transversal": lambda tag, lab, blocks: ValueError(
+        f"{tag} diagrams pair one top with one bottom point"),
+    "perfect": lambda tag, lab, blocks: NotPlanar("planar matchings have no free points"),
+    "noncrossing": lambda tag, lab, blocks: NotPlanar(
+        "arcs cross: %s and %s" % tuple(map(blocks.__getitem__, _crossing(lab, blocks)))),
+}
+
+# each structural tag is the set of properties of the label tuples it admits
+_TAG_PROPERTIES = {PARTITION: frozenset(), MATCHING: frozenset({"small"}),
+                   PLANAR: frozenset({"small", "perfect", "noncrossing"}),
+                   PERMUTATION: frozenset({"small", "transversal", "perfect"})}
+_TAGS = frozenset(_TAG_PROPERTIES)
+
+# the tags admitting each tuple of property flags, shared by its shapes
+_ADMITTED = {flags: frozenset([tag for tag, need in _TAG_PROPERTIES.items()
+                               if need <= set(compress(_PROPERTIES, flags))])
+             for flags in product((False, True), repeat=len(_PROPERTIES))}
 
 
 class LoopRecord:
@@ -152,12 +175,9 @@ def clear_memos() -> None:
 
 
 def _tag_join(t1: str, t2: str) -> str:
-    if t1 == t2:
-        return t1
-    if PARTITION in (t1, t2):
-        return PARTITION
-    # permutation and planar-matching meet in the matchings
-    return MATCHING
+    """The declared tag with the most properties among those both tags have."""
+    both = _TAG_PROPERTIES[t1] & _TAG_PROPERTIES[t2]
+    return max((len(need), tag) for tag, need in _TAG_PROPERTIES.items() if need <= both)[1]
 
 
 def _labels_of_blocks(n: int, blocks) -> tuple[tuple[int, ...], list[tuple], list[int]]:
@@ -214,38 +234,31 @@ def _pool_beads(beads: list[int], links, d: int) -> None:
             beads[other] = 0
 
 
-def _tag_errors(lab: tuple, blocks: tuple) -> dict[str, tuple]:
-    """What each structural tag requires of canonical labels and their blocks:
-    for each tag they break, the error class a diagram claiming it raises and
-    its message, a template then its parts, formatted only on that refusal.  A
-    matching has no block of more than two points; a permutation pairs each
-    top point with one bottom point; a planar matching pairs all 2n points by
-    uncrossed arcs; every partition is one."""
+def _crossing(lab: tuple, blocks: tuple) -> Optional[list]:
+    """The labels, ascending, of the first two blocks found to cross in the
+    boundary order t1..tn, bn..b1, or None: each point extends the block on
+    top of the stack, which closes at its last point, or opens its own block;
+    a point of an open block below the top crosses the top one."""
     n = len(lab) // 2
-    if max(map(len, blocks)) > 2:
-        return {tag: (ValueError, "%s diagrams admit only blocks of size <= 2", tag)
-                for tag in (MATCHING, PLANAR, PERMUTATION)}
-    errors: dict[str, tuple] = {}
-    # each top point opens its own block, so the last one has label n - 1,
-    # and n blocks of at most two points then meet one bottom point each
-    if lab[n - 1] != n - 1 or len(blocks) != n:
-        errors[PERMUTATION] = ValueError, "permutation diagrams pair one top with one bottom point"
-    if len(blocks) > n:
-        errors[PLANAR] = NotPlanar, "planar matchings have no free points"
-        return errors
-    # in the boundary order t1..tn, bn..b1 every point opens an arc or closes
-    # the arc opened last; one that closes an earlier arc crosses the last
+    left = list(map(len, blocks))
     stack: list[int] = []
     for x in lab[:n] + lab[:n - 1:-1]:
-        if stack and stack[-1] == x:
-            stack.pop()
-        elif x in stack:
-            a, b = sorted((x, stack[-1]))
-            errors[PLANAR] = NotPlanar, "arcs cross: %s and %s", blocks[a], blocks[b]
-            break
-        else:
+        if not stack or stack[-1] != x:
+            if x in stack:
+                return sorted((x, stack[-1]))
             stack.append(x)
-    return errors
+        left[x] -= 1
+        if not left[x]:
+            stack.pop()
+    return None
+
+
+def _properties(lab: tuple, blocks: tuple, free: tuple) -> tuple[bool, ...]:
+    """The flags of canonical labels' properties, in ``_PROPERTIES`` order."""
+    # n blocks, one per top point (the last has label n - 1), none free: one bottom each
+    n = len(lab) // 2
+    return (max(map(len, blocks)) <= 2, not free and len(blocks) == n and lab[n - 1] == n - 1,
+            not free, _crossing(lab, blocks) is None)
 
 
 def _shape(lab: tuple) -> tuple[tuple[int, ...], int, frozenset, tuple, tuple, tuple]:
@@ -265,7 +278,7 @@ def _shape(lab: tuple) -> tuple[tuple[int, ...], int, frozenset, tuple, tuple, t
     blocks = tuple(map(tuple, blocks))
     k = len(blocks)
     free = tuple([v for v, blk in enumerate(blocks) if len(blk) == 1])
-    return lab, k, _TAGS.difference(_tag_errors(lab, blocks)), blocks, (0,) * k, free
+    return lab, k, _ADMITTED[_properties(lab, blocks, free)], blocks, (0,) * k, free
 
 
 # the checked label tuples: equal labels share one entry, and its tuples
@@ -418,8 +431,11 @@ class BeadedDiagram:
                 raise ValueError("the beads of a tie class must sit on its least block")
 
         if family_tag not in tags:
-            error, template, *parts = _tag_errors(lab, shape[3])[family_tag]
-            raise error(template % tuple(parts))
+            # a loop, not a generator, so that no name of __init__ becomes a cell
+            flags = _properties(lab, shape[3], shape[5])
+            for (prop, error), has in zip(_PROPERTIES.items(), flags):
+                if not has and prop in _TAG_PROPERTIES[family_tag]:
+                    raise error(family_tag, lab, shape[3])
         self.n = n
         self.d = d
         self.lab = lab
@@ -614,6 +630,9 @@ def _generator(sym: GenSymbol, n: int, d: int, tied: bool, tag: str) -> BeadedDi
     kind = _KINDS[sym.kind]
     if not tied and kind.unties is not None:
         raise ValueError(f"generator {render_symbol(sym)} requires ties")
+    # a field the kind ignores would key a second instance of one generator
+    if (sym.j and sym.kind != "e") or (sym.exp != 1 and sym.kind != "o"):
+        raise ValueError(f"generator {sym!r} sets a field its kind ignores")
 
     wired = _KINDS.get(kind.unties, kind).wires(sym.i, n)
     names = [wired.get(p, p - n if p > n else p) for p in range(1, 2 * n + 1)]

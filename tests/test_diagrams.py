@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,9 +35,12 @@ from framoid.diagrams import (
     memo_sizes,
     parse_word,
     _PLANS,
+    _PROPERTIES,
+    _TAG_PROPERTIES,
     _TAGS,
     _TIES,
     _SHAPES,
+    _properties,
     _roots,
     _skeleton,
     _tag_join,
@@ -124,6 +127,24 @@ class TestGenerators:
         e1 = GenSymbol("e", 1, 2)
         assert generator(e1, 3, 2) is generator(e1, 3, 2, True, PERMUTATION)
         assert generator(t1, 3, 1, True) is not forms[0]
+
+
+@pytest.mark.parametrize("sym", [GenSymbol("t", 1, 7), GenSymbol("t", 1, 0, 5),
+                                 GenSymbol("o", 1, 2), GenSymbol("e", 1, 2, 3)])
+def test_a_field_the_kind_ignores_is_refused_cold_and_warm(sym):
+    """A symbol that sets a field its kind ignores (j outside e, the exponent
+    outside o) would key a second instance of an equal generator: it is
+    refused whether or not the memos hold the generator, and stores nothing."""
+    plain = GenSymbol(sym.kind, sym.i, sym.j if sym.kind == "e" else 0,
+                      sym.exp if sym.kind == "o" else 1)
+    _clear_memos()
+    for warm in (False, True):
+        if warm:
+            generator(plain, 3, 2)
+        sizes = memo_sizes()
+        with pytest.raises(ValueError, match="sets a field its kind ignores"):
+            generator(sym, 3, 2)
+        assert memo_sizes() == sizes
 
 
 # one sha256 over every generator call below, one line per call, pinned when
@@ -993,6 +1014,78 @@ def test_tag_rule_matches_the_reference_on_every_closure_and_generator():
     assert {tag for tag, _ in broken} == _TAGS - {PARTITION}
     assert {why for tag, why in broken if tag == PLANAR} == {
         "planar-matching", "planar", "arcs"}
+
+
+def _reference_tag_join(t1, t2):
+    """The hand-written join of the four tags that their property sets
+    replaced, kept verbatim as the reference."""
+    if t1 == t2:
+        return t1
+    if PARTITION in (t1, t2):
+        return PARTITION
+    # permutation and planar-matching meet in the matchings
+    return MATCHING
+
+
+# the label tuples of 2n points, n = 1..4, that hold each property set: the
+# noncrossing partitions (Catalan(2n)), the noncrossing partial matchings
+# (the Motzkin numbers M_2n), the partial matchings (sum over k of
+# C(2n, 2k) (2k - 1)!!), the permutations (n!) and the planar matchings
+# (Catalan(n))
+HOLDING = {
+    frozenset({"noncrossing"}): [2, 14, 132, 1430],
+    frozenset({"small", "noncrossing"}): [2, 9, 51, 323],
+    frozenset({"small"}): [2, 10, 76, 764],
+    _TAG_PROPERTIES[PERMUTATION]: [1, 2, 6, 24],
+    _TAG_PROPERTIES[PLANAR]: [1, 2, 5, 14],
+}
+
+
+def test_tags_as_property_sets_match_the_references_on_every_small_partition():
+    """Every set partition of 2n points with n <= 4 (Bell(2n), 4 360 label
+    tuples): the tags its properties admit are the reference's, a tag is in
+    its shapes entry exactly when its property set is held, and the label
+    tuples holding each property set number as the monoid it cuts out."""
+    counts = {need: [] for need in HOLDING}
+    for n in range(1, 5):
+        count = dict.fromkeys(HOLDING, 0)
+        parts = list(_set_partitions(2 * n))
+        assert len(parts) == [2, 15, 203, 4140][n - 1]
+        for part in parts:
+            lab = [0] * (2 * n)
+            for v, cls in enumerate(part):
+                for p in cls:
+                    lab[p] = v
+            lab, _, tags, blocks, _, free = _SHAPES[tuple(lab)]
+            assert tags == _reference_tags(lab, n), lab
+            held = frozenset(compress(_PROPERTIES, _properties(lab, blocks, free)))
+            assert tags == {tag for tag, need in _TAG_PROPERTIES.items() if need <= held}
+            for need in count:
+                count[need] += need <= held
+        for need, c in count.items():
+            counts[need].append(c)
+    assert counts == HOLDING
+
+
+def test_tag_join_matches_the_reference_and_takes_new_tags_as_rows(monkeypatch):
+    """The join of the four tags, over all 16 ordered pairs, is the
+    reference's; with the noncrossing partitions and the Motzkin diagrams
+    added as two rows, every join is still the one declared tag with the most
+    properties among those both tags have."""
+    for t1 in _TAGS:
+        for t2 in _TAGS:
+            assert _tag_join(t1, t2) == _reference_tag_join(t1, t2), (t1, t2)
+    monkeypatch.setitem(_TAG_PROPERTIES, "noncrossing-partition", frozenset({"noncrossing"}))
+    monkeypatch.setitem(_TAG_PROPERTIES, "motzkin", frozenset({"small", "noncrossing"}))
+    for t1, need1 in _TAG_PROPERTIES.items():
+        for t2, need2 in _TAG_PROPERTIES.items():
+            under = [len(need) for need in _TAG_PROPERTIES.values() if need <= need1 & need2]
+            join = _tag_join(t1, t2)
+            assert _TAG_PROPERTIES[join] <= need1 & need2, (t1, t2)
+            assert under.count(len(_TAG_PROPERTIES[join])) == 1 == under.count(max(under))
+    assert _tag_join(PLANAR, "motzkin") == "motzkin"
+    assert _tag_join("motzkin", "noncrossing-partition") == "noncrossing-partition"
+    assert _tag_join("motzkin", PERMUTATION) == MATCHING
 
 
 def test_equal_labels_share_one_tuple():

@@ -1,5 +1,5 @@
-"""The README's documented examples run as written, and its family table and
-word grammar match the code."""
+"""The README's documented examples run as written, and its family table,
+word grammar and tag table match the code."""
 
 import json
 import re
@@ -10,7 +10,7 @@ import pytest
 
 import framoid.algebra  # noqa: F401  (registers its memo)
 from framoid.cli import main
-from framoid.diagrams import _KINDS, memo_sizes, parse_word
+from framoid.diagrams import _KINDS, _PROPERTIES, _TAG_PROPERTIES, memo_sizes, parse_word
 from framoid.monoids import FAMILIES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -72,6 +72,17 @@ def test_word_grammar_names_every_kind():
     kinds = [sym.kind for token in tokens for sym in parse_word(token)]
     assert len(kinds) == len(tokens)
     assert set(kinds) == set(_KINDS)
+
+
+def test_tag_property_sets_match_the_table():
+    text = README.read_text(encoding="utf-8")
+    tags = text[text.index("The four structural tags"):text.index("`_shape` finds a label")]
+    order = re.search(r"The\s+properties, in refusal order, are (.*?)\.\s+The tags", tags, re.S)
+    assert re.findall(r"`(\w+)` \(", order.group(1)) == list(_PROPERTIES)
+    rows = re.findall(r"^- `([\w-]+)` = \{(.*)\}", tags, re.M)
+    table = {tag: frozenset(re.findall(r"`(\w+)`", props)) for tag, props in rows}
+    assert table == _TAG_PROPERTIES
+    assert len(rows) == len(_TAG_PROPERTIES)
 
 
 def test_normal_form_families_match_registry():
