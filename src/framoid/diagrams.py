@@ -9,9 +9,10 @@ carry a tie partition, i.e. a coarsening of its set of blocks.
 
 A diagram is stored as canonical block labels: ``lab[p - 1]`` is the index
 of the block holding point p, blocks numbered in the order of their least
-point, and beads and tie classes are indexed by those labels.  The
+point, and beads and tie classes are indexed by those labels.  It holds the
+``shapes`` record of its labels, and ``lab`` is a view of that record.  The
 constructor takes either blocks in any order, which it validates and
-canonicalizes, or labels that are already canonical (``lab=``).
+canonicalizes, or labels that are already canonical, or their record (``lab=``).
 
 Products stack the left factor above the right one: in ``compose(a, b)`` the
 bottom points of ``a`` are glued to the top points of ``b``.  Components of
@@ -19,27 +20,32 @@ the glued picture that still touch the outer boundary become blocks of the
 result, with beads added mod d; components trapped in the middle layer are
 removed and reported in a :class:`LoopRecord`, one count per bead residue.
 
-The work splits into a shape part and a decoration part, and each part
-that repeats is memoized, keyed on a pattern that omits the element.  Every
-memo is a ``_Memo`` registered by name: :func:`memo_sizes` gives the size of
-each and :func:`clear_memos` empties them all.  ``shapes`` checks each label
-tuple once, in one scan that also collects its blocks, and keeps them, its
-zero beads, the labels of its singleton blocks and the structural tags,
-each a set of properties (``_TAG_PROPERTIES``), that its properties admit;
-``plans`` runs the union-find over the blocks of two factors
-once per pair of label tuples and reads the result's free points from
-``shapes``; ``ties`` checks each distinct tie partition once and keeps its
-links, the pairs that tie each block to the least block of its class, which
-every tied diagram carries, so a product reads them without a lookup.
-``joins`` maps a product's tie pattern to its tie partition, canonical as
-the union-find of ``plans`` (``_roots``) yields it, so left unchecked;
-``loops`` holds one loop record per trapped count at d = 1 and one per tuple
-of trapped residues at d > 1; ``encode`` fills one template per label tuple
-(``templates``) and appends one text per tie partition (``tie_texts``);
-``generators`` holds one diagram per generator, built as canonical labels
-from its kind's wiring.  Nothing is evicted: the memos grow with the
-distinct patterns they key on, not with the elements; tie patterns are the
-largest, 90 383 for the 38 140 elements of trprimen(n=4).
+The work splits into a shape part and a decoration part, and each part that
+repeats is memoized, keyed on a pattern that omits the element.  Every memo is
+a ``_Memo`` registered by name: :func:`memo_sizes` gives the size of each and
+:func:`clear_memos` empties them all.  ``shapes`` checks each label tuple
+once, in one scan that also collects its blocks, and keeps a record
+(``_Shape``) of them, its zero beads, the labels of its singleton blocks, the
+structural tags, each a set of properties (``_TAG_PROPERTIES``), that its
+properties admit, and ``hash(lab)``; ``ties`` checks each distinct tie
+partition once and keeps a record (``_Tie``) of its links, the pairs that tie
+each block to the least block of its class, which every tied diagram carries,
+so a product reads them without a lookup, and ``hash(ties)``.  Records are
+hashed and compared by identity, so ``plans``, keyed by the factors' two shape
+records, runs the union-find over their blocks once per pair and hashes no
+label tuple; ``gathers`` holds the few distinct bead maps of plans, an
+``itemgetter`` of each component's root block and the other blocks, so a
+product sums its beads by one gather.  ``joins`` maps a product's tie pattern
+to its tie partition, canonical as the union-find of ``plans`` (``_roots``)
+yields it, so left unchecked; ``loops`` holds one loop record per trapped
+count at d = 1 and one per tuple of trapped residues at d > 1; ``encode``
+fills one template per label tuple (``templates``) and appends one text per
+tie partition (``tie_texts``); ``generators`` holds one diagram per generator,
+built as canonical labels from its kind's wiring.  Nothing is evicted: the
+memos grow with the distinct patterns they key on, not with the elements; tie
+patterns are the largest, 90 383 for the 38 140 elements of trprimen(n=4).  A
+diagram that outlives :func:`clear_memos` keeps its records: it equals, hashes
+and encodes as before, and its products key new plans on them.
 
 All values are immutable after construction and safe to share.
 """
@@ -48,7 +54,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain, compress, product
-from operator import index
+from operator import index, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 PARTITION = "partition"
@@ -261,10 +267,20 @@ def _properties(lab: tuple, blocks: tuple, free: tuple) -> tuple[bool, ...]:
             not free, _crossing(lab, blocks) is None)
 
 
-def _shape(lab: tuple) -> tuple[tuple[int, ...], int, frozenset, tuple, tuple, tuple]:
-    """Check canonical labels of 2n points: returns the labels, the block
-    count k, the structural tags they satisfy, the blocks (the ascending tuple
-    of points of each label), the k zero beads and the singleton labels."""
+class _Shape:
+    """A ``shapes`` entry, hashed and compared by identity: the labels, block
+    count k, structural tags they satisfy, blocks (the ascending points of
+    each label), k zero beads, singleton labels and ``hash(lab)``."""
+
+    __slots__ = ("lab", "k", "tags", "blocks", "zeros", "free", "hash")
+
+    def __init__(self, lab, k, tags, blocks, zeros, free):
+        self.lab, self.k, self.tags, self.blocks, self.zeros, self.free, self.hash = (
+            lab, k, tags, blocks, zeros, free, hash(lab))
+
+
+def _shape(lab: tuple) -> _Shape:
+    """Check canonical labels of 2n points and return their record."""
     # one scan: each point opens the next block or joins one already open
     blocks: list[list[int]] = []
     for p, x in enumerate(lab, 1):
@@ -278,29 +294,32 @@ def _shape(lab: tuple) -> tuple[tuple[int, ...], int, frozenset, tuple, tuple, t
     blocks = tuple(map(tuple, blocks))
     k = len(blocks)
     free = tuple([v for v, blk in enumerate(blocks) if len(blk) == 1])
-    return lab, k, _ADMITTED[_properties(lab, blocks, free)], blocks, (0,) * k, free
+    return _Shape(lab, k, _ADMITTED[_properties(lab, blocks, free)], blocks, (0,) * k, free)
 
 
-# the checked label tuples: equal labels share one entry, and its tuples
+# the checked label tuples: equal labels share one record, and its tuples
 _SHAPES = _Memo("shapes", _shape)
 
 
-def _tie_entry(canon: tuple) -> tuple[tuple, int, bytes]:
-    """The ``_TIES`` entry of a checked canonical tie partition of ints."""
-    links = [x for cls in canon for b in cls[1:] for x in (cls[0], b)]
-    k = sum(map(len, canon))
-    return canon, k, bytes(links) if k <= 256 else tuple(links)
+class _Tie:
+    """A ``ties`` entry, hashed and compared by identity: the canonical
+    partition of blocks 0..k-1 (classes by least member, members ascending),
+    k, its links (each block but the least of its class after the least, the
+    pairs flattened into bytes, a tuple past 256 blocks) and ``hash(canon)``."""
+
+    __slots__ = ("canon", "k", "links", "hash")
+
+    def __init__(self, canon: tuple):
+        links = [x for cls in canon for b in cls[1:] for x in (cls[0], b)]
+        self.canon, self.k, self.hash = canon, sum(map(len, canon)), hash(canon)
+        self.links = bytes(links) if self.k <= 256 else tuple(links)
 
 
-# the distinct valid tie partitions: _TIES[ties] is (ties, k, links), with
-# ties the canonical partition of the block indices 0..k-1 (classes sorted by
-# their least member, members ascending) and links each block that is not the
-# least of its class after that least block, the pairs flattened into bytes
-# (a tuple past 256 blocks)
-_TIES = _Memo("ties", _tie_entry)
+# the distinct valid tie partitions, each a checked canonical tuple of ints
+_TIES = _Memo("ties", _Tie)
 
 
-def _tie_partition(ties, k: int) -> tuple[tuple, int, bytes]:
+def _tie_partition(ties, k: int) -> _Tie:
     """Check a tie partition of k blocks and return its ``_TIES`` entry;
     the constructor looks ties up in ``_TIES`` itself and calls this only on
     a miss, so a canonical tuple already checked costs one lookup."""
@@ -321,31 +340,29 @@ _BYTES = bytes(range(256))
 class BeadedDiagram:
     """A set partition of the 2n boundary points with beads and optional ties.
 
-    ``lab`` is the canonical labelling: ``lab[p - 1]`` is the index of the
-    block holding point p, blocks numbered in the order of their least point.
-    ``blocks`` derives from it the tuple of blocks, each a sorted tuple of
-    point numbers, blocks sorted by their minimum.  ``beads[i]`` is the
-    residue in [0, d) of block i.  ``ties``, when present, is a partition of
-    the block indices (classes sorted, class members sorted), and ``links``
-    its links as ``_TIES`` keeps them (None when untied).  Equality and
-    hashing look only at ``(n, d, lab, beads, ties)``: the ``family_tag`` is a
-    structural claim used for validation, not identity.
+    ``shape`` is the ``_SHAPES`` record of the canonical labelling ``lab``:
+    ``lab[p - 1]`` is the index of the block holding point p, blocks numbered
+    in the order of their least point, and ``blocks`` are the sorted tuples of
+    points of the blocks in that order.  ``beads[i]`` is the residue in [0, d)
+    of block i.  ``ties``, when present, is a partition of the block indices
+    (classes sorted, class members sorted), and ``links`` its links (None when
+    untied).  Equality and hashing look only at ``(n, d, lab, beads, ties)``:
+    the ``family_tag`` is a structural claim used for validation, not identity.
 
     Two constructor forms: ``BeadedDiagram(n, d, blocks, beads, tag, ties)``
     takes blocks in any order, with ``beads`` parallel to them (or a mapping
     from point sets to residues) and ``ties`` over their positions;
     ``BeadedDiagram(n, d, None, beads, tag, ties, lab)``, or the same with
-    ``lab=...`` and the others by keyword, takes canonical labels, with
-    ``beads`` and ``ties`` indexed by label.  Both check the partition and
-    the structural tag, through ``_SHAPES``, once per distinct label tuple,
-    and the ties, through ``_TIES``, once per distinct partition; beads are
-    checked on every call, in the labels form against ``_BYTES[:d]``, and
-    stored as exact ints; beadless diagrams share the zeros of their shape.
-    The blocks form takes integers only: a point, bead or tie member of
-    another type, or a bead key that names no block or a block twice, is
-    refused.  Both forms take ``n`` and ``d``, and the labels form any labels
-    but a tuple ``_SHAPES`` stored, as integers only and store them as exact
-    ints.
+    ``lab=...`` and the others by keyword, takes canonical labels or their
+    record, with ``beads`` and ``ties`` (or its ``_TIES`` record) indexed by
+    label.  Both check the partition and the structural tag once per distinct
+    label tuple, and the ties once per distinct partition; beads are checked
+    on every call, in the labels form against ``_BYTES[:d]``, and stored as
+    exact ints; beadless diagrams share the zeros of their shape.  The blocks
+    form takes integers only: a point, bead or tie member of another type, or
+    a bead key that names no block or a block twice, is refused.  Both forms
+    take ``n`` and ``d``, and the labels form labels that are not a tuple
+    ``_SHAPES`` stored, as integers only and store them as exact ints.
 
     When ties are present and d > 1, beads are pooled per tie class (stored
     on the class's least block): a tie lets beads move freely between its
@@ -353,7 +370,7 @@ class BeadedDiagram:
     pools the beads it is given; the ``lab=`` form requires them pooled.
     """
 
-    __slots__ = ("n", "d", "lab", "beads", "family_tag", "ties", "links", "_hash")
+    __slots__ = ("n", "d", "shape", "beads", "family_tag", "ties", "links", "_hash")
 
     def __init__(self, n, d, blocks=None, beads=None, family_tag=PARTITION, ties=None,
                  lab=None):
@@ -370,90 +387,90 @@ class BeadedDiagram:
 
         if lab is None:
             lab, raw, order = _labels_of_blocks(n, blocks)
-            lab, k, tags, _, zeros, _ = shape = _SHAPES[lab]
-            if beads is None:
-                beads = zeros
-            elif hasattr(beads, "items"):
-                beads = _residues(_bead_map(beads, raw, order), d)
-            else:
-                given = list(beads)
-                if len(given) != k:
-                    raise ValueError("beads must match blocks")
-                beads = _residues(map(given.__getitem__, order), d)
-            if ties is not None:
-                label = {old: new for new, old in enumerate(order)}
-                try:
-                    ties = [[label[index(b)] for b in cls] for cls in ties]
-                except (KeyError, TypeError):
-                    raise ValueError("ties must partition the block indices") from None
+            shape = _SHAPES[lab]
+        elif type(lab) is _Shape and len(lab.lab) == 2 * n:
+            shape = lab
         else:
-            lab = tuple(lab)
+            # another n's record, or labels _SHAPES did not store (floats or bools): as ints
+            lab = tuple(getattr(lab, "lab", lab))
             if len(lab) != 2 * n:
                 raise ValueError("labels must cover the 2n boundary points")
-            # a tuple _SHAPES did not store may hold floats or bools: read as ints
             shape = _SHAPES.get(lab)
-            if shape is None or shape[0] is not lab:
+            if shape is None or shape.lab is not lab:
                 try:
                     lab = tuple(map(index, lab))
                 except TypeError:
                     raise ValueError("labels must be integers") from None
                 shape = _SHAPES[lab]
-            lab, k, tags, _, zeros, _ = shape
-            if beads is None:
-                beads = zeros
-            else:
-                if type(beads) is not list:
-                    beads = tuple(beads)
-                try:
-                    # bytes() takes only integers in 0..255, and only
-                    # residues of d strip away to nothing; the bytes read
-                    # back as exact ints
-                    raw = bytes(beads)
-                    reduced = not raw.lstrip(_BYTES[:d])
-                except (TypeError, ValueError):
-                    reduced = False
-                beads = raw if reduced else _residues(beads, d)
-                if len(beads) != k:
-                    raise ValueError("beads must match blocks")
+        k = shape.k
+        if beads is None:
+            beads = shape.zeros
+        elif blocks is None:
+            if type(beads) is not list:
+                beads = tuple(beads)
+            try:
+                # bytes() takes only integers in 0..255, and only residues of
+                # d strip away to nothing; the bytes read back as exact ints
+                raw = bytes(beads)
+                reduced = not raw.lstrip(_BYTES[:d])
+            except (TypeError, ValueError):
+                reduced = False
+            beads = raw if reduced else _residues(beads, d)
+            if len(beads) != k:
+                raise ValueError("beads must match blocks")
+        elif hasattr(beads, "items"):
+            beads = _residues(_bead_map(beads, raw, order), d)
+        else:
+            given = list(beads)
+            if len(given) != k:
+                raise ValueError("beads must match blocks")
+            beads = _residues(map(given.__getitem__, order), d)
+        if ties is not None and blocks is not None:
+            label = {old: new for new, old in enumerate(order)}
+            try:
+                ties = [[label[index(b)] for b in cls] for cls in ties]
+            except (KeyError, TypeError):
+                raise ValueError("ties must partition the block indices") from None
 
         links = None
         if ties is not None:
             try:
-                hit = _TIES.get(ties)
+                tie = ties if type(ties) is _Tie else _TIES.get(ties)
             except TypeError:  # classes given as lists
-                hit = None
-            if hit is None or hit[1] != k:
-                hit = _tie_partition(ties, k)
-            ties, _, links = hit
+                tie = None
+            if tie is None or tie.k != k:
+                tie = _tie_partition(getattr(ties, "canon", ties), k)
+            ties, links = tie.canon, tie.links
             if d > 1 and blocks is not None:
                 _pool_beads(beads, links, d)
             elif d > 1 and any(map(beads.__getitem__, links[1::2])):
                 raise ValueError("the beads of a tie class must sit on its least block")
 
-        if family_tag not in tags:
+        if family_tag not in shape.tags:
             # a loop, not a generator, so that no name of __init__ becomes a cell
-            flags = _properties(lab, shape[3], shape[5])
+            flags = _properties(shape.lab, shape.blocks, shape.free)
             for (prop, error), has in zip(_PROPERTIES.items(), flags):
                 if not has and prop in _TAG_PROPERTIES[family_tag]:
-                    raise error(family_tag, lab, shape[3])
+                    raise error(family_tag, shape.lab, shape.blocks)
         self.n = n
         self.d = d
-        self.lab = lab
+        self.shape = shape
         self.beads = beads = tuple(beads)
         self.family_tag = family_tag
         self.ties = ties
         self.links = links
-        # hash(None) is an address, so an untied diagram leaves ties out of
-        # its hash to hash alike in every process
-        self._hash = (hash((n, d, lab, beads)) if ties is None
-                      else hash((n, d, lab, beads, ties)))
+        # the records' hashes are of their contents; hash(None) is an address,
+        # so an untied diagram leaves ties out to hash alike in every process
+        self._hash = hash((n, d, shape.hash, beads) if ties is None
+                          else (n, d, shape.hash, beads, tie.hash))
 
     # -- identity & hashing ------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, BeadedDiagram) and self._hash == other._hash
-                and self.lab == other.lab and self.d == other.d
-                and self.beads == other.beads and self.ties == other.ties)
+                and (self.shape is other.shape or self.shape.lab == other.shape.lab)
+                and self.d == other.d and self.beads == other.beads
+                and self.ties == other.ties)
 
     def __hash__(self):
         return self._hash
@@ -464,9 +481,14 @@ class BeadedDiagram:
     # -- views ---------------------------------------------------------------
 
     @property
+    def lab(self) -> tuple[int, ...]:
+        """The canonical labels, read off the diagram's ``shapes`` record."""
+        return self.shape.lab
+
+    @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The blocks, each a sorted tuple of points, sorted by their minimum."""
-        return _SHAPES[self.lab][3]
+        return self.shape.blocks
 
     @property
     def tied(self) -> bool:
@@ -474,7 +496,7 @@ class BeadedDiagram:
 
     def encode(self) -> str:
         """Canonical textual encoding, stable across runs."""
-        text = _TEMPLATES[self.lab] % (self.n, self.d, *self.beads)
+        text = _TEMPLATES[self.shape.lab] % (self.n, self.d, *self.beads)
         if self.ties is not None:
             text += _TIE_TEXTS[self.ties]
         return text
@@ -484,7 +506,7 @@ def _template(lab: tuple) -> str:
     n = len(lab) // 2
     # points t1..tn, then b1..bn
     parts = ",".join(["{%s}:%%d" % ",".join([f"t{p}" if p <= n else f"b{p - n}" for p in blk])
-                      for blk in _SHAPES[lab][3]])
+                      for blk in _SHAPES[lab].blocks])
     return f"n=%s;d=%s;blocks=[{parts}]"
 
 
@@ -501,19 +523,19 @@ _TIE_TEXTS = _Memo("tie_texts", _tie_text)
 
 def erase_beads(x: BeadedDiagram) -> BeadedDiagram:
     """Set every bead to zero (diagram shadow of killing the framings)."""
-    return BeadedDiagram(x.n, x.d, family_tag=x.family_tag, ties=x.ties, lab=x.lab)
+    return BeadedDiagram(x.n, x.d, family_tag=x.family_tag, ties=x.ties, lab=x.shape)
 
 
 def erase_ties(x: BeadedDiagram) -> BeadedDiagram:
     """Forget the tie partition."""
-    return BeadedDiagram(x.n, x.d, beads=x.beads, family_tag=x.family_tag, lab=x.lab)
+    return BeadedDiagram(x.n, x.d, beads=x.beads, family_tag=x.family_tag, lab=x.shape)
 
 
 def identity(n: int, d: int, tied: bool = False, tag: str = PERMUTATION) -> BeadedDiagram:
     """The diagram of n vertical strands, no beads, all-singleton ties if tied."""
     ties = tuple((i,) for i in range(n)) if tied else None  # canonical: one _TIES lookup
-    lab = tuple(range(n)) * 2  # passed as the tuple _SHAPES stored, once it holds one
-    return BeadedDiagram(n, d, family_tag=tag, ties=ties, lab=_SHAPES.get(lab, (lab,))[0])
+    lab = tuple(range(n)) * 2  # passed as the _SHAPES record, once it holds one
+    return BeadedDiagram(n, d, family_tag=tag, ties=ties, lab=_SHAPES.get(lab, lab))
 
 
 # -- generator symbols ------------------------------------------------------
@@ -637,11 +659,12 @@ def _generator(sym: GenSymbol, n: int, d: int, tied: bool, tag: str) -> BeadedDi
     wired = _KINDS.get(kind.unties, kind).wires(sym.i, n)
     names = [wired.get(p, p - n if p > n else p) for p in range(1, 2 * n + 1)]
     number: dict[int, int] = {}
-    lab, k, _, _, zeros, _ = _SHAPES[tuple([number.setdefault(x, len(number)) for x in names])]
+    shape = _SHAPES[tuple([number.setdefault(x, len(number)) for x in names])]
+    lab, k = shape.lab, shape.k
 
     beads = None
     if sym.kind == "o":
-        beads = list(zeros)
+        beads = list(shape.zeros)
         beads[lab[sym.i - 1]] = sym.exp % d
     ties = None
     if tied:
@@ -649,7 +672,7 @@ def _generator(sym: GenSymbol, n: int, d: int, tied: bool, tag: str) -> BeadedDi
         if kind.unties is not None:
             ties[lab[sym.i - 1]] += ties.pop(lab[(sym.j if sym.kind == "e" else n + sym.i) - 1])
         ties = tuple(ties)
-    return BeadedDiagram(n, d, None, beads, tag, ties, lab)
+    return BeadedDiagram(n, d, None, beads, tag, ties, shape)
 
 
 # the generators by (sym, n, d, tied, tag), defaults filled in
@@ -676,39 +699,51 @@ def _roots(size: int, xs, ys, shift: int) -> list[int]:
     return parent
 
 
-def _skeleton(alab: tuple, blab: tuple) -> tuple:
-    """The shape part of ``compose`` for factors labelled ``alab`` and ``blab``.
+def _skeleton(a: _Shape, b: _Shape) -> tuple:
+    """The shape part of ``compose`` for factors of the shapes ``a`` and ``b``.
 
     One union-find over the blocks of the two factors, a's blocks 0..ka-1
-    and then b's.  Returns ``(lab, comp, k, trapped, free)``: the result's
-    labels (through ``_SHAPES``), ``comp`` mapping each block of a and then of
-    b to the result label of its component or to k + j for the j-th trapped
-    loop, the block count k, the number of trapped loops, and the labels of
-    the result's singleton blocks.
+    and then b's.  Returns ``(shape, comp, trapped, gather, rest)``: the
+    result's record, ``comp`` mapping each block of a and then of b to the
+    result label of its component or to k + j for the j-th trapped loop,
+    the number of trapped loops, and the ``_GATHERS`` entry of the roots.
     """
+    alab, blab, ka = a.lab, b.lab, a.k
     n = len(alab) // 2
-    ka = _SHAPES[alab][1]
-    size = ka + _SHAPES[blab][1]
+    size = ka + b.k
     # each middle strand joins the block of a's bottom point with that of
     # b's top point
     root = _roots(size, alab[n:], blab[:n], ka)
 
     # blocks numbered by their least outer point, then the loops (components
-    # that reach no outer point) by their roots
+    # that reach no outer point) by their roots; the other blocks are non-roots
     number = [-1] * size
     lab = [*map(root.__getitem__, alab[:n]), *map(root[ka:].__getitem__, blab[n:])]
-    v = 0
-    for x in chain(lab, range(size)):
-        if number[x] < 0 and root[x] == x:
-            number[x] = v
-            v += 1
-    lab, k, _, _, _, free = _SHAPES[tuple(map(number.__getitem__, lab))]
+    roots, rest = [], []
+    for x in lab:
+        if number[x] < 0:
+            number[x] = len(roots)
+            roots.append(x)
+    for x in range(size):
+        if root[x] != x:
+            rest.append(x)
+        elif number[x] < 0:
+            number[x] = len(roots)
+            roots.append(x)
+    shape = _SHAPES[tuple(map(number.__getitem__, lab))]
     comp = (bytes if size <= 256 else tuple)(map(number.__getitem__, root))
-    return lab, comp, k, v - k, free
+    return shape, comp, len(roots) - shape.k, *_GATHERS[tuple(roots), tuple(rest)]
 
 
-# shape products: _PLANS[a.lab, b.lab] is _skeleton(a.lab, b.lab)
+# shape products, keyed by identity: _PLANS[a.shape, b.shape] is _skeleton(a.shape, b.shape)
 _PLANS = _Memo("plans", lambda pair: _skeleton(*pair))
+
+# bead maps of plans: _GATHERS[roots, rest] is an itemgetter of the root
+# blocks' beads in component order (a slice for one root, since an itemgetter
+# of one index returns the item itself), and the non-root blocks
+_GATHERS = _Memo("gathers", lambda key: (
+    itemgetter(*key[0]) if len(key[0]) > 1 else itemgetter(slice(key[0][0], key[0][0] + 1)),
+    key[1]))
 
 # loop records of products: _LOOPS[trapped] at d = 1, _LOOPS[residues] (one
 # per trapped loop, in component order) at d > 1
@@ -716,7 +751,7 @@ _LOOPS = _Memo("loops", lambda key: LoopRecord(
     {0: key} if type(key) is int else [(v, 1) for v in key]))
 
 
-def _tie_join(pattern) -> tuple[tuple, int, bytes]:
+def _tie_join(pattern) -> _Tie:
     """The ``_TIES`` entry of a product's tie classes, from its pattern."""
     k, nfree = pattern[0], pattern[1]
     free, links = pattern[2:2 + nfree], pattern[2 + nfree:]
@@ -747,10 +782,10 @@ def compose(a: BeadedDiagram, b: BeadedDiagram,
     whose broken arcs cannot hold beads).
 
     The shapes of the product come from ``_skeleton``, memoized per pair of
-    label tuples; its loop record comes from ``_LOOPS`` and its ties from
+    shape records; its loop record comes from ``_LOOPS`` and its ties from
     ``_JOINS``, memoized per tie pattern, read through the factors' own
-    ``links``.  Only the beads are summed on every call, and the result is
-    built by one positional call of the one constructor.
+    ``links``.  Only the beads are summed on every call, by the plan's bead
+    map, and the result is built by one positional call of the constructor.
     """
     if a.n != b.n or a.d != b.d:
         raise ValueError("factors must share strand count and framing modulus")
@@ -758,26 +793,28 @@ def compose(a: BeadedDiagram, b: BeadedDiagram,
         raise ValueError("cannot mix tied and untied diagrams")
 
     n, d = a.n, a.d
-    lab, comp, k, trapped, free = _PLANS[a.lab, b.lab]
+    shape, comp, trapped, gather, rest = _PLANS[a.shape, b.shape]
+    k = shape.k
 
     beads = None
     loops = _NO_LOOPS
     if d > 1:
-        # one slot per component, kept reduced mod d
-        acc = [0] * (k + trapped)
-        for x, bead in zip(comp, a.beads + b.beads):
+        # each component's sum mod d: its root's bead, then the other blocks'
+        both = a.beads + b.beads
+        beads = [*gather(both)]
+        for x in rest:
+            bead = both[x]
             if bead:
-                acc[x] = (acc[x] + bead) % d
-        beads = acc[:k]
+                v = comp[x]
+                beads[v] = (beads[v] + bead) % d
         if trapped:
-            residues = tuple(acc[k:])
-            loops = _LOOPS[residues]
+            loops = _LOOPS[tuple(beads[k:])]
+            del beads[k:]
     elif trapped:
         loops = _LOOPS[trapped]
 
-    if not drop_rook:
-        free = ()
-    elif beads is not None:
+    free = shape.free if drop_rook else ()
+    if beads is not None:
         for v in free:
             beads[v] = 0
 
@@ -792,11 +829,11 @@ def compose(a: BeadedDiagram, b: BeadedDiagram,
         else:
             pattern = (k, len(free), *free, *map(comp.__getitem__, la),
                        *map(comp[ka:].__getitem__, lb))
-        ties, _, links = _JOINS[pattern]
+        ties = _JOINS[pattern]
         if beads is not None:
-            _pool_beads(beads, links, d)
+            _pool_beads(beads, ties.links, d)
 
     tag = a.family_tag
     if tag is not b.family_tag:
         tag = _tag_join(tag, b.family_tag)
-    return BeadedDiagram(n, d, None, beads, tag, ties, lab), loops
+    return BeadedDiagram(n, d, None, beads, tag, ties, shape), loops

@@ -57,7 +57,8 @@ def evaluate_word(word, fam) -> tuple[BeadedDiagram, LoopRecord]:
     for sym in word:
         step = generator(sym, n, d, tied, tag)
         diag, rec = compose(diag, step, drop_rook)
-        record = record.merged(rec)
+        if rec.counts:  # most tokens close no loop
+            record = record.merged(rec)
     return diag, record
 
 

@@ -20,6 +20,7 @@ from framoid.diagrams import (
     GenSymbol,
     LoopRecord,
     NotPlanar,
+    _GATHERS,
     _JOINS,
     _KINDS,
     _LOOPS,
@@ -215,7 +216,7 @@ def test_generators_past_256_match_the_blocks_form(sym, n, d):
     the stored label tuple, and the beads and links of the same diagram built
     through the blocks form."""
     x = generator(sym, n, d)
-    assert x.lab is _SHAPES[x.lab][0]
+    assert x.lab is _SHAPES[x.lab].lab
     blocks = [(m, n + m) for m in range(1, n + 1)]
     if sym.kind == "o":
         y = BeadedDiagram(n, d, blocks, {(sym.i, n + sym.i): sym.exp}, PERMUTATION)
@@ -989,7 +990,7 @@ def test_tag_rule_matches_the_reference_on_every_closure_and_generator():
                for n in range(1, 4) for part in _set_partitions(2 * n)}
     broken = set()
     for lab, n in shapes:
-        tags = _SHAPES[lab][2]
+        tags = _SHAPES[lab].tags
         assert tags == _reference_tags(lab, n), lab
         blocks = BeadedDiagram(n, 1, lab=lab).blocks
         for tag in sorted(_TAGS - tags):
@@ -1056,7 +1057,8 @@ def test_tags_as_property_sets_match_the_references_on_every_small_partition():
             for v, cls in enumerate(part):
                 for p in cls:
                     lab[p] = v
-            lab, _, tags, blocks, _, free = _SHAPES[tuple(lab)]
+            entry = _SHAPES[tuple(lab)]
+            lab, tags, blocks, free = entry.lab, entry.tags, entry.blocks, entry.free
             assert tags == _reference_tags(lab, n), lab
             held = frozenset(compress(_PROPERTIES, _properties(lab, blocks, free)))
             assert tags == {tag for tag, need in _TAG_PROPERTIES.items() if need <= held}
@@ -1159,7 +1161,12 @@ def test_blocks_match_the_reference_before_and_after_clearing():
     for _ in range(2):
         for x in xs:
             assert x.blocks == _blocks_reference(x.lab), x
-            assert x.blocks is _SHAPES[x.lab][3]
+            # the diagram's own record, and the record of the diagram rebuilt
+            # from its labels, which a clear may have replaced
+            assert x.blocks is x.shape.blocks
+            again = BeadedDiagram(x.n, x.d, beads=x.beads, family_tag=x.family_tag,
+                                  ties=x.ties, lab=x.lab)
+            assert again.blocks == x.blocks and again.blocks is _SHAPES[x.lab].blocks
         _clear_memos()
 
 
@@ -1184,8 +1191,9 @@ def test_shape_entry_matches_the_reference_on_every_closure_and_generator():
         for lab in labs:
             want = _blocks_reference(lab)
             entry = _SHAPES[lab]
-            assert entry[:2] == (lab, len(want)) and entry[3:5] == (want, (0,) * len(want))
-            assert entry[5] == tuple(v for v, blk in enumerate(want) if len(blk) == 1), lab
+            assert (entry.lab, entry.k) == (lab, len(want))
+            assert (entry.blocks, entry.zeros) == (want, (0,) * len(want))
+            assert entry.free == tuple(v for v, blk in enumerate(want) if len(blk) == 1), lab
 
 
 @pytest.mark.parametrize("lab", [
@@ -1283,7 +1291,7 @@ def skeleton_reference(alab: tuple, blab: tuple) -> tuple:
             ident[r] = k
             k += 1
         lab.append(ident[r])
-    lab = _SHAPES[tuple(lab)][0]
+    lab = _SHAPES[tuple(lab)].lab
     trapped = 0
     for x, r in enumerate(root):
         if x == r and ident[r] < 0:
@@ -1323,12 +1331,35 @@ def tie_join_reference(pattern) -> tuple[tuple, int, bytes]:
     return _tie_partition(tuple(map(tuple, groups.values())), k)
 
 
+def bead_sums_reference(comp, beads, d):
+    """The beads of each component of a plan, summed mod d block by block,
+    as compose did before its bead maps."""
+    acc = [0] * (max(comp) + 1)
+    for x, bead in zip(comp, beads):
+        if bead:
+            acc[x] = (acc[x] + bead) % d
+    return acc
+
+
 def _assert_plans_and_joins_match_the_references():
-    """Every plan and tie join that the memos hold: the same 5-tuple, and
-    the same _TIES entry."""
+    """Every plan and tie join that the memos hold: the same result labels,
+    comp, block count, trapped loops and free points as the reference, the
+    same sums of random beads through the plan's bead map as block by block,
+    and the same _TIES entry."""
     assert _PLANS and _JOINS
-    for alab, blab in list(_PLANS):
-        assert _skeleton(alab, blab) == skeleton_reference(alab, blab), (alab, blab)
+    rng = random.Random(0x6A7)
+    for a, b in list(_PLANS):
+        shape, comp, trapped, gather, rest = plan = _skeleton(a, b)
+        assert plan == _PLANS[a, b] and shape is _SHAPES[shape.lab]
+        assert (shape.lab, comp, shape.k, trapped, shape.free) == skeleton_reference(
+            a.lab, b.lab), (a.lab, b.lab)
+        assert any(entry[0] is gather and entry[1] is rest for entry in _GATHERS.values())
+        for d in (2, 5):
+            beads = tuple(rng.randrange(d) for _ in comp)
+            acc = [*gather(beads)]
+            for x in rest:
+                acc[comp[x]] = (acc[comp[x]] + beads[x]) % d
+            assert acc == bead_sums_reference(comp, beads, d), (a.lab, b.lab, beads)
     for pattern in list(_JOINS):
         assert _tie_join(pattern) is tie_join_reference(pattern), pattern
 
@@ -1372,8 +1403,10 @@ def test_plans_and_tie_joins_match_the_references_on_random_products():
     outer = [(7, 8), (9, 10), (11, 12)]
     a = BeadedDiagram(6, 2, [(1, 2), (3, 4), (5, 6)] + outer, [0, 0, 0, 1, 0, 0])
     b = BeadedDiagram(6, 2, [(1, 6), (2, 5), (3, 4)] + outer)
-    plan = _skeleton(a.lab, b.lab)
-    assert plan[2:4] == (6, 2) and plan[1][:6] == bytes([0, 1, 2, 7, 6, 7])
+    plan = _skeleton(a.shape, b.shape)
+    assert (plan[0].k, plan[2]) == (6, 2) and plan[1][:6] == bytes([0, 1, 2, 7, 6, 7])
+    # the loop through blocks 3 and 5 gathers the bead of its root, 5
+    assert plan[3](range(12))[7] == 5
     assert _assert_same_product(a, b, False) == LoopRecord({0: 1, 1: 1})
     _assert_plans_and_joins_match_the_references()
 
@@ -1416,7 +1449,7 @@ def test_tie_memo_matches_the_reference_on_every_partition():
             rng.shuffle(part)
             want = _reference_ties(part, k)
             for given in (part, tuple(part), tuple(map(tuple, part)), want):
-                assert _tie_partition(given, k)[0] == want
+                assert _tie_partition(given, k).canon == want
                 assert _tied_identity(k, given).ties == want
             seen += 1
     assert seen == 1 + 2 + 5 + 15 + 52 + 203 == len(_TIES)
@@ -1487,7 +1520,7 @@ def test_tied_diagrams_carry_the_links_of_their_ties():
     for fam in fams:
         for x in closure(fam) + generating_set(fam):
             # the _TIES entry, filled again if an earlier test emptied it
-            assert x.links == _tie_partition(x.ties, len(x.beads))[2], (fam, x)
+            assert x.links == _tie_partition(x.ties, len(x.beads)).links, (fam, x)
     assert identity(3, 2).links is None
 
 
@@ -1558,6 +1591,36 @@ def test_closure_built_cold_equals_closure_built_warm(fam):
     assert [y.family_tag for y, _ in warm_products] == [y.family_tag for y, _ in cold_products]
 
 
+@pytest.mark.parametrize("fam", [family("pdn", 3, 2), family("jdn", 3, 3)], ids=str)
+def test_diagrams_outlive_clear_memos(fam):
+    """A diagram built before clear_memos() and the same diagram rebuilt
+    from its blocks after it hold different records, yet are equal, hash
+    alike and encode alike, and compose gives equal products and loop
+    records from old, new and mixed factors; on one tied and one untied
+    framed family, the second trapping loops."""
+    _CLOSURES.pop(fam, None)
+    _clear_memos()
+    old = list(closure(fam)[::7]) + list(generating_set(fam))
+    _clear_memos()
+    new = [BeadedDiagram(x.n, x.d, x.blocks, x.beads, x.family_tag, x.ties) for x in old]
+    # after the clear, the generators come from the generator memo
+    new[-len(generating_set(fam)):] = generating_set(fam)
+    assert any(x.ties is not None for x in old) == fam.tied
+    for x, y in zip(old, new):
+        assert x.shape is not y.shape and y.shape is _SHAPES[x.lab]
+        assert x == y and y == x and hash(x) == hash(y) and x.encode() == y.encode()
+    trapped = 0
+    for i in range(len(old)):
+        for j in range(len(old)):
+            want = compose(old[i], old[j], fam.drop_rook)
+            for a, b in ((new[i], new[j]), (old[i], new[j]), (new[i], old[j])):
+                got = compose(a, b, fam.drop_rook)
+                assert got == want and hash(got[0]) == hash(want[0]), (old[i], old[j])
+                assert got[0].encode() == want[0].encode()
+            trapped += not want[1].is_empty
+    assert trapped > 0 or fam.tied
+
+
 def test_tie_joins_grow_with_patterns_not_elements():
     fam = family("tsn", 5)
     _CLOSURES.pop(fam, None)
@@ -1565,7 +1628,7 @@ def test_tie_joins_grow_with_patterns_not_elements():
     els = closure(fam)
     assert len(_JOINS) == 1041 < len(els) / 4
     # each join is the shared entry of its tie partition
-    assert all(join is _TIES[join[0]] for join in _JOINS.values())
+    assert all(join is _TIES[join.canon] for join in _JOINS.values())
 
 
 def test_loop_records_are_built_once_per_trapped_pattern():
