@@ -281,7 +281,7 @@ def _policy(policy: str) -> str:
 def _term(diag, fam) -> BeadedDiagram:
     """``diag`` itself if it is a diagram of the family ``fam``."""
     if not (isinstance(diag, BeadedDiagram) and diag.n == fam.n and diag.d == fam.d
-            and (diag.ties is not None) == fam.tied):
+            and (diag.tie is not None) == fam.tied):
         raise ValueError(f"term {diag!r} is not a diagram of {fam}")
     return diag
 

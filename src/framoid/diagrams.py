@@ -10,9 +10,10 @@ carry a tie partition, i.e. a coarsening of its set of blocks.
 A diagram is stored as canonical block labels: ``lab[p - 1]`` is the index
 of the block holding point p, blocks numbered in the order of their least
 point, and beads and tie classes are indexed by those labels.  It holds the
-``shapes`` record of its labels, and ``lab`` is a view of that record.  The
-constructor takes either blocks in any order, which it validates and
-canonicalizes, or labels that are already canonical, or their record (``lab=``).
+``shapes`` record of its labels and the ``ties`` record of its tie partition;
+``lab`` and ``ties`` are views of them.  The constructor takes the records as
+they are and checks any other labels and ties; blocks in any order are first
+turned into records.
 
 Products stack the left factor above the right one: in ``compose(a, b)`` the
 bottom points of ``a`` are glued to the top points of ``b``.  Components of
@@ -28,9 +29,8 @@ once, in one scan that also collects its blocks, and keeps a record
 (``_Shape``) of them, its zero beads, the labels of its singleton blocks, the
 structural tags, each a set of properties (``_TAG_PROPERTIES``), that its
 properties admit, and ``hash(lab)``; ``ties`` checks each distinct tie
-partition once and keeps a record (``_Tie``) of its links, the pairs that tie
-each block to the least block of its class, which every tied diagram carries,
-so a product reads them without a lookup, and ``hash(ties)``.  Records are
+partition once and keeps a record (``_Tie``) of it, its links, the pairs that
+tie each block to the least block of its class, and ``hash(ties)``.  Records are
 hashed and compared by identity, so ``plans``, keyed by the factors' two shape
 records, runs the union-find over their blocks once per pair and hashes no
 label tuple; ``gathers`` holds the few distinct bead maps of plans, an
@@ -39,13 +39,14 @@ product sums its beads by one gather.  ``joins`` maps a product's tie pattern
 to its tie partition, canonical as the union-find of ``plans`` (``_roots``)
 yields it, so left unchecked; ``loops`` holds one loop record per trapped
 count at d = 1 and one per tuple of trapped residues at d > 1; ``encode``
-fills one template per label tuple (``templates``) and appends one text per
-tie partition (``tie_texts``); ``generators`` holds one diagram per generator,
+fills one template per shape record (``templates``) and appends one text per
+tie record (``tie_texts``); ``generators`` holds one diagram per generator,
 built as canonical labels from its kind's wiring.  Nothing is evicted: the
 memos grow with the distinct patterns they key on, not with the elements; tie
 patterns are the largest, 90 383 for the 38 140 elements of trprimen(n=4).  A
 diagram that outlives :func:`clear_memos` keeps its records: it equals, hashes
-and encodes as before, and its products key new plans on them.
+and encodes as before, and its products and encodings key new plans, templates
+and tie texts on them.
 
 All values are immutable after construction and safe to share.
 """
@@ -53,6 +54,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import re
+from collections.abc import Set
 from itertools import chain, compress, product
 from operator import index, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -186,49 +188,12 @@ def _tag_join(t1: str, t2: str) -> str:
     return max((len(need), tag) for tag, need in _TAG_PROPERTIES.items() if need <= both)[1]
 
 
-def _labels_of_blocks(n: int, blocks) -> tuple[tuple[int, ...], list[tuple], list[int]]:
-    """Canonical labels of a partition given as blocks in any order.
-
-    Returns the labels, the blocks as given (as int tuples), and ``order``:
-    ``order[label]`` is the position of that block in the input.
-    """
-    try:
-        raw = [tuple(map(index, blk)) for blk in blocks]
-    except TypeError:
-        raise ValueError("block points must be integers") from None
-    owner = [-1] * (2 * n)
-    for idx, blk in enumerate(raw):
-        if not blk:
-            raise ValueError("blocks must partition the 2n boundary points")
-        for p in blk:
-            if not 1 <= p <= 2 * n or owner[p - 1] >= 0:
-                raise ValueError("blocks must partition the 2n boundary points")
-            owner[p - 1] = idx
-    if -1 in owner:
-        raise ValueError("blocks must cover every boundary point")
-    label_of: dict[int, int] = {}
-    lab = tuple([label_of.setdefault(idx, len(label_of)) for idx in owner])
-    return lab, raw, list(label_of)
-
-
 def _residues(values, d: int) -> list[int]:
     """The residues mod d of integer bead counts."""
     try:
         return [index(v) % d for v in values]
     except TypeError:
         raise ValueError("beads must be integers") from None
-
-
-def _bead_map(beads, raw: list[tuple], order: list[int]) -> list:
-    """The beads given as a mapping from point sets to counts, by label."""
-    label = {frozenset(raw[idx]): new for new, idx in enumerate(order)}
-    out = [0] * len(order)
-    for key, v in beads.items():
-        new = label.pop(frozenset(key), None)
-        if new is None:
-            raise ValueError(f"bead key {key!r} names no block, or one already named")
-        out[new] = v
-    return out
 
 
 def _pool_beads(beads: list[int], links, d: int) -> None:
@@ -320,17 +285,69 @@ _TIES = _Memo("ties", _Tie)
 
 
 def _tie_partition(ties, k: int) -> _Tie:
-    """Check a tie partition of k blocks and return its ``_TIES`` entry;
-    the constructor looks ties up in ``_TIES`` itself and calls this only on
-    a miss, so a canonical tuple already checked costs one lookup."""
-    canon = tuple(sorted(map(tuple, map(sorted, ties))))
-    members = sorted(chain.from_iterable(canon))
-    if members != list(range(k)) or not all(canon):
-        if len(members) == len(set(members)) and set(members) < set(range(k)):
-            raise ValueError("ties must cover every block")
-        raise ValueError("ties must partition the block indices")
+    """Check a tie partition of k blocks and return its ``_TIES`` entry; ties
+    that are not classes of mutually ordered members are refused as well."""
+    try:
+        canon = tuple(sorted(map(tuple, map(sorted, ties))))
+        members = sorted(chain.from_iterable(canon))
+        if members != list(range(k)) or not all(canon):
+            if len(members) == len(set(members)) and set(members) < set(range(k)):
+                raise ValueError("ties must cover every block")
+            raise ValueError("ties must partition the block indices")
+    except TypeError:
+        raise ValueError("ties must partition the block indices") from None
     # members equal 0..k-1, so int() only makes them exact ints
     return _TIES[tuple([tuple(map(int, cls)) for cls in canon])]
+
+
+def _from_blocks(n: int, d: int, blocks, beads, ties) -> tuple:
+    """The blocks form's preamble: from blocks in any order, with ``beads``
+    parallel to them or a mapping from point sets to counts and ``ties`` over
+    their positions, the shape record, the beads by label, reduced and pooled
+    (None if none are given), and the tie record (None if untied)."""
+    try:
+        raw = [tuple(map(index, blk)) for blk in blocks]
+    except TypeError:
+        raise ValueError("block points must be integers") from None
+    owner = [-1] * (2 * n)
+    for idx, blk in enumerate(raw):
+        if not blk:
+            raise ValueError("blocks must partition the 2n boundary points")
+        for p in blk:
+            if not 1 <= p <= 2 * n or owner[p - 1] >= 0:
+                raise ValueError("blocks must partition the 2n boundary points")
+            owner[p - 1] = idx
+    if -1 in owner:
+        raise ValueError("blocks must cover every boundary point")
+    # label[position] is the label of the block given there, keys in label order
+    label: dict[int, int] = {}
+    shape = _SHAPES[tuple([label.setdefault(idx, len(label)) for idx in owner])]
+    if hasattr(beads, "items"):
+        by_points = {frozenset(raw[idx]): new for idx, new in label.items()}
+        given = [0] * shape.k
+        for key, v in beads.items():
+            new = by_points.pop(frozenset(key), None)
+            if new is None:
+                raise ValueError(f"bead key {key!r} names no block, or one already named")
+            given[new] = v
+        beads = _residues(given, d)
+    elif beads is not None:
+        if isinstance(beads, Set):
+            raise ValueError("beads must be given in block order or by point set")
+        given = list(beads)
+        if len(given) != shape.k:
+            raise ValueError("beads must match blocks")
+        beads = _residues(map(given.__getitem__, label), d)
+    tie = None
+    if ties is not None:
+        try:
+            ties = [[label[index(b)] for b in cls] for cls in ties]
+        except (KeyError, TypeError):
+            raise ValueError("ties must partition the block indices") from None
+        tie = _tie_partition(ties, shape.k)
+        if d > 1 and beads is not None:
+            _pool_beads(beads, tie.links, d)
+    return shape, beads, tie
 
 
 # the residues 0..255; _BYTES[:d] are those of d
@@ -344,25 +361,22 @@ class BeadedDiagram:
     ``lab[p - 1]`` is the index of the block holding point p, blocks numbered
     in the order of their least point, and ``blocks`` are the sorted tuples of
     points of the blocks in that order.  ``beads[i]`` is the residue in [0, d)
-    of block i.  ``ties``, when present, is a partition of the block indices
-    (classes sorted, class members sorted), and ``links`` its links (None when
-    untied).  Equality and hashing look only at ``(n, d, lab, beads, ties)``:
-    the ``family_tag`` is a structural claim used for validation, not identity.
+    of block i.  ``tie`` is the ``_TIES`` record of a partition of the block
+    indices, and ``ties`` its tuple (classes and members sorted), both None
+    when untied.  Equality and hashing look only at ``(n, d, lab, beads,
+    ties)``: the ``family_tag`` is a structural claim, not identity.
 
-    Two constructor forms: ``BeadedDiagram(n, d, blocks, beads, tag, ties)``
-    takes blocks in any order, with ``beads`` parallel to them (or a mapping
-    from point sets to residues) and ``ties`` over their positions;
-    ``BeadedDiagram(n, d, None, beads, tag, ties, lab)``, or the same with
-    ``lab=...`` and the others by keyword, takes canonical labels or their
-    record, with ``beads`` and ``ties`` (or its ``_TIES`` record) indexed by
-    label.  Both check the partition and the structural tag once per distinct
-    label tuple, and the ties once per distinct partition; beads are checked
-    on every call, in the labels form against ``_BYTES[:d]``, and stored as
-    exact ints; beadless diagrams share the zeros of their shape.  The blocks
-    form takes integers only: a point, bead or tie member of another type, or
-    a bead key that names no block or a block twice, is refused.  Both forms
-    take ``n`` and ``d``, and the labels form labels that are not a tuple
-    ``_SHAPES`` stored, as integers only and store them as exact ints.
+    Two constructor forms: ``BeadedDiagram(n, d, None, beads, tag, ties, lab)``,
+    or the same with ``lab=...`` and the others by keyword, takes labels or
+    their record and ``beads`` and ``ties`` (or its record) by label;
+    ``BeadedDiagram(n, d, blocks, beads, tag, ties)`` takes blocks in any
+    order, ``beads`` parallel to them (or a mapping from point sets to
+    residues) and ``ties`` over their positions, and turns them into records.
+    A record of the right size is taken as it is; other labels are read as
+    integers and checked, and other ties checked.  Beads are checked on every
+    call and stored as exact ints; beadless diagrams share their shape's
+    zeros.  Beads in a set, or in a mapping in the labels form, and ``n``,
+    ``d``, points, beads and tie members that are not integers are refused.
 
     When ties are present and d > 1, beads are pooled per tie class (stored
     on the class's least block): a tie lets beads move freely between its
@@ -370,7 +384,7 @@ class BeadedDiagram:
     pools the beads it is given; the ``lab=`` form requires them pooled.
     """
 
-    __slots__ = ("n", "d", "shape", "beads", "family_tag", "ties", "links", "_hash")
+    __slots__ = ("n", "d", "shape", "beads", "family_tag", "tie", "_hash")
 
     def __init__(self, n, d, blocks=None, beads=None, family_tag=PARTITION, ties=None,
                  lab=None):
@@ -384,29 +398,25 @@ class BeadedDiagram:
             raise ValueError(f"unknown family tag {family_tag!r}")
         if (blocks is None) == (lab is None):
             raise TypeError("give exactly one of blocks and lab")
+        if blocks is not None:
+            lab, beads, ties = _from_blocks(n, d, blocks, beads, ties)
 
-        if lab is None:
-            lab, raw, order = _labels_of_blocks(n, blocks)
-            shape = _SHAPES[lab]
-        elif type(lab) is _Shape and len(lab.lab) == 2 * n:
-            shape = lab
-        else:
-            # another n's record, or labels _SHAPES did not store (floats or bools): as ints
+        if type(lab) is not _Shape or len(lab.lab) != 2 * n:
+            # labels, or another n's record: read as ints whatever the memo holds
             lab = tuple(getattr(lab, "lab", lab))
             if len(lab) != 2 * n:
                 raise ValueError("labels must cover the 2n boundary points")
-            shape = _SHAPES.get(lab)
-            if shape is None or shape.lab is not lab:
-                try:
-                    lab = tuple(map(index, lab))
-                except TypeError:
-                    raise ValueError("labels must be integers") from None
-                shape = _SHAPES[lab]
-        k = shape.k
+            try:
+                lab = _SHAPES[tuple(map(index, lab))]
+            except TypeError:
+                raise ValueError("labels must be integers") from None
+        shape, k = lab, lab.k
         if beads is None:
             beads = shape.zeros
-        elif blocks is None:
+        else:
             if type(beads) is not list:
+                if hasattr(beads, "items") or isinstance(beads, Set):
+                    raise ValueError("beads must be given in label order, not as a set or mapping")
                 beads = tuple(beads)
             try:
                 # bytes() takes only integers in 0..255, and only residues of
@@ -418,32 +428,11 @@ class BeadedDiagram:
             beads = raw if reduced else _residues(beads, d)
             if len(beads) != k:
                 raise ValueError("beads must match blocks")
-        elif hasattr(beads, "items"):
-            beads = _residues(_bead_map(beads, raw, order), d)
-        else:
-            given = list(beads)
-            if len(given) != k:
-                raise ValueError("beads must match blocks")
-            beads = _residues(map(given.__getitem__, order), d)
-        if ties is not None and blocks is not None:
-            label = {old: new for new, old in enumerate(order)}
-            try:
-                ties = [[label[index(b)] for b in cls] for cls in ties]
-            except (KeyError, TypeError):
-                raise ValueError("ties must partition the block indices") from None
 
-        links = None
         if ties is not None:
-            try:
-                tie = ties if type(ties) is _Tie else _TIES.get(ties)
-            except TypeError:  # classes given as lists
-                tie = None
-            if tie is None or tie.k != k:
-                tie = _tie_partition(getattr(ties, "canon", ties), k)
-            ties, links = tie.canon, tie.links
-            if d > 1 and blocks is not None:
-                _pool_beads(beads, links, d)
-            elif d > 1 and any(map(beads.__getitem__, links[1::2])):
+            if type(ties) is not _Tie or ties.k != k:
+                ties = _tie_partition(getattr(ties, "canon", ties), k)
+            if d > 1 and any(map(beads.__getitem__, ties.links[1::2])):
                 raise ValueError("the beads of a tie class must sit on its least block")
 
         if family_tag not in shape.tags:
@@ -457,12 +446,11 @@ class BeadedDiagram:
         self.shape = shape
         self.beads = beads = tuple(beads)
         self.family_tag = family_tag
-        self.ties = ties
-        self.links = links
+        self.tie = ties
         # the records' hashes are of their contents; hash(None) is an address,
         # so an untied diagram leaves ties out to hash alike in every process
         self._hash = hash((n, d, shape.hash, beads) if ties is None
-                          else (n, d, shape.hash, beads, tie.hash))
+                          else (n, d, shape.hash, beads, ties.hash))
 
     # -- identity & hashing ------------------------------------------------
 
@@ -470,7 +458,7 @@ class BeadedDiagram:
         return (isinstance(other, BeadedDiagram) and self._hash == other._hash
                 and (self.shape is other.shape or self.shape.lab == other.shape.lab)
                 and self.d == other.d and self.beads == other.beads
-                and self.ties == other.ties)
+                and (self.tie is other.tie or self.ties == other.ties))
 
     def __hash__(self):
         return self._hash
@@ -491,39 +479,45 @@ class BeadedDiagram:
         return self.shape.blocks
 
     @property
+    def ties(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        """The canonical tie partition, read off the ``ties`` record; None if untied."""
+        return None if self.tie is None else self.tie.canon
+
+    @property
     def tied(self) -> bool:
-        return self.ties is not None
+        return self.tie is not None
 
     def encode(self) -> str:
         """Canonical textual encoding, stable across runs."""
-        text = _TEMPLATES[self.shape.lab] % (self.n, self.d, *self.beads)
-        if self.ties is not None:
-            text += _TIE_TEXTS[self.ties]
+        text = _TEMPLATES[self.shape] % (self.n, self.d, *self.beads)
+        if self.tie is not None:
+            text += _TIE_TEXTS[self.tie]
         return text
 
 
-def _template(lab: tuple) -> str:
-    n = len(lab) // 2
+def _template(shape: _Shape) -> str:
+    n = len(shape.lab) // 2
     # points t1..tn, then b1..bn
     parts = ",".join(["{%s}:%%d" % ",".join([f"t{p}" if p <= n else f"b{p - n}" for p in blk])
-                      for blk in _SHAPES[lab].blocks])
+                      for blk in shape.blocks])
     return f"n=%s;d=%s;blocks=[{parts}]"
 
 
-def _tie_text(ties: tuple) -> str:
-    tie_txt = ",".join("[%s]" % ",".join(map(str, cls)) for cls in ties)
+def _tie_text(tie: _Tie) -> str:
+    tie_txt = ",".join("[%s]" % ",".join(map(str, cls)) for cls in tie.canon)
     return f";ties=[{tie_txt}]"
 
 
-# encode() texts: _TEMPLATES[lab] is the %-template of a label tuple, filled
-# with n, d and the beads; _TIE_TEXTS[ties] is the suffix of a tie partition
+# encode() texts, keyed by record: _TEMPLATES[shape] is the %-template of a
+# label tuple, filled with n, d and the beads; _TIE_TEXTS[tie] is the suffix
+# of a tie partition
 _TEMPLATES = _Memo("templates", _template)
 _TIE_TEXTS = _Memo("tie_texts", _tie_text)
 
 
 def erase_beads(x: BeadedDiagram) -> BeadedDiagram:
     """Set every bead to zero (diagram shadow of killing the framings)."""
-    return BeadedDiagram(x.n, x.d, family_tag=x.family_tag, ties=x.ties, lab=x.shape)
+    return BeadedDiagram(x.n, x.d, family_tag=x.family_tag, ties=x.tie, lab=x.shape)
 
 
 def erase_ties(x: BeadedDiagram) -> BeadedDiagram:
@@ -533,9 +527,11 @@ def erase_ties(x: BeadedDiagram) -> BeadedDiagram:
 
 def identity(n: int, d: int, tied: bool = False, tag: str = PERMUTATION) -> BeadedDiagram:
     """The diagram of n vertical strands, no beads, all-singleton ties if tied."""
-    ties = tuple((i,) for i in range(n)) if tied else None  # canonical: one _TIES lookup
-    lab = tuple(range(n)) * 2  # passed as the _SHAPES record, once it holds one
-    return BeadedDiagram(n, d, family_tag=tag, ties=ties, lab=_SHAPES.get(lab, lab))
+    # passed as the _SHAPES and _TIES records, once they hold them
+    lab = tuple(range(n)) * 2
+    ties = tuple((i,) for i in range(n)) if tied else None
+    return BeadedDiagram(n, d, family_tag=tag, ties=_TIES.get(ties, ties),
+                         lab=_SHAPES.get(lab, lab))
 
 
 # -- generator symbols ------------------------------------------------------
@@ -783,13 +779,13 @@ def compose(a: BeadedDiagram, b: BeadedDiagram,
 
     The shapes of the product come from ``_skeleton``, memoized per pair of
     shape records; its loop record comes from ``_LOOPS`` and its ties from
-    ``_JOINS``, memoized per tie pattern, read through the factors' own
-    ``links``.  Only the beads are summed on every call, by the plan's bead
+    ``_JOINS``, memoized per tie pattern, read through the links of the
+    factors' own tie records.  Only the beads are summed on every call, by the plan's bead
     map, and the result is built by one positional call of the constructor.
     """
     if a.n != b.n or a.d != b.d:
         raise ValueError("factors must share strand count and framing modulus")
-    if (a.ties is None) != (b.ties is None):
+    if (a.tie is None) != (b.tie is None):
         raise ValueError("cannot mix tied and untied diagrams")
 
     n, d = a.n, a.d
@@ -818,22 +814,22 @@ def compose(a: BeadedDiagram, b: BeadedDiagram,
         for v in free:
             beads[v] = 0
 
-    ties = None
-    if a.ties is not None:
+    tie = None
+    if a.tie is not None:
         # the components that the links of each factor join: the b half is
         # read through comp past a's blocks
-        ka, la, lb = len(a.beads), a.links, b.links
+        ka, la, lb = len(a.beads), a.tie.links, b.tie.links
         if type(comp) is bytes:
             pattern = (bytes((k, len(free), *free)) + la.translate(comp.ljust(256, b"\0"))
                        + lb.translate(comp[ka:].ljust(256, b"\0")))
         else:
             pattern = (k, len(free), *free, *map(comp.__getitem__, la),
                        *map(comp[ka:].__getitem__, lb))
-        ties = _JOINS[pattern]
+        tie = _JOINS[pattern]
         if beads is not None:
-            _pool_beads(beads, ties.links, d)
+            _pool_beads(beads, tie.links, d)
 
     tag = a.family_tag
     if tag is not b.family_tag:
         tag = _tag_join(tag, b.family_tag)
-    return BeadedDiagram(n, d, None, beads, tag, ties, shape), loops
+    return BeadedDiagram(n, d, None, beads, tag, tie, shape), loops

@@ -68,7 +68,7 @@ def _read(x: BeadedDiagram):
     """The blocks of an untied diagram by shape, at positions 1..n on each edge:
     lines ``(upper, lower, bead)``, top and bottom arcs ``(left, right, bead)``
     and free top and bottom points ``(position, bead)``, each list sorted."""
-    if x.ties is not None:
+    if x.tie is not None:
         raise ValueError("normal forms are defined for untied diagrams only")
     n = x.n
     lines, ups, downs, tops, bottoms = [], [], [], [], []

@@ -183,13 +183,13 @@ def test_every_generator_diagram_is_pinned():
 
 def test_no_kernel_path_builds_through_the_blocks_form(monkeypatch):
     """Generators, closures and the tied suite build every diagram from
-    canonical labels: nothing calls the relabelling of the blocks form."""
+    canonical labels: nothing calls the preamble of the blocks form."""
     from framoid import diagrams
     from framoid.verify import suite_tied_specializations
 
     calls = []
-    relabel = diagrams._labels_of_blocks
-    monkeypatch.setattr(diagrams, "_labels_of_blocks",
+    relabel = diagrams._from_blocks
+    monkeypatch.setattr(diagrams, "_from_blocks",
                         lambda *args: calls.append(args) or relabel(*args))
     clear_memos()
     for n in range(1, 7):
@@ -232,9 +232,11 @@ def test_generators_past_256_match_the_blocks_form(sym, n, d):
         blocks += [(i, i + 1), (n + i, n + i + 1)]
         y = BeadedDiagram(n, d, blocks, None, PLANAR,
                           [[n - 2, n - 1]] + [[b] for b in range(n - 2)])
-    assert x.links == y.links and x == y and x.encode() == y.encode()
+    assert (x.tie is None) == (y.tie is None)
     if x.ties is not None:
-        assert type(x.links) is tuple  # past 256 blocks
+        assert x.tie.links == y.tie.links
+        assert type(x.tie.links) is tuple  # past 256 blocks
+    assert x == y and x.encode() == y.encode()
 
 
 class TestCompose:
@@ -1520,8 +1522,8 @@ def test_tied_diagrams_carry_the_links_of_their_ties():
     for fam in fams:
         for x in closure(fam) + generating_set(fam):
             # the _TIES entry, filled again if an earlier test emptied it
-            assert x.links == _tie_partition(x.ties, len(x.beads)).links, (fam, x)
-    assert identity(3, 2).links is None
+            assert x.tie.links == _tie_partition(x.ties, len(x.beads)).links, (fam, x)
+    assert identity(3, 2).tie is None
 
 
 def test_few_tie_partitions_serve_a_tied_closure():
@@ -1794,3 +1796,108 @@ def test_malformed_input_is_refused_with_todays_message(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+# -- records in, records out ---------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: BeadedDiagram(2, 3, None, {0: 1, 1: 2}, PERMUTATION, None, (0, 1, 0, 1)),
+    lambda: BeadedDiagram(2, 3, None, {1, 2}, PERMUTATION, None, (0, 1, 0, 1)),
+    lambda: BeadedDiagram(2, 3, None, frozenset({1, 2}), PERMUTATION, None, (0, 1, 0, 1)),
+    lambda: BeadedDiagram(2, 3, None, {1: 0, 2: 0}.keys(), PERMUTATION, None, (0, 1, 0, 1)),
+    lambda: BeadedDiagram(2, 3, [(1, 3), (2, 4)], {1, 2}, PERMUTATION),
+    lambda: BeadedDiagram(2, 3, [(1, 3), (2, 4)], frozenset({1, 2}), PERMUTATION),
+], ids=["labels-mapping", "labels-set", "labels-frozenset", "labels-keys", "blocks-set",
+        "blocks-frozenset"])
+def test_beads_without_a_label_order_are_refused_cold_and_warm(build):
+    """A mapping in the labels form would be read as its keys, and a set in
+    either form in its iteration order: both are refused, and the refusal
+    stores nothing, whether or not the memos hold the diagram's records."""
+    _clear_memos()
+    _SHAPES[0, 1, 0, 1]  # the labels are checked before the beads
+    for _ in range(2):
+        sizes = memo_sizes()
+        with pytest.raises(ValueError, match="beads must be given in"):
+            build()
+        assert memo_sizes() == sizes
+        x = BeadedDiagram(2, 3, None, [1, 2], PERMUTATION, None, (0, 1, 0, 1))
+        assert x.encode() == "n=2;d=3;blocks=[{t1,b1}:1,{t2,b2}:2]"
+        assert BeadedDiagram(2, 3, [(1, 3), (2, 4)], {(1, 3): 1, (2, 4): 2}, PERMUTATION) == x
+
+
+@pytest.mark.parametrize("ties", [[0, 1], {0: 1}, [[None, 1]], [[0, "1"]], [[0], 1], 5],
+                         ids=["flat", "mapping", "none-member", "str-member", "int-class",
+                              "int"])
+def test_malformed_tie_classes_are_refused_alike_in_both_forms(ties):
+    """Ties that are not classes of block indices raise the blocks form's
+    ``ValueError`` in the labels form too, cold and warm, storing no tie."""
+    _clear_memos()
+    for _ in range(2):
+        stored = dict(_TIES)
+        for build in (lambda: BeadedDiagram(2, 1, None, None, PERMUTATION, ties, (0, 1, 0, 1)),
+                      lambda: BeadedDiagram(2, 1, [(1, 3), (2, 4)], None, PERMUTATION, ties)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == "ties must partition the block indices"
+        assert _TIES == stored
+        identity(2, 1, tied=True).encode()
+
+
+@pytest.mark.parametrize("lab,ties,message", [
+    ((0, 0), None, "labels must cover the 2n boundary points"),
+    ((0, 1, 2, 0, 1, 2), None, "labels must cover the 2n boundary points"),
+    ((0, 1, 0, 1), ((0, 1), (2,)), "ties must partition the block indices"),
+    ((0, 1, 0, 1), ((0,),), "ties must cover every block"),
+], ids=["shape-of-fewer-strands", "shape-of-more-strands", "tie-of-more-blocks",
+        "tie-of-fewer-blocks"])
+def test_records_of_the_wrong_size_take_the_checked_path(lab, ties, message):
+    """A shape record of another n, or a tie record of another block count,
+    is checked as its labels or classes would be, and refused with today's
+    message, cold and warm; the refusal stores nothing."""
+    _clear_memos()
+    for _ in range(2):
+        shape, tie = _SHAPES[lab], ties and _TIES[ties]
+        sizes = memo_sizes()
+        with pytest.raises(ValueError) as err:
+            BeadedDiagram(2, 1, None, None, PARTITION, tie, shape)
+        assert str(err.value) == message
+        assert memo_sizes() == sizes
+        identity(2, 1, tied=True).encode()
+        identity(2, 1).encode()
+
+
+def test_kernel_callers_hand_the_constructor_records(monkeypatch):
+    """Once the memos are warm, every diagram that closures, the tied suite
+    and word evaluation build gets its labels as a ``shapes`` record and its
+    ties as a ``ties`` record or None."""
+    from framoid.diagrams import _Shape, _Tie
+    from framoid.verify import suite_tied_specializations
+
+    fams = [family(name, 3, 2 if spec.framed else 1) for name, spec in FAMILIES.items()]
+
+    def run():
+        closure.cache_clear()
+        for fam in fams:
+            closure(fam)
+        assert suite_tied_specializations(3).passed
+        rng = random.Random(0x7EC)
+        for fam in fams:
+            if fam.tied:
+                syms = generating_symbols(fam)
+                for _ in range(50):
+                    evaluate_word([rng.choice(syms) for _ in range(rng.randint(1, 12))], fam)
+
+    run()
+    calls = []
+    init = BeadedDiagram.__init__
+
+    def recording(self, n, d, blocks=None, beads=None, family_tag=PARTITION, ties=None,
+                  lab=None):
+        calls.append((type(lab), type(ties)))
+        init(self, n, d, blocks, beads, family_tag, ties, lab)
+
+    monkeypatch.setattr(BeadedDiagram, "__init__", recording)
+    run()
+    assert len(calls) > 10_000
+    assert set(calls) <= {(_Shape, _Tie), (_Shape, type(None))}
+    assert (_Shape, _Tie) in set(calls)
