@@ -28,25 +28,27 @@ a ``_Memo`` registered by name: :func:`memo_sizes` gives the size of each and
 once, in one scan that also collects its blocks, and keeps a record
 (``_Shape``) of them, its zero beads, the labels of its singleton blocks, the
 structural tags, each a set of properties (``_TAG_PROPERTIES``), that its
-properties admit, and ``hash(lab)``; ``ties`` checks each distinct tie
-partition once and keeps a record (``_Tie``) of it, its links, the pairs that
-tie each block to the least block of its class, and ``hash(ties)``.  Records are
-hashed and compared by identity, so ``plans``, keyed by the factors' two shape
-records, runs the union-find over their blocks once per pair and hashes no
-label tuple; ``gathers`` holds the few distinct bead maps of plans, an
-``itemgetter`` of each component's root block and the other blocks, so a
-product sums its beads by one gather.  ``joins`` maps a product's tie pattern
-to its tie partition, canonical as the union-find of ``plans`` (``_roots``)
-yields it, so left unchecked; ``loops`` holds one loop record per trapped
-count at d = 1 and one per tuple of trapped residues at d > 1; ``encode``
-fills one template per shape record (``templates``) and appends one text per
-tie record (``tie_texts``); ``generators`` holds one diagram per generator,
-built as canonical labels from its kind's wiring.  Nothing is evicted: the
-memos grow with the distinct patterns they key on, not with the elements; tie
-patterns are the largest, 90 383 for the 38 140 elements of trprimen(n=4).  A
-diagram that outlives :func:`clear_memos` keeps its records: it equals, hashes
-and encodes as before, and its products and encodings key new plans, templates
-and tie texts on them.
+properties admit, ``hash(lab)`` and the bytes that head its drop-rook tie
+pattern; ``ties`` checks each distinct tie partition once and keeps a record
+(``_Tie``) of it, its links, the pairs that tie each block to the least block
+of its class, and ``hash(ties)``.  Records are hashed and compared by
+identity, so ``plans``, keyed by the factors' two shape records, runs the
+union-find over their blocks once per pair and hashes no label tuple;
+``gathers`` holds the few distinct bead maps of plans, an ``itemgetter`` of
+each component's root block and the other blocks, so a product sums its beads
+by one gather.  ``joins`` maps a product's tie pattern (the result record's
+head, or ``(k, 0)`` from one table, then the factors' links read through the
+plan) to its tie partition, canonical as the union-find of ``plans``
+(``_roots``) yields it, so left unchecked; ``loops`` holds one loop record per
+trapped count at d = 1 and one per tuple of trapped residues at d > 1;
+``encode`` fills one template per shape record (``templates``) and appends one
+text per tie record (``tie_texts``); ``generators`` holds one diagram per
+generator, built as canonical labels from its kind's wiring.  Nothing is
+evicted: the memos grow with the distinct patterns they key on, not with the
+elements; tie patterns are the largest, 90 383 for the 38 140 elements of
+trprimen(n=4).  A diagram that outlives :func:`clear_memos` keeps its records:
+it equals, hashes and encodes as before, and its products and encodings key
+new plans, templates and tie texts on them.
 
 All values are immutable after construction and safe to share.
 """
@@ -199,7 +201,8 @@ def _residues(values, d: int) -> list[int]:
 def _pool_beads(beads: list[int], links, d: int) -> None:
     """Move the beads of each tie class, summed mod d, onto its least block;
     ``links`` pairs each other block of a class with the least one."""
-    for least, other in zip(links[::2], links[1::2]):
+    pairs = iter(links)  # one iterator zipped with itself reads them in pairs
+    for least, other in zip(pairs, pairs):
         if beads[other]:
             beads[least] = (beads[least] + beads[other]) % d
             beads[other] = 0
@@ -232,16 +235,22 @@ def _properties(lab: tuple, blocks: tuple, free: tuple) -> tuple[bool, ...]:
             not free, _crossing(lab, blocks) is None)
 
 
+# the bytes (k, 0) that head the tie pattern of a product of k blocks
+_HEADS = [bytes((k, 0)) for k in range(256)]
+
+
 class _Shape:
     """A ``shapes`` entry, hashed and compared by identity: the labels, block
     count k, structural tags they satisfy, blocks (the ascending points of
-    each label), k zero beads, singleton labels and ``hash(lab)``."""
+    each label), k zero beads, singleton labels, ``hash(lab)`` and the bytes
+    ``(k, len(free), *free)`` that head its drop-rook tie patterns (None past 255)."""
 
-    __slots__ = ("lab", "k", "tags", "blocks", "zeros", "free", "hash")
+    __slots__ = ("lab", "k", "tags", "blocks", "zeros", "free", "hash", "head")
 
     def __init__(self, lab, k, tags, blocks, zeros, free):
         self.lab, self.k, self.tags, self.blocks, self.zeros, self.free, self.hash = (
             lab, k, tags, blocks, zeros, free, hash(lab))
+        self.head = None if k > 255 else bytes((k, len(free), *free)) if free else _HEADS[k]
 
 
 def _shape(lab: tuple) -> _Shape:
@@ -286,9 +295,10 @@ _TIES = _Memo("ties", _Tie)
 
 def _tie_partition(ties, k: int) -> _Tie:
     """Check a tie partition of k blocks and return its ``_TIES`` entry; ties
-    that are not classes of mutually ordered members are refused as well."""
+    that are not classes of integer members are refused as well."""
     try:
-        canon = tuple(sorted(map(tuple, map(sorted, ties))))
+        # members read as in the blocks form: exact ints, bools as 0 and 1
+        canon = tuple(sorted([tuple(sorted(map(index, cls))) for cls in ties]))
         members = sorted(chain.from_iterable(canon))
         if members != list(range(k)) or not all(canon):
             if len(members) == len(set(members)) and set(members) < set(range(k)):
@@ -296,8 +306,7 @@ def _tie_partition(ties, k: int) -> _Tie:
             raise ValueError("ties must partition the block indices")
     except TypeError:
         raise ValueError("ties must partition the block indices") from None
-    # members equal 0..k-1, so int() only makes them exact ints
-    return _TIES[tuple([tuple(map(int, cls)) for cls in canon])]
+    return _TIES[canon]
 
 
 def _from_blocks(n: int, d: int, blocks, beads, ties) -> tuple:
@@ -432,8 +441,11 @@ class BeadedDiagram:
         if ties is not None:
             if type(ties) is not _Tie or ties.k != k:
                 ties = _tie_partition(getattr(ties, "canon", ties), k)
-            if d > 1 and any(map(beads.__getitem__, ties.links[1::2])):
-                raise ValueError("the beads of a tie class must sit on its least block")
+            if d > 1:
+                # a loop costs less than any(map(...)) over a few links
+                for other in ties.links[1::2]:
+                    if beads[other]:
+                        raise ValueError("the beads of a tie class must sit on its least block")
 
         if family_tag not in shape.tags:
             # a loop, not a generator, so that no name of __init__ becomes a cell
@@ -820,7 +832,8 @@ def compose(a: BeadedDiagram, b: BeadedDiagram,
         # read through comp past a's blocks
         ka, la, lb = len(a.beads), a.tie.links, b.tie.links
         if type(comp) is bytes:
-            pattern = (bytes((k, len(free), *free)) + la.translate(comp.ljust(256, b"\0"))
+            head = shape.head if drop_rook else _HEADS[k]
+            pattern = (head + la.translate(comp.ljust(256, b"\0"))
                        + lb.translate(comp[ka:].ljust(256, b"\0")))
         else:
             pattern = (k, len(free), *free, *map(comp.__getitem__, la),

@@ -1366,18 +1366,43 @@ def _assert_plans_and_joins_match_the_references():
         assert _tie_join(pattern) is tie_join_reference(pattern), pattern
 
 
-def test_plans_and_tie_joins_match_the_references_on_every_closure_step():
-    """The plans and tie joins of every (element, generator) product of each
-    default_grid family with at most 2000 elements."""
-    _clear_memos()
-    for fam in default_grid():
-        if fam.spec.count(fam.d, fam.n) > 2000:
-            continue
+def _assert_records_match_a_recomputation():
+    """Every shape record's pattern head and every tie record's links,
+    stored when the record was made, equal their recomputation."""
+    for shape in _SHAPES.values():
+        assert shape.head == bytes((shape.k, len(shape.free), *shape.free)), shape.lab
+    for tie in _TIES.values():
+        links = [x for cls in tie.canon for b in cls[1:] for x in (cls[0], b)]
+        assert tie.links == bytes(links), tie.canon
+
+
+def _products_of_each_step(fams):
+    for fam in fams:
         gens = generating_set(fam)
         for x in closure(fam):
             for g in gens:
                 compose(x, g, drop_rook=fam.drop_rook)
+
+
+def test_plans_and_tie_joins_match_the_references_on_every_closure_step():
+    """The plans and tie joins of every (element, generator) product of each
+    default_grid family with at most 2000 elements; the records' heads and
+    links after the tied families at n = 3 and the tied suite, before
+    and after clearing the memos."""
+    from framoid.verify import suite_tied_specializations
+
+    _clear_memos()
+    _products_of_each_step([fam for fam in default_grid()
+                            if fam.spec.count(fam.d, fam.n) <= 2000])
     _assert_plans_and_joins_match_the_references()
+    tied = [family(name, 3) for name, spec in FAMILIES.items() if spec.tied]
+    for _ in range(2):
+        _products_of_each_step(tied)
+        assert suite_tied_specializations(3).passed
+        assert any(shape.free for shape in _SHAPES.values()) and any(
+            tie.links for tie in _TIES.values())
+        _assert_records_match_a_recomputation()
+        _clear_memos()
 
 
 def test_plans_and_tie_joins_match_the_references_on_random_products():
@@ -1479,9 +1504,9 @@ def test_invalid_ties_raise_as_the_reference_on_every_call(ties, k):
 
 
 def test_tie_members_are_stored_as_ints():
-    # 0.0 == 0 finds the same memo entry, so the first entry must hold ints
+    # False == 0 finds the same memo entry, so the first entry must hold ints
     _clear_memos()
-    x = _tied_identity(2, [[1.0, False]])
+    x = _tied_identity(2, [[True, False]])
     assert x.ties == ((0, 1),) and all(type(b) is int for b in x.ties[0])
     assert _tied_identity(2, [[0, 1]]).encode().endswith(";ties=[[0,1]]")
 
@@ -1825,12 +1850,15 @@ def test_beads_without_a_label_order_are_refused_cold_and_warm(build):
         assert BeadedDiagram(2, 3, [(1, 3), (2, 4)], {(1, 3): 1, (2, 4): 2}, PERMUTATION) == x
 
 
-@pytest.mark.parametrize("ties", [[0, 1], {0: 1}, [[None, 1]], [[0, "1"]], [[0], 1], 5],
+@pytest.mark.parametrize("ties", [[0, 1], {0: 1}, [[None, 1]], [[0, "1"]], [[0], 1], 5,
+                                  [[1.0, False]], [[0.0], [1]]],
                          ids=["flat", "mapping", "none-member", "str-member", "int-class",
-                              "int"])
+                              "int", "float-member", "float-member-of-a-stored-partition"])
 def test_malformed_tie_classes_are_refused_alike_in_both_forms(ties):
     """Ties that are not classes of block indices raise the blocks form's
-    ``ValueError`` in the labels form too, cold and warm, storing no tie."""
+    ``ValueError`` in the labels form too, cold and warm, storing no tie; a
+    float member is refused also once the record of its int value is
+    stored: the tied identity built after each round stores ((0,), (1,))."""
     _clear_memos()
     for _ in range(2):
         stored = dict(_TIES)
@@ -1843,27 +1871,85 @@ def test_malformed_tie_classes_are_refused_alike_in_both_forms(ties):
         identity(2, 1, tied=True).encode()
 
 
-@pytest.mark.parametrize("lab,ties,message", [
-    ((0, 0), None, "labels must cover the 2n boundary points"),
-    ((0, 1, 2, 0, 1, 2), None, "labels must cover the 2n boundary points"),
-    ((0, 1, 0, 1), ((0, 1), (2,)), "ties must partition the block indices"),
-    ((0, 1, 0, 1), ((0,),), "ties must cover every block"),
+_P, _A, _C = (0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0)
+
+
+# each call hands over records; want is its encoding, or its error's class
+# and message
+@pytest.mark.parametrize("n,d,lab,beads,tag,ties,want", [
+    (2, 1, (0, 0), None, PARTITION, None,
+     (ValueError, "labels must cover the 2n boundary points")),
+    (2, 1, (0, 1, 2, 0, 1, 2), None, PARTITION, None,
+     (ValueError, "labels must cover the 2n boundary points")),
+    (2, 1, _P, None, PARTITION, ((0, 1), (2,)),
+     (ValueError, "ties must partition the block indices")),
+    (2, 1, _P, None, PARTITION, ((0,),), (ValueError, "ties must cover every block")),
+    (2.0, 1, _P, None, PERMUTATION, None, (ValueError, "n and d must be integers")),
+    (2, 3.0, _P, None, PERMUTATION, None, (ValueError, "n and d must be integers")),
+    (0, 1, _P, None, PERMUTATION, None, (ValueError, "need n >= 1 and d >= 1")),
+    (2, 0, _P, None, PERMUTATION, None, (ValueError, "need n >= 1 and d >= 1")),
+    (True, 1, (0, 0), None, PERMUTATION, None, "n=1;d=1;blocks=[{t1,b1}:0]"),
+    (2, 1, _P, None, "braid", None, (ValueError, "unknown family tag 'braid'")),
+    (2, 1, _P, None, [PARTITION], None, (TypeError, "unhashable type: 'list'")),
+    (2, 1, _A, None, PERMUTATION, None,
+     (ValueError, "permutation diagrams pair one top with one bottom point")),
+    (2, 1, _C, None, PLANAR, None, (NotPlanar, "arcs cross: (1, 4) and (2, 3)")),
+    (2, 3, _P, [1], PERMUTATION, None, (ValueError, "beads must match blocks")),
+    (2, 3, _P, [1, 2, 0], PERMUTATION, None, (ValueError, "beads must match blocks")),
+    (2, 3, _P, [5, -1], PERMUTATION, None, "n=2;d=3;blocks=[{t1,b1}:2,{t2,b2}:2]"),
+    (2, 3, _P, [300, 1], PERMUTATION, None, "n=2;d=3;blocks=[{t1,b1}:0,{t2,b2}:1]"),
+    (2, 3, _P, [4, 5], PERMUTATION, None, "n=2;d=3;blocks=[{t1,b1}:1,{t2,b2}:2]"),
+    (2, 300, _P, [299, 1], PERMUTATION, None, "n=2;d=300;blocks=[{t1,b1}:299,{t2,b2}:1]"),
+    (2, 3, _P, [1.0, 2], PERMUTATION, None, (ValueError, "beads must be integers")),
+    (2, 3, _P, [True, False], PERMUTATION, None, "n=2;d=3;blocks=[{t1,b1}:1,{t2,b2}:0]"),
+    (2, 3, _P, (1, 2), PERMUTATION, None, "n=2;d=3;blocks=[{t1,b1}:1,{t2,b2}:2]"),
+    (2, 3, _P, {1, 2}, PERMUTATION, None,
+     (ValueError, "beads must be given in label order, not as a set or mapping")),
+    (2, 3, _P, {0: 1, 1: 2}, PERMUTATION, None,
+     (ValueError, "beads must be given in label order, not as a set or mapping")),
+    (2, 3, _P, [1, 2], PERMUTATION, ((0, 1),),
+     (ValueError, "the beads of a tie class must sit on its least block")),
+    (2, 3, _P, [3, 4], PERMUTATION, ((0, 1),),
+     (ValueError, "the beads of a tie class must sit on its least block")),
+    (2, 3, _P, [1, 3], PERMUTATION, ((0, 1),),
+     "n=2;d=3;blocks=[{t1,b1}:1,{t2,b2}:0];ties=[[0,1]]"),
+    (2.0, 1, _P, None, "braid", None, (ValueError, "n and d must be integers")),
+    (2, 3, _A, [1], PERMUTATION, None, (ValueError, "beads must match blocks")),
+    (2, 3, _A, [1, 2], PERMUTATION, ((0, 1),),
+     (ValueError, "the beads of a tie class must sit on its least block")),
+    (2, 3, (0, 0), [1, 2, 0], PARTITION, None,
+     (ValueError, "labels must cover the 2n boundary points")),
+    (2, 3, _P, [1, 2], PERMUTATION, ((0, 1), (2,)),
+     (ValueError, "ties must partition the block indices")),
 ], ids=["shape-of-fewer-strands", "shape-of-more-strands", "tie-of-more-blocks",
-        "tie-of-fewer-blocks"])
-def test_records_of_the_wrong_size_take_the_checked_path(lab, ties, message):
+        "tie-of-fewer-blocks", "float-n", "float-d", "n-0", "d-0", "bool-n", "unknown-tag",
+        "unhashable-tag", "tag-not-admitted", "crossing-not-admitted", "beads-short",
+        "beads-long", "beads-out-of-range", "beads-past-255", "beads-unreduced",
+        "beads-of-d-past-256", "beads-float", "beads-bool", "beads-tuple", "beads-set",
+        "beads-mapping", "unpooled-ties", "unpooled-once-reduced", "pooled-once-reduced",
+        "float-n-and-unknown-tag", "short-beads-and-unadmitted-tag",
+        "unpooled-ties-and-unadmitted-tag", "shape-of-another-n-and-long-beads",
+        "tie-of-another-k-and-unpooled-beads"])
+def test_records_of_the_wrong_size_take_the_checked_path(n, d, lab, beads, tag, ties, want):
     """A shape record of another n, or a tie record of another block count,
-    is checked as its labels or classes would be, and refused with today's
-    message, cold and warm; the refusal stores nothing."""
+    is checked as its labels or classes would be; a record-form call with one
+    fault or several raises the first fault's error class and message, or is
+    taken with its values read as exact ints, cold and warm, and the call
+    stores nothing."""
     _clear_memos()
     for _ in range(2):
         shape, tie = _SHAPES[lab], ties and _TIES[ties]
         sizes = memo_sizes()
-        with pytest.raises(ValueError) as err:
-            BeadedDiagram(2, 1, None, None, PARTITION, tie, shape)
-        assert str(err.value) == message
+        got = _outcome(lambda: BeadedDiagram(n, d, None, beads, tag, tie, shape))
         assert memo_sizes() == sizes
+        if type(want) is str:
+            assert got.encode() == want
+            assert [type(v) for v in (got.n, got.d, *got.beads)] == [int] * (2 + shape.k)
+        else:
+            assert got == want
         identity(2, 1, tied=True).encode()
         identity(2, 1).encode()
+        generator(GenSymbol("t", 1), 2, 3).encode()
 
 
 def test_kernel_callers_hand_the_constructor_records(monkeypatch):
