@@ -58,7 +58,7 @@ from __future__ import annotations
 import re
 from collections.abc import Set
 from itertools import chain, compress, product
-from operator import index, itemgetter
+from operator import attrgetter, index, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 PARTITION = "partition"
@@ -100,6 +100,20 @@ _ADMITTED = {flags: frozenset([tag for tag, need in _TAG_PROPERTIES.items()
              for flags in product((False, True), repeat=len(_PROPERTIES))}
 
 
+def _value_record(key):
+    """Class decorator, the value records' one identity rule: equal to a record of its own
+    class with an equal ``key(record)`` only, never to a plain tuple; ``!=`` agrees; hashed by
+    the key.  Kept out: ``BeadedDiagram`` compares hashes first, on the product path;
+    ``LaurentPoly`` equals ints and ``Fraction``s; ``AlgebraElement`` and ``SuiteReport`` hold
+    a dict or a list, unhashable; ``_Shape`` and ``_Tie``, memo keys, compare by identity."""
+    def decorate(cls):
+        cls.__eq__ = lambda a, b: b is a or (b.__class__ is a.__class__ and key(a) == key(b))
+        cls.__ne__, cls.__hash__ = object.__ne__, lambda a: hash(key(a))
+        return cls
+    return decorate
+
+
+@_value_record(attrgetter("counts"))
 class LoopRecord:
     """Multiset of bead residues of the closed components removed by a product."""
 
@@ -137,12 +151,6 @@ class LoopRecord:
         for residue, mult in other.counts:
             acc[residue] = acc.get(residue, 0) + mult
         return LoopRecord(acc)
-
-    def __eq__(self, other):
-        return isinstance(other, LoopRecord) and self.counts == other.counts
-
-    def __hash__(self):
-        return hash(self.counts)
 
     def __repr__(self):
         inner = ", ".join(f"{p}: {m}" for p, m in self.counts)
@@ -627,10 +635,10 @@ def generator(sym: GenSymbol, n: int, d: int,
               tied: Optional[bool] = None, tag: Optional[str] = None) -> BeadedDiagram:
     """The diagram of a single generator on n strands with framing modulus d.
 
-    ``tied`` defaults to whether the kind is a tied one and ``tag`` to the
-    kind's tag.  Memoized once the defaults are filled in: diagrams are
-    immutable, so every caller of one generator shares one instance,
-    whichever arguments it spells out.
+    ``tied`` defaults to whether the kind is a tied one and ``tag`` to the kind's tag.
+    Memoized once the defaults are filled in: diagrams are immutable, so every caller of one
+    generator shares one instance, whichever arguments it spells out, and ``o_i^k`` is the
+    instance of the exponent in 1..d congruent to k.
     """
     kind = _KINDS.get(sym.kind)
     if kind is None:
@@ -663,6 +671,8 @@ def _generator(sym: GenSymbol, n: int, d: int, tied: bool, tag: str) -> BeadedDi
     # a field the kind ignores would key a second instance of one generator
     if (sym.j and sym.kind != "e") or (sym.exp != 1 and sym.kind != "o"):
         raise ValueError(f"generator {sym!r} sets a field its kind ignores")
+    if sym.kind == "o" and 0 < d and not 0 < sym.exp <= d:  # one instance per residue of k
+        return _GENERATORS[sym._replace(exp=(sym.exp - 1) % d + 1), n, d, tied, tag]
 
     wired = _KINDS.get(kind.unties, kind).wires(sym.i, n)
     names = [wired.get(p, p - n if p > n else p) for p in range(1, 2 * n + 1)]
@@ -673,7 +683,7 @@ def _generator(sym: GenSymbol, n: int, d: int, tied: bool, tag: str) -> BeadedDi
     beads = None
     if sym.kind == "o":
         beads = list(shape.zeros)
-        beads[lab[sym.i - 1]] = sym.exp % d
+        beads[lab[sym.i - 1]] = sym.exp
     ties = None
     if tied:
         ties = [(v,) for v in range(k)]

@@ -32,6 +32,7 @@ from .diagrams import (
     _KINDS,
     _Memo,
     _tag_join,
+    _value_record,
     compose,
     generator,
     identity,
@@ -518,10 +519,11 @@ FAMILIES: dict[str, FamilySpec] = {
 FAMILY_NAMES = tuple(FAMILIES)
 
 
+@_value_record(operator.attrgetter("name", "n", "d"))
 class MonoidFamily:
-    """A named diagram monoid at fixed parameters (d, n): frozen, equal to its own
-    class only, and hashed, shown and pickled by ``(name, n, d)``.  It stores its
-    ``spec`` and the facts every product reads: ``tied``, ``tag`` and ``drop_rook``."""
+    """A named diagram monoid at fixed parameters (d, n): a frozen value record keyed,
+    shown and pickled by ``(name, n, d)``.  It stores its ``spec`` and the facts every
+    product reads: ``tied``, ``tag`` and ``drop_rook``."""
 
     __slots__ = ("name", "n", "d", "spec", "tied", "tag", "drop_rook")
 
@@ -540,14 +542,6 @@ class MonoidFamily:
         for slot, value in zip(self.__slots__, (name, n, d, spec, spec.tied, spec.tag,
                                                 spec.drop_rook)):
             object.__setattr__(self, slot, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return other is self or (self.name, self.n, self.d) == (other.name, other.n, other.d)
-
-    def __hash__(self):
-        return hash((self.name, self.n, self.d))
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r}, n={self.n!r}, d={self.d!r})"
@@ -649,20 +643,13 @@ def predicted_cardinality(fam: MonoidFamily) -> int:
 
 # -- relation checks --------------------------------------------------------------
 
+@_value_record(operator.itemgetter(slice(-1)))
 class SchemaResult(NamedTuple):
     name: str
     display: str
     checked: int
     failures: tuple[str, ...]
-    ms: float = 0.0   # time to check every instance; not compared or hashed
-
-    def __eq__(self, other):   # never equal to a plain tuple
-        return other.__class__ is self.__class__ and self[:4] == other[:4]
-
-    __ne__ = object.__ne__   # tuple's own would compare ms
-
-    def __hash__(self):
-        return hash(self[:4])
+    ms: float = 0.0   # time to check every instance; not in the key
 
 
 class RelationReport(NamedTuple):
@@ -678,10 +665,7 @@ class RelationReport(NamedTuple):
         return sum(e.checked for e in self.entries)
 
     def failures(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            out.extend(f"{e.name}: {w}" for w in e.failures)
-        return out
+        return [f"{e.name}: {w}" for e in self.entries for w in e.failures]
 
 
 def check_relations(fam: MonoidFamily,

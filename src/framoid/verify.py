@@ -22,7 +22,7 @@ from functools import cache, partial, reduce
 from itertools import combinations, combinations_with_replacement, groupby, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .diagrams import _KINDS, CapExceeded, parse_word
+from .diagrams import _KINDS, CapExceeded, _value_record, parse_word
 from .monoids import (
     DEFAULT_CAP,
     FAMILIES,
@@ -60,6 +60,7 @@ DEFAULT_SEED = 0xF4A317
 EXPECT_FAIL = "expect-fail:"
 
 
+@_value_record(operator.itemgetter(slice(-1)))
 class SuiteEntry(NamedTuple):
     suite: str
     family: str
@@ -68,7 +69,7 @@ class SuiteEntry(NamedTuple):
     identity: str
     status: str                  # "pass" or "fail"
     witness: Optional[str] = None
-    ms: float = 0.0
+    ms: float = 0.0              # time to check the identity; not in the key
 
     @property
     def ok(self) -> bool:

@@ -21,6 +21,7 @@ from framoid.diagrams import (
     LoopRecord,
     NotPlanar,
     _GATHERS,
+    _GENERATORS,
     _JOINS,
     _KINDS,
     _LOOPS,
@@ -128,6 +129,56 @@ class TestGenerators:
         e1 = GenSymbol("e", 1, 2)
         assert generator(e1, 3, 2) is generator(e1, 3, 2, True, PERMUTATION)
         assert generator(t1, 3, 1, True) is not forms[0]
+
+
+@pytest.mark.parametrize("d, exps", [(1, (1, 0, 2, -1, 7)), (2, (1, 3, 5, 7, -1)),
+                                     (2, (2, 0, 4, -2)), (3, (2, 5, -1, 302))])
+def test_bead_exponents_of_one_residue_are_one_instance_cold_and_warm(d, exps):
+    """o_i^k for every k of one residue mod d is one instance, the generator of
+    the exponent in 1..d congruent to k, whichever spelling comes first; the
+    memo holds that one generator and one key per exponent spelled."""
+    canonical = GenSymbol("o", 2, 0, (exps[0] - 1) % d + 1)
+    for first in (exps, exps[::-1]):
+        clear_memos()
+        xs = [generator(GenSymbol("o", 2, 0, k), 3, d) for k in first]
+        assert all(x is xs[0] for x in xs)
+        assert generator(canonical, 3, d) is xs[0]
+        assert xs[0].beads == tuple(canonical.exp % d if b == 1 else 0 for b in range(3))
+        sizes = memo_sizes()
+        assert [generator(GenSymbol("o", 2, 0, k), 3, d) for k in first] == xs
+        assert memo_sizes() == sizes
+        assert len({id(x) for x in _GENERATORS.values()}) == 1
+
+
+@pytest.mark.parametrize("d", [0, -1, -2])
+@pytest.mark.parametrize("sym", [GenSymbol("o", 1), GenSymbol("o", 1, 0, 3),
+                                 GenSymbol("t", 1)])
+def test_a_generator_with_d_below_one_is_refused_cold_and_warm(sym, d):
+    """Every kind at d < 1 raises the constructor's ValueError, bead
+    generators included (their exponent is never reduced mod d), and stores
+    no generator, whether or not the memos hold it at a valid d."""
+    clear_memos()
+    for warm in (False, True):
+        if warm:
+            generator(sym, 3, 2)
+        count = len(_GENERATORS)
+        with pytest.raises(ValueError, match=r"^need n >= 1 and d >= 1$"):
+            generator(sym, 3, d)
+        assert len(_GENERATORS) == count
+
+
+@pytest.mark.parametrize("sym, message", [
+    (GenSymbol("o", 5, 0, 3), r"^generator o5\^3 out of range for n=3$"),
+    (GenSymbol("o", 0, 0, -1), r"^generator o0\^-1 out of range for n=3$"),
+    (GenSymbol("o", 1, 2, 3), r"exp=3\) sets a field its kind ignores$"),
+])
+def test_a_refused_bead_generator_is_named_as_written(sym, message):
+    """A bead exponent outside 1..d is not rewritten before a refusal."""
+    clear_memos()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            generator(sym, 3, 2)
+        assert len(_GENERATORS) == 0
 
 
 @pytest.mark.parametrize("sym", [GenSymbol("t", 1, 7), GenSymbol("t", 1, 0, 5),

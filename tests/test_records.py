@@ -8,10 +8,13 @@ import pickle
 import re
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from framoid.diagrams import LoopRecord
 from framoid.monoids import (
     FAMILIES,
     FamilySpec,
@@ -30,7 +33,13 @@ from framoid.normalform import (
     jones_nf,
     rook_nf,
 )
-from framoid.verify import SuiteEntry, SuiteReport
+from framoid.verify import (
+    SuiteEntry,
+    SuiteReport,
+    suite_framed_tl,
+    suite_presentations,
+    suite_tied_specializations,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,7 +83,8 @@ def test_record_repr_equality_hash_and_immutability(cls, names, values, other, t
     assert [getattr(x, name) for name in names] == list(values)
     assert x == cls(*values) and not x != cls(*values)
     assert x != cls(other, *values[1:]) and not x == cls(other, *values[1:])
-    compared = values[:4] if cls is SchemaResult else values  # ms is not compared
+    # a trailing ms is not in the key, so not hashed
+    compared = values[:-1] if cls in (SchemaResult, SuiteEntry) else values
     assert hash(x) == hash(compared) == hash(cls(*values))
     for name in names:
         with pytest.raises(AttributeError):
@@ -82,6 +92,54 @@ def test_record_repr_equality_hash_and_immutability(cls, names, values, other, t
         with pytest.raises(AttributeError):
             delattr(x, name)
     assert repr(x) == text
+
+
+_SCHEMA = ("a", "b", 1, ("f",))
+_ENTRY = ("s", "jn", 1, 2, "x", "fail", "w")
+
+# the value records: (a record, a copy with an equal key and another ms, a
+# record with another key, its fields as a plain tuple, an object of another
+# class with the same fields)
+VALUE_RECORDS = [
+    (LoopRecord({1: 2}), LoopRecord([(1, 1), (1, 1)]), LoopRecord({1: 3}), ((1, 2),),
+     SimpleNamespace(counts=((1, 2),))),
+    (family("jdn", 3, 2), MonoidFamily("jdn", 3, 2), family("jdn", 3, 3), ("jdn", 3, 2),
+     namedtuple("MonoidFamily", "name n d")("jdn", 3, 2)),
+    (SchemaResult(*_SCHEMA, 0.5), SchemaResult(*_SCHEMA, 2.0), SchemaResult("a", "b", 2, ("f",)),
+     (*_SCHEMA, 0.5), namedtuple("SchemaResult", SchemaResult._fields)(*_SCHEMA, 0.5)),
+    (SuiteEntry(*_ENTRY, 0.5), SuiteEntry(*_ENTRY, 2.0), SuiteEntry(*_ENTRY[:5], "pass", None),
+     (*_ENTRY, 0.5), namedtuple("SuiteEntry", SuiteEntry._fields)(*_ENTRY, 0.5)),
+]
+
+
+@pytest.mark.parametrize("x, same, other, plain, alien", VALUE_RECORDS,
+                         ids=[type(record[0]).__name__ for record in VALUE_RECORDS])
+def test_value_records_follow_one_identity_rule(x, same, other, plain, alien):
+    """A value record equals a record of its own class with an equal key, and
+    hashes alike, whatever its ms; it equals no plain tuple, in either order,
+    and no object of another class; and != agrees with == throughout.  (An
+    unrelated tuple class on the left keeps tuple's own rule, so the alien is
+    asked from the record's side only.)"""
+    assert same is not x
+    assert x == same and same == x and not x != same and not same != x
+    assert hash(x) == hash(same)
+    for y in (other, plain):
+        assert x != y and y != x
+        assert not x == y and not y == x
+    assert x != alien and not x == alien
+    assert x == x and not x != x
+
+
+@pytest.mark.parametrize("run", [
+    lambda: suite_presentations([family("jn", 3), family("jdn", 2, 2)]),
+    lambda: suite_tied_specializations(2),
+    lambda: suite_framed_tl((2,), (2,), 5),
+], ids=["presentations", "tied", "framed-tl"])
+def test_a_suite_report_equals_its_rerun(run):
+    """Two runs of a suite time their entries differently, and compare equal."""
+    first, second = run(), run()
+    assert first.entries and first == second and not first != second
+    assert [hash(e) for e in first.entries] == [hash(e) for e in second.entries]
 
 
 def test_normal_forms_give_the_pinned_words():
